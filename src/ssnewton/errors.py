@@ -70,7 +70,3 @@ class NonconvergenceError(SSNewtonError):
 
 class DegeneracyError(SSNewtonError):
     """The point is degenerate: the active-constraint Jacobian lost rank."""
-
-
-class EnumerationGuardError(SSNewtonError):
-    """An exhaustive enumeration exceeded its size guard."""

@@ -47,7 +47,8 @@ def lq_householder(c):
     Householder reflections applied to C^T, with each reflection chosen so
     the produced diagonal entry is nonnegative.  The reflector direction is
     computed in the cancellation-free form, so Q varies continuously with C
-    at every full-row-rank input.
+    at every full-row-rank input.  The product of the reflections is kept in
+    compact WY form, Q = I - W V^T, and formed by one matrix product.
 
     Requires m <= n.
     """
@@ -58,7 +59,10 @@ def lq_householder(c):
     scale = max(1.0, float(np.max(np.abs(c))) if c.size else 0.0)
 
     a = c.T.copy()  # n x m, reduced to upper triangular
-    q = np.eye(n)
+    # compact WY form: H_0 H_1 ... H_k = I - ws[:, :k+1] vs[:, :k+1]^T, where
+    # H_k = I - beta v v^T; columns stay zero where no reflection was needed
+    vs = np.zeros((n, m))
+    ws = np.zeros((n, m))
     for k in range(m):
         x = a[k:, k]
         alpha = float(np.linalg.norm(x))
@@ -78,7 +82,9 @@ def lq_householder(c):
         a[k:, k:] -= beta * np.outer(v, v @ a[k:, k:])
         a[k, k] = alpha
         a[k + 1:, k] = 0.0
-        q[:, k:] -= beta * np.outer(q[:, k:] @ v, v)
+        vs[k:, k] = v
+        ws[:, k] = beta * (vs[:, k] - ws[:, :k] @ (vs[:, :k].T @ vs[:, k]))
+    q = np.eye(n) - ws @ vs.T
 
     l = a[:m, :m].T.copy()
     diag = np.diagonal(l)
@@ -107,39 +113,37 @@ def nullspace_basis(c):
     return fac.q[:, m:].copy()
 
 
-def _lu_factor(a, tol):
-    """Doolittle LU with partial pivoting; raises when a pivot falls below tol."""
+def _solve_regular(a, rhs, error, what):
+    """LAPACK solve of A X = rhs behind a relative regularity check.
+
+    Raises ``error`` when sigma_min(A) is shown to be at most 1e-12 x
+    max(1, max |A|).  Two upper bounds on sigma_min are checked: min |R_kk|
+    of A = QR (R has the singular values of A), and ||p|| / ||A^{-1} p|| for
+    a fixed pseudo-random probe p solved alongside rhs.  The probe catches
+    the rank deficiency an unpivoted triangular factor can hide.
+    """
     n = a.shape[0]
-    lu = a.copy()
-    piv = np.arange(n)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if abs(lu[p, k]) <= tol:
-            raise SingularMatrixError(
-                f"pivot {abs(lu[p, k]):.3e} at column {k} below tolerance {tol:.3e}"
-            )
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            piv[[k, p]] = piv[[p, k]]
-        lu[k + 1:, k] /= lu[k, k]
-        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    return lu, piv
-
-
-def _lu_solve(lu, piv, b):
-    n = lu.shape[0]
-    x = b[piv].astype(float)
-    for k in range(n):  # forward, unit lower
-        x[k + 1:] -= lu[k + 1:, k] * x[k]
-    for k in range(n - 1, -1, -1):  # backward
-        x[k] = (x[k] - lu[k, k + 1:] @ x[k + 1:]) / lu[k, k]
-    return x
+    tol = PIVOT_TOL * max(1.0, float(np.max(np.abs(a))))
+    bound = float(np.min(np.abs(np.diagonal(np.linalg.qr(a, mode="r")))))
+    if bound > tol:
+        probe = np.random.default_rng(0).standard_normal(n)
+        try:
+            sol = np.linalg.solve(a, np.column_stack([rhs, probe]))
+        except np.linalg.LinAlgError:
+            sol = np.full((n, 1), np.inf)  # exactly zero pivot
+        # np.minimum keeps a NaN, which then counts as singular
+        bound = float(np.minimum(bound, np.linalg.norm(probe) / np.linalg.norm(sol[:, -1])))
+    if not bound > tol:
+        raise error(f"{what}: sigma_min <= {bound:.3e}, tolerance {tol:.3e}")
+    return sol[:, :-1].reshape(rhs.shape)
 
 
 def solve_dense(a, rhs):
-    """Solve the square system A x = rhs by LU with partial pivoting.
+    """Solve the square system A x = rhs with LAPACK (LU, partial pivoting).
 
-    Raises :class:`SingularMatrixError` when a pivot is below
+    ``rhs`` is a vector or a matrix with one right-hand side per column.
+    Raises :class:`SingularMatrixError` when the diagonal of the QR factor R
+    of A, or a probe solved with the same LU, shows sigma_min(A) at most
     1e-12 x matrix scale.
     """
     a = _as_matrix(a)
@@ -147,13 +151,11 @@ def solve_dense(a, rhs):
     n = a.shape[0]
     if a.shape[1] != n:
         raise DimensionError(f"matrix must be square, got {a.shape}")
-    if rhs.shape != (n,):
-        raise DimensionError(f"rhs has shape {rhs.shape}, expected ({n},)")
+    if rhs.ndim not in (1, 2) or rhs.shape[0] != n:
+        raise DimensionError(f"rhs has shape {rhs.shape}, expected ({n},) or ({n}, k)")
     if n == 0:
-        return np.zeros(0)
-    scale = max(1.0, float(np.max(np.abs(a))))
-    lu, piv = _lu_factor(a, PIVOT_TOL * scale)
-    return _lu_solve(lu, piv, rhs)
+        return np.zeros(rhs.shape)
+    return _solve_regular(a, rhs, SingularMatrixError, "matrix is singular")
 
 
 def lu_min_pivot(a):
@@ -191,13 +193,7 @@ def pseudo_inverse_full_row_rank(c):
     if m == 0:
         return np.zeros((n, 0))
     gram = c @ c.T
-    scale = max(1.0, float(np.max(np.abs(gram))))
-    try:
-        lu, piv = _lu_factor(gram, PIVOT_TOL * scale)
-    except SingularMatrixError as exc:
-        raise RankDeficiencyError(f"matrix does not have full row rank: {exc}") from exc
-    cols = np.column_stack([_lu_solve(lu, piv, c[:, j]) for j in range(n)])
-    return cols.T
+    return _solve_regular(gram, c, RankDeficiencyError, "matrix does not have full row rank").T
 
 
 def smallest_singular_value(c):

@@ -19,12 +19,14 @@ import numpy as np
 from .cones import basis_for_pattern, pattern_summary
 from .errors import (
     DegeneracyError,
+    EvaluationError,
+    NonconvergenceError,
     QPInfeasibleError,
     RankDeficiencyError,
     SingularMatrixError,
 )
 from .linalg import nullspace_basis, pseudo_inverse_full_row_rank, solve_dense
-from .problems import eval_f, eval_g, eval_jg, lagrangian
+from .problems import eval_f, eval_g, eval_hg, eval_jf, eval_jg
 from .qp import QPInstance, solve_qp
 from .reports import IterationRecord, SolveReport, Status
 
@@ -53,7 +55,6 @@ class NewtonWorkspace:
     z: np.ndarray  # orthonormal basis of ker(w^T Jg)
     reduced_matrix: np.ndarray
     reduced_rhs: np.ndarray
-    condition_estimate: float
 
 
 def approximation_step(problem, x):
@@ -78,7 +79,8 @@ def approximation_step(problem, x):
 
 def _geometry(problem, approx):
     jac_g = eval_jg(problem, approx.x_hat)
-    lag = lagrangian(problem, approx.x_hat, approx.lam_hat)
+    # Jacobian of the Lagrangian; its value is not needed here
+    jac_l = eval_jf(problem, approx.x_hat) + eval_hg(problem, approx.x_hat, approx.lam_hat)
     w = basis_for_pattern(approx.pattern)
     try:
         z = nullspace_basis(w.T @ jac_g)
@@ -86,20 +88,16 @@ def _geometry(problem, approx):
         raise DegeneracyError(
             f"point is degenerate: active rows of Jg lost rank ({exc})"
         ) from exc
-    return w, z, jac_g, lag
+    return w, z, jac_g, jac_l
 
 
 def newton_workspace(problem, approx):
     """Reduced n x n Newton system at the output of the approximation step."""
     n = problem.n
-    w, z, jac_g, lag = _geometry(problem, approx)
-    reduced = np.vstack([z.T @ lag.jacobian, w.T @ jac_g])
+    w, z, jac_g, jac_l = _geometry(problem, approx)
+    reduced = np.vstack([z.T @ jac_l, w.T @ jac_g])
     rhs = np.concatenate([-(z.T @ approx.y_hat[:n]), -(w.T @ approx.y_hat[n:])])
-    svals = np.linalg.svd(reduced, compute_uv=False)
-    cond = np.inf if svals[-1] == 0.0 else float(svals[0] / svals[-1])
-    return NewtonWorkspace(
-        w=w, z=z, reduced_matrix=reduced, reduced_rhs=rhs, condition_estimate=cond
-    )
+    return NewtonWorkspace(w=w, z=z, reduced_matrix=reduced, reduced_rhs=rhs)
 
 
 def newton_step(workspace):
@@ -110,11 +108,11 @@ def newton_step(workspace):
 def assemble_full_ab(problem, approx):
     """The (n+s) x (n+s) linearization pair (A, B), assembled blockwise."""
     n, s = problem.n, problem.s
-    w, z, jac_g, lag = _geometry(problem, approx)
+    w, z, jac_g, jac_l = _geometry(problem, approx)
     m = w.shape[1]
     a = np.zeros((n + s, n + s))
     b = np.zeros((n + s, n + s))
-    a[: n - m, :n] = z.T @ lag.jacobian
+    a[: n - m, :n] = z.T @ jac_l
     a[n - m : n, :n] = w.T @ jac_g
     a[n:, :n] = jac_g
     a[n:, n:] = -np.eye(s)
@@ -132,20 +130,16 @@ def closed_form_inverse(problem, approx):
     Moore-Penrose inverse of W^T Jg.
     """
     n, s = problem.n, problem.s
-    w, z, jac_g, lag = _geometry(problem, approx)
+    w, z, jac_g, jac_l = _geometry(problem, approx)
     m = w.shape[1]
-    g_mat = z.T @ lag.jacobian @ z
+    g_mat = z.T @ jac_l @ z
     try:
-        g_inv = (
-            np.column_stack([solve_dense(g_mat, e) for e in np.eye(n - m)])
-            if n - m
-            else np.zeros((0, 0))
-        )
+        g_inv = solve_dense(g_mat, np.eye(n - m))
     except SingularMatrixError as exc:
         raise SingularMatrixError(f"reduced Lagrangian block is singular: {exc}") from exc
     c_dag = pseudo_inverse_full_row_rank(w.T @ jac_g)
     top_left = z @ g_inv
-    top_mid = (np.eye(n) - top_left @ z.T @ lag.jacobian) @ c_dag
+    top_mid = (np.eye(n) - top_left @ z.T @ jac_l) @ c_dag
     inv = np.zeros((n + s, n + s))
     inv[:n, : n - m] = top_left
     inv[:n, n - m : n] = top_mid
@@ -167,14 +161,22 @@ def _default_direction(problem, approx):
     return newton_step(newton_workspace(problem, approx))
 
 
+def _failure(phase, k, exc):
+    """Status and message for invalid callback output or a capped subproblem."""
+    evaluation = isinstance(exc, EvaluationError)
+    status = Status.EVALUATION_FAILED if evaluation else Status.SUBPROBLEM_NONCONVERGENCE
+    return status, f"{phase} step at iteration {k}: {exc}"
+
+
 def solve(problem, x0, tol=1e-10, max_iter=50, approximation=approximation_step,
           direction=_default_direction):
     """Run the Newton iteration from x0 until ||u_hat|| <= tol.
 
     The residual proxy ||u_hat|| vanishes exactly at solutions of the
     inclusion, so it doubles as the stopping test.  Solver-level failures
-    (infeasible QP, singular or degenerate Newton system, iteration cap)
-    are reported in the returned status, never raised.
+    (infeasible QP, singular or degenerate Newton system, iteration cap,
+    invalid callback output, QP update cap) are reported in the returned
+    status, never raised.
 
     ``approximation`` and ``direction`` are pluggable so the same outer loop
     can drive other graph-point constructions or linearization choices.
@@ -182,7 +184,7 @@ def solve(problem, x0, tol=1e-10, max_iter=50, approximation=approximation_step,
     x = np.asarray(x0, dtype=float).copy()
     records = []
     prev_step = None
-    status, message = Status.MAX_ITER, ""
+    message = ""
     k = 0
     while True:
         try:
@@ -190,25 +192,25 @@ def solve(problem, x0, tol=1e-10, max_iter=50, approximation=approximation_step,
         except QPInfeasibleError as exc:
             status, message = Status.QP_INFEASIBLE, str(exc)
             break
+        except (EvaluationError, NonconvergenceError) as exc:
+            status, message = _failure("approximation", k, exc)
+            break
         residual = float(np.linalg.norm(approx.u_hat))
         branch = pattern_summary(approx.pattern)
         lam = tuple(float(v) for v in approx.lam_hat)
+        step = None
         if residual <= tol:
-            records.append(
-                IterationRecord(k, tuple(map(float, x)), residual, 0.0, lam, branch)
-            )
             status = Status.CONVERGED
-            break
-        if k >= max_iter:
-            records.append(
-                IterationRecord(k, tuple(map(float, x)), residual, 0.0, lam, branch)
-            )
+        elif k >= max_iter:
             status = Status.MAX_ITER
-            break
-        try:
-            step = direction(problem, approx)
-        except (DegeneracyError, SingularMatrixError) as exc:
-            status, message = Status.SINGULAR_NEWTON_SYSTEM, str(exc)
+        else:
+            try:
+                step = direction(problem, approx)
+            except (DegeneracyError, SingularMatrixError) as exc:
+                status, message = Status.SINGULAR_NEWTON_SYSTEM, str(exc)
+            except (EvaluationError, NonconvergenceError) as exc:
+                status, message = _failure("direction", k, exc)
+        if step is None:  # the run ends here, with a zero-step record
             records.append(
                 IterationRecord(k, tuple(map(float, x)), residual, 0.0, lam, branch)
             )

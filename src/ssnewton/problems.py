@@ -68,8 +68,8 @@ def _checked(value, shape, label):
     if value.shape != shape:
         raise EvaluationError(f"{label} returned shape {value.shape}, expected {shape}")
     if value.size and not np.isfinite(value).all():
-        bad = np.argwhere(~np.isfinite(value))[0]
-        raise EvaluationError(f"{label} is non-finite at entry {tuple(bad)}")
+        bad = tuple(int(i) for i in np.argwhere(~np.isfinite(value))[0])
+        raise EvaluationError(f"{label} is non-finite at entry {bad}")
     return value
 
 

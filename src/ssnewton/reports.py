@@ -16,6 +16,8 @@ class Status(Enum):
     QP_INFEASIBLE = "QP_INFEASIBLE"
     SINGULAR_NEWTON_SYSTEM = "SINGULAR_NEWTON_SYSTEM"
     UNSOLVABLE_SUBPROBLEM = "UNSOLVABLE_SUBPROBLEM"
+    EVALUATION_FAILED = "EVALUATION_FAILED"  # a callback returned invalid output
+    SUBPROBLEM_NONCONVERGENCE = "SUBPROBLEM_NONCONVERGENCE"  # e.g. the QP update cap
 
 
 @dataclass(frozen=True)

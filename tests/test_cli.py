@@ -27,6 +27,18 @@ def test_report_round_trip_preserves_failure_status():
     assert back.status is Status.UNSOLVABLE_SUBPROBLEM
 
 
+def test_report_without_newer_fields_loads():
+    doc = {
+        "status": "MAX_ITER",
+        "iterations": [{"k": 0, "x": [0.5], "residual": 0.25, "step_norm": 0.0}],
+        "final_x": [0.5],
+    }
+    report = report_from_json(json.dumps(doc))
+    assert report.status is Status.MAX_ITER
+    assert report.message == ""
+    assert report.iterations[0].lam is None
+
+
 def test_list_command(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out.splitlines()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssnewton.errors import DimensionError, RankDeficiencyError, SingularMatrixError
 from ssnewton.linalg import (
@@ -197,3 +199,92 @@ def test_smallest_singular_value_against_charpoly_oracle():
         expected = np.sqrt(max(eig, 0.0))
         top = np.linalg.norm(c, 2)
         assert abs(sigma - expected) <= 1e-9 * max(1.0, top)
+
+
+def _lq_reference(c):
+    """The LQ factor with Q updated by each reflector in turn (n x n rank-1 updates)."""
+    m, n = c.shape
+    a = c.T.copy()
+    q = np.eye(n)
+    for k in range(m):
+        x = a[k:, k]
+        alpha = float(np.linalg.norm(x))
+        if alpha == 0.0:
+            continue
+        sigma = float(x[1:] @ x[1:])
+        if x[0] > 0.0:
+            if sigma == 0.0:
+                a[k, k] = alpha
+                continue
+            v0 = -sigma / (x[0] + alpha)
+        else:
+            v0 = x[0] - alpha
+        v = x.copy()
+        v[0] = v0
+        beta = 2.0 / (v0 * v0 + sigma)
+        a[k:, k:] -= beta * np.outer(v, v @ a[k:, k:])
+        a[k, k] = alpha
+        a[k + 1:, k] = 0.0
+        q[:, k:] -= beta * np.outer(q[:, k:] @ v, v)
+    return q, a[:m, :m].T
+
+
+def _orthogonal(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diagonal(r))
+
+
+seeds = st.integers(0, 2**32 - 1)
+exponents = st.integers(-8, 8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=seeds, n=st.integers(1, 10), k=exponents)
+def test_solve_dense_rejects_rank_deficient_at_every_scale(seed, n, k):
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(0, n))
+    a = rng.standard_normal((n, r)) @ rng.standard_normal((r, n))
+    with pytest.raises(SingularMatrixError):
+        solve_dense(10.0**k * a, rng.standard_normal(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=seeds, n=st.integers(1, 10), k=exponents)
+def test_solve_dense_backward_error_at_every_scale(seed, n, k):
+    rng = np.random.default_rng(seed)
+    svals = rng.uniform(1.0, 10.0, n)
+    a = 10.0**k * (_orthogonal(rng, n) * svals) @ _orthogonal(rng, n)
+    rhs = 10.0**k * rng.standard_normal(n)
+    x = solve_dense(a, rhs)
+    backward = np.linalg.norm(a @ x - rhs) / (
+        np.linalg.norm(a, 2) * np.linalg.norm(x) + np.linalg.norm(rhs)
+    )
+    assert backward <= 8 * n * np.finfo(float).eps
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=seeds, m=st.integers(0, 6), extra=st.integers(0, 6), k=exponents,
+       sparse=st.booleans())
+def test_lq_wy_matches_explicit_reflector_product(seed, m, extra, k, sparse):
+    rng = np.random.default_rng(seed)
+    n = max(m + extra, 1)
+    if sparse:  # zero and already-aligned columns skip their reflection
+        c = rng.choice([-1.0, 0.0, 0.0, 0.0, 1.0], (m, n))
+    else:
+        c = rng.standard_normal((m, n))
+    c *= 10.0**k
+    fac = lq_householder(c)
+    q_ref, l_ref = _lq_reference(c)
+    assert np.max(np.abs(fac.q - q_ref), initial=0.0) <= 1e-14
+    assert np.array_equal(fac.l, l_ref)
+    assert np.all(np.diagonal(fac.l) >= 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=seeds, m=st.integers(2, 5), extra=st.integers(0, 4), k=exponents)
+def test_pseudo_inverse_rejects_dependent_rows_at_every_scale(seed, m, extra, k):
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((m, m + extra))
+    c[-1] = rng.standard_normal(m - 1) @ c[:-1]
+    with pytest.raises(RankDeficiencyError):
+        pseudo_inverse_full_row_rank(10.0**k * c)

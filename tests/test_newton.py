@@ -1,9 +1,12 @@
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from helpers import random_affine_problem
-from ssnewton.cones import Activity, normal_cone_membership, regular_coderivative_nd
-from ssnewton.errors import SingularMatrixError
+from ssnewton.cones import Activity, BoxSet, normal_cone_membership, regular_coderivative_nd
+from ssnewton.errors import NonconvergenceError, SingularMatrixError
 from ssnewton.newton import (
     approximation_step,
     assemble_full_ab,
@@ -13,8 +16,8 @@ from ssnewton.newton import (
     newton_workspace,
     solve,
 )
-from ssnewton.problems import AffineProblemSpec, get_problem
-from ssnewton.reports import Status
+from ssnewton.problems import AffineProblemSpec, GEProblem, get_problem
+from ssnewton.reports import Status, report_from_json, report_to_json
 
 NCP = get_problem("ncp-paper")
 BOXVI = get_problem("box-vi-2d")
@@ -101,6 +104,25 @@ def test_workspace_orthogonality_invariants():
             assert np.max(np.abs(ws.z.T @ ws.z - np.eye(k))) <= 1e-12
         if ws.w.shape[1] and k:
             assert np.max(np.abs(ws.w.T @ p.jg(x) @ ws.z)) <= 1e-10
+
+
+def test_one_iteration_evaluates_f_once_and_jg_twice():
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(BOXVI, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    p = dataclasses.replace(
+        BOXVI, **{name: counted(name) for name in ("f", "jf", "g", "jg", "hg")}
+    )
+    newton_workspace(p, approximation_step(p, np.array([0.3, 0.3])))
+    assert calls == Counter(f=1, g=1, jg=2, jf=1, hg=1)
 
 
 def test_newton_step_examples():
@@ -298,3 +320,51 @@ def test_per_iteration_membership():
             if np.linalg.norm(ap.u_hat) <= 1e-12:
                 break
             x = x + newton_step(newton_workspace(p, ap))
+
+
+def test_solve_reports_nonfinite_callback_as_status():
+    # the first Newton step from x0 = -10 lands near x = 4.4e4, where exp overflows
+    exp_problem = GEProblem(
+        name="exp",
+        n=1,
+        s=1,
+        f=lambda x: np.exp(x) - 2.0,
+        jf=lambda x: np.diag(np.exp(x)),
+        g=lambda x: x.copy(),
+        jg=lambda x: np.eye(1),
+        hg=lambda x, lam: np.zeros((1, 1)),
+        box=BoxSet(np.array([-np.inf]), np.array([np.inf])),
+    )
+    with np.errstate(over="ignore"):
+        report = solve(exp_problem, np.array([-10.0]))
+    assert report.status is Status.EVALUATION_FAILED
+    assert report.message == (
+        "approximation step at iteration 1: exp: f is non-finite at entry (0,)"
+    )
+    assert len(report.iterations) == 1
+    assert report_from_json(report_to_json(report)) == report
+
+
+def test_solve_reports_direction_evaluation_failure():
+    bad_hessian = dataclasses.replace(NCP, hg=lambda x, lam: np.full((1, 1), np.nan))
+    report = solve(bad_hessian, np.array([-0.1]))
+    assert report.status is Status.EVALUATION_FAILED
+    assert report.message.startswith("direction step at iteration 0: ")
+    assert report.iterations[-1].step_norm == 0.0
+
+
+def test_solve_reports_qp_update_cap_as_status():
+    calls = []
+
+    def capped_after_one(problem, x):
+        calls.append(x)
+        if len(calls) > 1:
+            raise NonconvergenceError("active-set update cap 200 exceeded (scale issues?)")
+        return approximation_step(problem, x)
+
+    report = solve(NCP, np.array([-0.1]), approximation=capped_after_one)
+    assert report.status is Status.SUBPROBLEM_NONCONVERGENCE
+    assert report.message == (
+        "approximation step at iteration 1: active-set update cap 200 exceeded (scale issues?)"
+    )
+    assert report_from_json(report_to_json(report)) == report

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -58,6 +59,12 @@ def test_lagrangian_nonfinite_callback():
         box=BoxSet.nonpositive(1),
     )
     with pytest.raises(EvaluationError):
+        lagrangian(bad, np.zeros(1), np.zeros(1))
+
+
+def test_nonfinite_entry_is_named_by_plain_indices():
+    bad = dataclasses.replace(NCP, jf=lambda x: np.array([[np.inf]]))
+    with pytest.raises(EvaluationError, match=r"^ncp-paper: jf is non-finite at entry \(0, 0\)$"):
         lagrangian(bad, np.zeros(1), np.zeros(1))
 
 

@@ -6,20 +6,16 @@ solve it by enumerating activity patterns, which doubles as a certificate:
 when no pattern admits a KKT point, the subproblem provably has no solution.
 """
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .cones import Activity, BoxSet, pattern_summary
-from .errors import DimensionError, EvaluationError, QPInfeasibleError, SingularMatrixError
+from .cones import Activity, BoxSet, enumerate_box_patterns, pattern_summary
+from .errors import EvaluationError, UnsolvableSubproblemError
 from .linalg import solve_dense
-from .newton import approximation_step
-from .problems import eval_f, eval_g, eval_jg, lagrangian
-from .reports import IterationRecord, SolveReport, Status
-
-_AVI_GUARD = 6
+from .newton import approximation_step, drive
+from .problems import eval_f, eval_g, eval_jg, lagrangian_jacobian
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,48 +28,23 @@ class NonsmoothSystem:
 
 
 def nonsmooth_newton(system, x0, tol=1e-10, max_iter=50):
-    """Iterate x+ = x - A^{-1} F(x) with A drawn from the generalized Jacobian."""
-    x = np.asarray(x0, dtype=float).copy()
-    records = []
-    prev_step = None
-    status, message = Status.MAX_ITER, ""
-    k = 0
-    while True:
+    """Iterate x+ = x - A^{-1} F(x) with A drawn from the generalized Jacobian.
+
+    An invalid F(x) ends the run with status EVALUATION_FAILED, a singular A
+    with SINGULAR_NEWTON_SYSTEM; nothing is raised.
+    """
+
+    def measure(x):
         fx = np.asarray(system.eval(x), dtype=float)
         if fx.shape != (system.n,) or not np.isfinite(fx).all():
-            raise EvaluationError(f"system value at iteration {k} is invalid: {fx!r}")
-        residual = float(np.linalg.norm(fx))
-        if residual <= tol:
-            records.append(IterationRecord(k, tuple(map(float, x)), residual, 0.0))
-            status = Status.CONVERGED
-            break
-        if k >= max_iter:
-            records.append(IterationRecord(k, tuple(map(float, x)), residual, 0.0))
-            status = Status.MAX_ITER
-            break
-        jac = np.asarray(system.jacobian_element(x), dtype=float)
-        try:
-            step = solve_dense(jac, -fx)
-        except SingularMatrixError as exc:
-            status, message = Status.SINGULAR_NEWTON_SYSTEM, str(exc)
-            records.append(IterationRecord(k, tuple(map(float, x)), residual, 0.0))
-            break
-        step_norm = float(np.linalg.norm(step))
-        rate = None
-        if prev_step is not None and prev_step > 0:
-            rate = step_norm / prev_step**2
-        records.append(
-            IterationRecord(k, tuple(map(float, x)), residual, step_norm, rate_estimate=rate)
-        )
-        x = x + step
-        prev_step = step_norm
-        k += 1
-    return SolveReport(
-        status=status,
-        iterations=tuple(records),
-        final_x=tuple(float(v) for v in x),
-        message=message,
-    )
+            raise EvaluationError(f"system value is invalid: {fx!r}")
+        return float(np.linalg.norm(fx)), None, None, (x, fx)
+
+    def direction(state, k):
+        x, fx = state
+        return solve_dense(np.asarray(system.jacobian_element(x), dtype=float), -fx)
+
+    return drive(x0, measure, direction, tol, max_iter)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,28 +72,13 @@ def solve_avi_enumerate(instance, tol=1e-9):
     """
     n = instance.q.shape[0]
     s = instance.g0.shape[0]
-    if s > _AVI_GUARD:
-        raise DimensionError(f"enumeration is guarded to {_AVI_GUARD} rows, got {s}")
-    options = []
-    for j in range(s):
-        lo, hi = instance.box.lower[j], instance.box.upper[j]
-        if lo == hi:
-            options.append(((Activity.FIXED, lo),))
-        else:
-            choice = [(Activity.INTERIOR, None)]
-            if np.isfinite(lo):
-                choice.append((Activity.AT_LOWER, lo))
-            if np.isfinite(hi):
-                choice.append((Activity.AT_UPPER, hi))
-            options.append(tuple(choice))
-
     scale = max(
         1.0,
         float(np.max(np.abs(instance.q))),
         float(np.max(np.abs(instance.mat))),
         float(np.max(np.abs(instance.jac))) if instance.jac.size else 0.0,
     )
-    for combo in itertools.product(*options):
+    for combo in enumerate_box_patterns(instance.box):
         act = [j for j, (kind, _) in enumerate(combo) if kind is not Activity.INTERIOR]
         size = n + len(act)
         kkt = np.zeros((size, size))
@@ -154,10 +110,7 @@ def solve_avi_enumerate(instance, tol=1e-9):
         d = instance.g0 + instance.jac @ w
         if np.any(d < instance.box.lower - tol) or np.any(d > instance.box.upper + tol):
             continue
-        pattern = tuple(
-            combo[j][0] if j in act else Activity.INTERIOR for j in range(s)
-        )
-        return instance.base + w, lam, pattern
+        return instance.base + w, lam, tuple(kind for kind, _ in combo)
     return None
 
 
@@ -167,84 +120,35 @@ def josephy_newton(problem, x0, lam0=None, tol=1e-10, max_iter=50):
     Each iteration linearizes only the single-valued part and solves the
     resulting affine variational inequality by enumeration.  When the
     subproblem is certified unsolvable the run stops with status
-    UNSOLVABLE_SUBPROBLEM.  lam0 defaults to the approximation-step
-    multiplier at x0.
+    UNSOLVABLE_SUBPROBLEM; like every solver-level failure it is reported,
+    never raised.  lam0 defaults to the approximation-step multiplier at x0;
+    later iterates carry the subproblem's multiplier.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    records = []
-    prev_step = None
-    status, message = Status.MAX_ITER, ""
-    k = 0
-    try:
+    lam = None if lam0 is None else np.asarray(lam0, dtype=float)
+
+    def measure(x):
+        nonlocal lam
         approx = approximation_step(problem, x)
-        lam = approx.lam_hat if lam0 is None else np.asarray(lam0, dtype=float)
-        residual = float(np.linalg.norm(approx.u_hat))
-        branch = pattern_summary(approx.pattern)
-        while True:
-            lam_rec = tuple(float(v) for v in lam)
-            if residual <= tol:
-                records.append(
-                    IterationRecord(k, tuple(map(float, x)), residual, 0.0, lam_rec, branch)
-                )
-                status = Status.CONVERGED
-                break
-            if k >= max_iter:
-                records.append(
-                    IterationRecord(k, tuple(map(float, x)), residual, 0.0, lam_rec, branch)
-                )
-                status = Status.MAX_ITER
-                break
-            lag = lagrangian(problem, x, lam)
-            avi = AVIInstance(
-                q=eval_f(problem, x),
-                mat=lag.jacobian,
-                jac=eval_jg(problem, x),
-                g0=eval_g(problem, x),
-                box=problem.box,
-                base=x,
+        if lam is None:
+            lam = approx.lam_hat
+        return float(np.linalg.norm(approx.u_hat)), lam, pattern_summary(approx.pattern), x
+
+    def direction(x, k):
+        nonlocal lam
+        avi = AVIInstance(
+            q=eval_f(problem, x),
+            mat=lagrangian_jacobian(problem, x, lam),
+            jac=eval_jg(problem, x),
+            g0=eval_g(problem, x),
+            box=problem.box,
+            base=x,
+        )
+        sol = solve_avi_enumerate(avi)
+        if sol is None:
+            raise UnsolvableSubproblemError(
+                f"the affine subproblem at iteration {k} has no solution"
             )
-            sol = solve_avi_enumerate(avi)
-            if sol is None:
-                status = Status.UNSOLVABLE_SUBPROBLEM
-                message = f"the affine subproblem at iteration {k} has no solution"
-                records.append(
-                    IterationRecord(k, tuple(map(float, x)), residual, 0.0, lam_rec, branch)
-                )
-                break
-            x_new, lam_new, _ = sol
-            step_norm = float(np.linalg.norm(x_new - x))
-            approx = approximation_step(problem, x_new)
-            residual_new = float(np.linalg.norm(approx.u_hat))
-            rate = None
-            if prev_step is not None and prev_step > 0:
-                rate = step_norm / prev_step**2
-            records.append(
-                IterationRecord(
-                    k, tuple(map(float, x)), residual, step_norm, lam_rec, branch, rate
-                )
-            )
-            x, lam, residual = x_new, lam_new, residual_new
-            branch = pattern_summary(approx.pattern)
-            prev_step = step_norm
-            k += 1
-            if step_norm <= tol and residual <= tol:
-                records.append(
-                    IterationRecord(
-                        k,
-                        tuple(map(float, x)),
-                        residual,
-                        0.0,
-                        tuple(float(v) for v in lam),
-                        branch,
-                    )
-                )
-                status = Status.CONVERGED
-                break
-    except QPInfeasibleError as exc:
-        status, message = Status.QP_INFEASIBLE, str(exc)
-    return SolveReport(
-        status=status,
-        iterations=tuple(records),
-        final_x=tuple(float(v) for v in x),
-        message=message,
-    )
+        x_new, lam, _ = sol
+        return x_new - x  # x + (x_new - x) == x_new except in rare rounding ties
+
+    return drive(x0, measure, direction, tol, max_iter)

@@ -21,6 +21,7 @@ from .errors import (
 )
 
 ACTIVITY_TOL = 1e-9
+_PATTERN_GUARD = 6  # coordinates; at most 3^6 patterns
 
 
 class Activity(Enum):
@@ -131,6 +132,32 @@ def basis_for_pattern(pattern):
     if not cols:
         return np.zeros((s, 0))
     return np.column_stack(cols)
+
+
+def enumerate_box_patterns(box):
+    """Every activity pattern of the box, with the bound each coordinate meets.
+
+    One tuple of (Activity, bound) pairs per pattern, bound None for an
+    interior coordinate, in product order over interior, lower, upper (finite
+    bounds only); a pinched coordinate is always fixed.  Raises
+    :class:`CombinatorialBlowupError` beyond 6 coordinates.
+    """
+    if box.dim > _PATTERN_GUARD:
+        raise CombinatorialBlowupError(
+            f"pattern enumeration is guarded to {_PATTERN_GUARD} coordinates, got {box.dim}"
+        )
+    options = []
+    for lo, hi in zip(box.lower, box.upper):
+        if lo == hi:
+            options.append(((Activity.FIXED, lo),))
+            continue
+        choice = [(Activity.INTERIOR, None)]
+        if np.isfinite(lo):
+            choice.append((Activity.AT_LOWER, lo))
+        if np.isfinite(hi):
+            choice.append((Activity.AT_UPPER, hi))
+        options.append(choice)
+    return itertools.product(*options)
 
 
 def span_normal_basis(d, box, tol=ACTIVITY_TOL):

@@ -41,7 +41,7 @@ class InvalidElementError(SSNewtonError):
 
 
 class CombinatorialBlowupError(SSNewtonError):
-    """Face enumeration would exceed the desk-scale guard."""
+    """An enumeration of faces or patterns would exceed its desk-scale guard."""
 
 
 class EvaluationError(SSNewtonError):
@@ -62,6 +62,10 @@ class QPInfeasibleError(SSNewtonError):
     def __init__(self, message, constraint=None):
         super().__init__(message)
         self.constraint = constraint
+
+
+class UnsolvableSubproblemError(SSNewtonError):
+    """A linearized subproblem provably has no solution."""
 
 
 class NonconvergenceError(SSNewtonError):

@@ -4,7 +4,9 @@ One outer iteration is: (1) an approximation step, the strictly convex QP
 that projects the current iterate onto the graph of the reformulated
 inclusion and delivers a multiplier, then (2) a Newton step solving the
 reduced n x n linear system built from a basis W of the normal-cone span at
-the predicted point and an orthonormal basis Z of ker(W^T Jg).
+the predicted point and an orthonormal basis Z of ker(W^T Jg).  The outer
+loop, :func:`drive`, is shared with the baselines: each method supplies only
+how to measure an iterate and how to step from it.
 
 The module also assembles the full (n+s)-dimensional linearization pair
 (A, B) and its closed-form inverse.  These are redundant for solving -- the
@@ -24,9 +26,10 @@ from .errors import (
     QPInfeasibleError,
     RankDeficiencyError,
     SingularMatrixError,
+    UnsolvableSubproblemError,
 )
 from .linalg import nullspace_basis, pseudo_inverse_full_row_rank, solve_dense
-from .problems import eval_f, eval_g, eval_hg, eval_jf, eval_jg
+from .problems import eval_f, eval_g, eval_jg, lagrangian_jacobian
 from .qp import QPInstance, solve_qp
 from .reports import IterationRecord, SolveReport, Status
 
@@ -79,8 +82,7 @@ def approximation_step(problem, x):
 
 def _geometry(problem, approx):
     jac_g = eval_jg(problem, approx.x_hat)
-    # Jacobian of the Lagrangian; its value is not needed here
-    jac_l = eval_jf(problem, approx.x_hat) + eval_hg(problem, approx.x_hat, approx.lam_hat)
+    jac_l = lagrangian_jacobian(problem, approx.x_hat, approx.lam_hat)
     w = basis_for_pattern(approx.pattern)
     try:
         z = nullspace_basis(w.T @ jac_g)
@@ -157,47 +159,52 @@ def full_step_oracle(problem, approx):
     return full[: problem.n]
 
 
-def _default_direction(problem, approx):
-    return newton_step(newton_workspace(problem, approx))
+# solver-level errors and the status each one ends a run with
+_STATUS_OF = {
+    QPInfeasibleError: Status.QP_INFEASIBLE,
+    DegeneracyError: Status.SINGULAR_NEWTON_SYSTEM,
+    SingularMatrixError: Status.SINGULAR_NEWTON_SYSTEM,
+    UnsolvableSubproblemError: Status.UNSOLVABLE_SUBPROBLEM,
+    EvaluationError: Status.EVALUATION_FAILED,
+    NonconvergenceError: Status.SUBPROBLEM_NONCONVERGENCE,
+}
 
 
 def _failure(phase, k, exc):
-    """Status and message for invalid callback output or a capped subproblem."""
-    evaluation = isinstance(exc, EvaluationError)
-    status = Status.EVALUATION_FAILED if evaluation else Status.SUBPROBLEM_NONCONVERGENCE
-    return status, f"{phase} step at iteration {k}: {exc}"
+    """Status and message for a solver-level error raised in one phase.
+
+    Invalid callback output and a capped subproblem do not say where they
+    happened, so their message names the phase and iteration.
+    """
+    status = next(s for kind, s in _STATUS_OF.items() if isinstance(exc, kind))
+    if isinstance(exc, (EvaluationError, NonconvergenceError)):
+        return status, f"{phase} step at iteration {k}: {exc}"
+    return status, str(exc)
 
 
-def solve(problem, x0, tol=1e-10, max_iter=50, approximation=approximation_step,
-          direction=_default_direction):
-    """Run the Newton iteration from x0 until ||u_hat|| <= tol.
+def drive(x0, measure, direction, tol, max_iter):
+    """The outer iteration shared by every method.
 
-    The residual proxy ||u_hat|| vanishes exactly at solutions of the
-    inclusion, so it doubles as the stopping test.  Solver-level failures
-    (infeasible QP, singular or degenerate Newton system, iteration cap,
-    invalid callback output, QP update cap) are reported in the returned
-    status, never raised.
-
-    ``approximation`` and ``direction`` are pluggable so the same outer loop
-    can drive other graph-point constructions or linearization choices.
+    ``measure(x)`` returns (residual, multiplier or None, branch or None,
+    state) at the iterate; ``direction(state, k)`` returns the step.  The run
+    stops when the residual is at most tol, at max_iter, or when either call
+    raises a solver-level error (infeasible QP, singular or degenerate
+    Newton system, unsolvable subproblem, invalid callback output, QP update
+    cap): that error becomes the report's status and is not raised.
     """
     x = np.asarray(x0, dtype=float).copy()
     records = []
-    prev_step = None
+    prev_step = 0.0
     message = ""
     k = 0
     while True:
         try:
-            approx = approximation(problem, x)
-        except QPInfeasibleError as exc:
-            status, message = Status.QP_INFEASIBLE, str(exc)
-            break
-        except (EvaluationError, NonconvergenceError) as exc:
+            residual, lam, branch, state = measure(x)
+        except tuple(_STATUS_OF) as exc:
             status, message = _failure("approximation", k, exc)
             break
-        residual = float(np.linalg.norm(approx.u_hat))
-        branch = pattern_summary(approx.pattern)
-        lam = tuple(float(v) for v in approx.lam_hat)
+        if lam is not None:
+            lam = tuple(float(v) for v in lam)
         step = None
         if residual <= tol:
             status = Status.CONVERGED
@@ -205,10 +212,8 @@ def solve(problem, x0, tol=1e-10, max_iter=50, approximation=approximation_step,
             status = Status.MAX_ITER
         else:
             try:
-                step = direction(problem, approx)
-            except (DegeneracyError, SingularMatrixError) as exc:
-                status, message = Status.SINGULAR_NEWTON_SYSTEM, str(exc)
-            except (EvaluationError, NonconvergenceError) as exc:
+                step = direction(state, k)
+            except tuple(_STATUS_OF) as exc:
                 status, message = _failure("direction", k, exc)
         if step is None:  # the run ends here, with a zero-step record
             records.append(
@@ -216,9 +221,7 @@ def solve(problem, x0, tol=1e-10, max_iter=50, approximation=approximation_step,
             )
             break
         step_norm = float(np.linalg.norm(step))
-        rate = None
-        if prev_step is not None and prev_step > 0:
-            rate = step_norm / prev_step**2
+        rate = step_norm / prev_step**2 if prev_step > 0 else None
         records.append(
             IterationRecord(
                 k, tuple(map(float, x)), residual, step_norm, lam, branch, rate
@@ -233,3 +236,23 @@ def solve(problem, x0, tol=1e-10, max_iter=50, approximation=approximation_step,
         final_x=tuple(float(v) for v in x),
         message=message,
     )
+
+
+def solve(problem, x0, tol=1e-10, max_iter=50, approximation=approximation_step):
+    """Run the Newton iteration from x0 until ||u_hat|| <= tol.
+
+    The residual proxy ||u_hat|| vanishes exactly at solutions of the
+    inclusion, so it doubles as the stopping test.  Solver-level failures
+    are reported in the returned status, never raised (see :func:`drive`).
+    ``approximation`` replaces the approximation step, e.g. to trace it.
+    """
+
+    def measure(x):
+        approx = approximation(problem, x)
+        residual = float(np.linalg.norm(approx.u_hat))
+        return residual, approx.lam_hat, pattern_summary(approx.pattern), approx
+
+    def direction(approx, k):
+        return newton_step(newton_workspace(problem, approx))
+
+    return drive(x0, measure, direction, tol, max_iter)

@@ -16,6 +16,7 @@ from .cones import (
     Activity,
     BoxSet,
     activity,
+    basis_for_pattern,
     enumerate_face_index_sets,
     normal_cone_membership,
     span_normal_basis,
@@ -102,13 +103,17 @@ class LagrangianEval:
     jacobian: np.ndarray  # Jf(x) + Hg(x, lam)
 
 
+def lagrangian_jacobian(problem, x, lam):
+    """Jf(x) + Hg(x, lam), the Jacobian of x -> f(x) + Jg(x)^T lam."""
+    return eval_jf(problem, x) + eval_hg(problem, x, lam)
+
+
 def lagrangian(problem, x, lam):
     """Value and Jacobian of the Lagrangian map x -> f(x) + Jg(x)^T lam."""
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float)
     value = eval_f(problem, x) + eval_jg(problem, x).T @ lam
-    jac = eval_jf(problem, x) + eval_hg(problem, x, lam)
-    return LagrangianEval(value=value, jacobian=jac)
+    return LagrangianEval(value=value, jacobian=lagrangian_jacobian(problem, x, lam))
 
 
 def nondegeneracy_modulus(problem, x, d, tol=ACTIVITY_TOL):
@@ -139,15 +144,6 @@ class SecondOrderReport:
         return all(f.passed for f in self.faces)
 
 
-def _signed_columns(pattern, index_set, s):
-    cols = []
-    for i in index_set:
-        e = np.zeros(s)
-        e[i] = -1.0 if pattern[i] is Activity.AT_LOWER else 1.0
-        cols.append(e)
-    return np.column_stack(cols) if cols else np.zeros((s, 0))
-
-
 def check_second_order(problem, x, lam, tol=ACTIVITY_TOL):
     """Face-wise regularity of the reduced Lagrangian Jacobian.
 
@@ -163,10 +159,11 @@ def check_second_order(problem, x, lam, tol=ACTIVITY_TOL):
         raise InvalidMultiplierError("multiplier is not in the normal cone at g(x)")
     pattern = activity(g0, problem.box, tol)
     jac_g = eval_jg(problem, x)
-    l_jac = lagrangian(problem, x, lam).jacobian
+    l_jac = lagrangian_jacobian(problem, x, lam)
     checks = []
     for index_set in enumerate_face_index_sets(g0, lam, problem.box, tol):
-        w = _signed_columns(pattern, index_set, problem.s)
+        face = [a if i in index_set else Activity.INTERIOR for i, a in enumerate(pattern)]
+        w = basis_for_pattern(face)
         try:
             z = nullspace_basis(w.T @ jac_g)
         except RankDeficiencyError as exc:

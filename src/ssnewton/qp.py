@@ -10,16 +10,14 @@ an unbounded dual step doubles as an infeasibility certificate.
 pattern and serves as the independent oracle in the test suite.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import ACTIVITY_TOL, Activity, BoxSet, activity
+from .cones import ACTIVITY_TOL, Activity, BoxSet, activity, enumerate_box_patterns
 from .errors import DimensionError, NonconvergenceError, QPInfeasibleError
 
 _DEP_REL_TOL = 1e-18  # ||z||^2 below this times ||n||^2 counts as dependent
-_BRUTE_GUARD = 6
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,32 +233,15 @@ def solve_qp(instance):
 def brute_force_qp(instance, tol=1e-9):
     """Oracle solver: enumerate activity patterns, keep the best KKT point.
 
-    Every per-coordinate choice of inactive / at-lower / at-upper (finite
-    bounds only; a pinched coordinate is always an equality) yields one
-    equality-constrained subproblem solved through its KKT system.  The
+    Every activity pattern of the box (:func:`enumerate_box_patterns`, at
+    most 6 constraints) yields one equality-constrained subproblem solved
+    through its KKT system.  The
     feasible candidate with the smallest objective is returned; if no
     pattern is accepted the problem is infeasible.
     """
-    if instance.s > _BRUTE_GUARD:
-        raise DimensionError(
-            f"brute force is guarded to {_BRUTE_GUARD} constraints, got {instance.s}"
-        )
-    options = []
-    for j in range(instance.s):
-        lo, hi = instance.box.lower[j], instance.box.upper[j]
-        if lo == hi:
-            options.append(((Activity.FIXED, lo),))
-        else:
-            choice = [(Activity.INTERIOR, None)]
-            if np.isfinite(lo):
-                choice.append((Activity.AT_LOWER, lo))
-            if np.isfinite(hi):
-                choice.append((Activity.AT_UPPER, hi))
-            options.append(tuple(choice))
-
     best = None
     examined = 0
-    for combo in itertools.product(*options):
+    for combo in enumerate_box_patterns(instance.box):
         examined += 1
         act = [j for j, (kind, _) in enumerate(combo) if kind is not Activity.INTERIOR]
         if act:

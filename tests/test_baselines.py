@@ -9,7 +9,7 @@ from ssnewton.baselines import (
     solve_avi_enumerate,
 )
 from ssnewton.cones import BoxSet
-from ssnewton.errors import DimensionError
+from ssnewton.errors import CombinatorialBlowupError
 from ssnewton.newton import solve
 from ssnewton.problems import get_problem
 from ssnewton.reports import Status
@@ -74,6 +74,20 @@ def test_newton_singular_jacobian():
     assert report.status is Status.SINGULAR_NEWTON_SYSTEM
 
 
+def test_newton_reports_overflowing_system_as_status():
+    # the first step from x0 = -10 lands near x = 4.4e4, where exp overflows
+    system = NonsmoothSystem(
+        n=1,
+        eval=lambda x: np.exp(x) - 2.0,
+        jacobian_element=lambda x: np.diag(np.exp(x)),
+    )
+    with np.errstate(over="ignore"):
+        report = nonsmooth_newton(system, np.array([-10.0]))
+    assert report.status is Status.EVALUATION_FAILED
+    assert report.message.startswith("approximation step at iteration 1: ")
+    assert len(report.iterations) == 1
+
+
 def _ncp_avi(x):
     return AVIInstance(
         q=np.array([-x - x * x]),
@@ -114,7 +128,7 @@ def test_avi_guard():
         g0=np.zeros(7),
         box=BoxSet.nonpositive(7),
     )
-    with pytest.raises(DimensionError):
+    with pytest.raises(CombinatorialBlowupError):
         solve_avi_enumerate(inst)
 
 

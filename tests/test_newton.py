@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from helpers import random_affine_problem
+from ssnewton import newton
+from ssnewton.baselines import josephy_newton
 from ssnewton.cones import Activity, BoxSet, normal_cone_membership, regular_coderivative_nd
 from ssnewton.errors import NonconvergenceError, SingularMatrixError
 from ssnewton.newton import (
@@ -335,14 +337,15 @@ def test_solve_reports_nonfinite_callback_as_status():
         hg=lambda x, lam: np.zeros((1, 1)),
         box=BoxSet(np.array([-np.inf]), np.array([np.inf])),
     )
-    with np.errstate(over="ignore"):
-        report = solve(exp_problem, np.array([-10.0]))
-    assert report.status is Status.EVALUATION_FAILED
-    assert report.message == (
-        "approximation step at iteration 1: exp: f is non-finite at entry (0,)"
-    )
-    assert len(report.iterations) == 1
-    assert report_from_json(report_to_json(report)) == report
+    for method in (solve, josephy_newton):
+        with np.errstate(over="ignore"):
+            report = method(exp_problem, np.array([-10.0]))
+        assert report.status is Status.EVALUATION_FAILED
+        assert report.message == (
+            "approximation step at iteration 1: exp: f is non-finite at entry (0,)"
+        )
+        assert len(report.iterations) == 1
+        assert report_from_json(report_to_json(report)) == report
 
 
 def test_solve_reports_direction_evaluation_failure():
@@ -368,3 +371,30 @@ def test_solve_reports_qp_update_cap_as_status():
         "approximation step at iteration 1: active-set update cap 200 exceeded (scale issues?)"
     )
     assert report_from_json(report_to_json(report)) == report
+
+
+def test_solve_calls_the_module_globals_the_benchmark_tracer_patches():
+    # perfbench/tracer.py times these layers by replacing the module globals
+    # of ssnewton.newton and by passing solve's approximation= argument
+    calls = Counter()
+
+    def counting(name):
+        fn = getattr(newton, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    names = ("solve_qp", "newton_workspace", "nullspace_basis", "newton_step")
+    saved = {name: getattr(newton, name) for name in names}
+    try:
+        for name in names:
+            setattr(newton, name, counting(name))
+        report = solve(NCP, np.array([-0.1]), approximation=counting("approximation_step"))
+    finally:
+        for name, fn in saved.items():
+            setattr(newton, name, fn)
+    assert report.status is Status.CONVERGED
+    assert all(calls[name] > 0 for name in (*names, "approximation_step"))

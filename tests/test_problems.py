@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -135,6 +136,26 @@ def test_check_second_order_zero_map_fails():
     verdicts = {f.index_set: f.passed for f in report.faces}
     assert verdicts[()] is False  # Z = I, reduced block = 0
     assert verdicts[(0, 1)] is True  # empty null space passes
+
+
+def test_check_second_order_evaluates_g_and_jg_once_and_f_never():
+    calls = Counter()
+    boxvi = get_problem("box-vi-2d")
+
+    def counted(name):
+        fn = getattr(boxvi, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    p = dataclasses.replace(
+        boxvi, **{name: counted(name) for name in ("f", "jf", "g", "jg", "hg")}
+    )
+    check_second_order(p, np.zeros(2), np.zeros(2))
+    assert calls == Counter(g=1, jg=1, jf=1, hg=1)
 
 
 def test_second_order_verdict_basis_independent():

@@ -3,7 +3,7 @@ import pytest
 
 from helpers import random_qp_instance
 from ssnewton.cones import Activity, BoxSet, normal_cone_membership
-from ssnewton.errors import DimensionError, QPInfeasibleError
+from ssnewton.errors import CombinatorialBlowupError, QPInfeasibleError
 from ssnewton.qp import QPInstance, brute_force_qp, solve_qp
 
 NEG1 = BoxSet.nonpositive(1)
@@ -84,7 +84,7 @@ def test_degenerate_multiplier_least_norm():
 def test_brute_force_guard():
     box = BoxSet.nonpositive(7)
     inst = QPInstance(c=np.zeros(1), b=np.zeros(7), jac=np.zeros((7, 1)), box=box)
-    with pytest.raises(DimensionError):
+    with pytest.raises(CombinatorialBlowupError):
         brute_force_qp(inst)
 
 

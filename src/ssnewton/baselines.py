@@ -11,7 +11,13 @@ from typing import Callable
 
 import numpy as np
 
-from .cones import Activity, BoxSet, enumerate_box_patterns, pattern_summary
+from .cones import (
+    Activity,
+    BoxSet,
+    enumerate_box_patterns,
+    guard_pattern_enumeration,
+    pattern_summary,
+)
 from .errors import EvaluationError, UnsolvableSubproblemError
 from .linalg import solve_dense
 from .newton import approximation_step, drive
@@ -30,8 +36,9 @@ class NonsmoothSystem:
 def nonsmooth_newton(system, x0, tol=1e-10, max_iter=50):
     """Iterate x+ = x - A^{-1} F(x) with A drawn from the generalized Jacobian.
 
-    An invalid F(x) ends the run with status EVALUATION_FAILED, a singular A
-    with SINGULAR_NEWTON_SYSTEM; nothing is raised.
+    An invalid F(x) or Jacobian element (wrong shape, non-finite entries)
+    ends the run with status EVALUATION_FAILED, a singular A with
+    SINGULAR_NEWTON_SYSTEM; nothing is raised.
     """
 
     def measure(x):
@@ -42,7 +49,10 @@ def nonsmooth_newton(system, x0, tol=1e-10, max_iter=50):
 
     def direction(state, k):
         x, fx = state
-        return solve_dense(np.asarray(system.jacobian_element(x), dtype=float), -fx)
+        jx = np.asarray(system.jacobian_element(x), dtype=float)
+        if jx.shape != (system.n, system.n) or not np.isfinite(jx).all():
+            raise EvaluationError(f"jacobian element is invalid: {jx!r}")
+        return solve_dense(jx, -fx)
 
     return drive(x0, measure, direction, tol, max_iter)
 
@@ -123,7 +133,13 @@ def josephy_newton(problem, x0, lam0=None, tol=1e-10, max_iter=50):
     UNSOLVABLE_SUBPROBLEM; like every solver-level failure it is reported,
     never raised.  lam0 defaults to the approximation-step multiplier at x0;
     later iterates carry the subproblem's multiplier.
+
+    Precondition: the subproblem is solved by enumerating activity patterns,
+    so the box may have at most 6 coordinates.  A larger box raises
+    :class:`CombinatorialBlowupError` at entry, before any callback runs; it
+    is a size limit of this baseline, not a solver-level failure.
     """
+    guard_pattern_enumeration(problem.box)
     lam = None if lam0 is None else np.asarray(lam0, dtype=float)
 
     def measure(x):

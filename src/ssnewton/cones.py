@@ -134,6 +134,14 @@ def basis_for_pattern(pattern):
     return np.column_stack(cols)
 
 
+def guard_pattern_enumeration(box):
+    """Raise :class:`CombinatorialBlowupError` if the box has more than 6 coordinates."""
+    if box.dim > _PATTERN_GUARD:
+        raise CombinatorialBlowupError(
+            f"pattern enumeration is guarded to {_PATTERN_GUARD} coordinates, got {box.dim}"
+        )
+
+
 def enumerate_box_patterns(box):
     """Every activity pattern of the box, with the bound each coordinate meets.
 
@@ -142,10 +150,7 @@ def enumerate_box_patterns(box):
     bounds only); a pinched coordinate is always fixed.  Raises
     :class:`CombinatorialBlowupError` beyond 6 coordinates.
     """
-    if box.dim > _PATTERN_GUARD:
-        raise CombinatorialBlowupError(
-            f"pattern enumeration is guarded to {_PATTERN_GUARD} coordinates, got {box.dim}"
-        )
+    guard_pattern_enumeration(box)
     options = []
     for lo, hi in zip(box.lower, box.upper):
         if lo == hi:

@@ -40,7 +40,8 @@ class ApproxResult:
 
     ``y_hat`` stacks the two residual blocks (Lagrangian value, g(x) - d);
     by the QP optimality conditions it equals (-u_hat, -Jg(x) u_hat).
-    ``pattern`` is the exact activity pattern reported by the QP solver.
+    ``pattern`` is the exact activity pattern reported by the QP solver and
+    ``jac_g`` the Jg(x) the QP was built from.
     """
 
     x_hat: np.ndarray
@@ -50,6 +51,7 @@ class ApproxResult:
     y_hat: np.ndarray
     u_hat: np.ndarray
     pattern: tuple
+    jac_g: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,11 +79,12 @@ def approximation_step(problem, x):
         y_hat=np.concatenate([p_star, b - d_hat]),
         u_hat=qp.u,
         pattern=qp.active,
+        jac_g=jac,
     )
 
 
 def _geometry(problem, approx):
-    jac_g = eval_jg(problem, approx.x_hat)
+    jac_g = approx.jac_g
     jac_l = lagrangian_jacobian(problem, approx.x_hat, approx.lam_hat)
     w = basis_for_pattern(approx.pattern)
     try:

@@ -6,6 +6,16 @@ minimum u = -c (always dual feasible), repeatedly adds the most violated
 constraint with full dual updates, and therefore needs no phase-1 point;
 an unbounded dual step doubles as an infeasibility certificate.
 
+Every finite bound is one row of a stacked matrix of upper-bound rows
+(normal . u <= offset), built once per call, so the search for the most
+violated row is one matrix-vector product with a per-row tolerance.  The
+active normals B are kept as B = Q R with Q orthonormal, together with
+R^-1: adding a row projects it out of Q twice (classical Gram-Schmidt with
+reorthogonalization) and borders R^-1, both in O(n q); dropping a row
+refactors with a Householder QR.  The terminal subproblem is re-solved
+from a fresh QR of the active rows (the polish), so the returned point
+carries no error accumulated along the path.
+
 ``brute_force_qp`` solves the same problem by enumerating every activity
 pattern and serves as the independent oracle in the test suite.
 """
@@ -60,48 +70,34 @@ class QPSolution:
     degenerate_multiplier: bool = False
 
 
-@dataclass(frozen=True)
-class _Row:
-    normal: np.ndarray  # row as an upper bound: normal . u <= offset
-    offset: float
-    coord: int
-    side: str  # 'U' or 'L'
-
-
 def _rows(instance):
-    rows = []
-    for j in range(instance.s):
-        lo, hi = instance.box.lower[j], instance.box.upper[j]
-        if np.isfinite(hi):
-            rows.append(_Row(instance.jac[j].copy(), hi - instance.b[j], j, "U"))
-        if np.isfinite(lo):
-            rows.append(_Row(-instance.jac[j], instance.b[j] - lo, j, "L"))
-    return rows
+    """Every finite bound as an upper-bound row normal . u <= offset.
+
+    Rows come in coordinate order, the upper bound of a coordinate before its
+    lower bound; ``sign`` is +1 for an upper and -1 for a lower row.
+    """
+    box = instance.box
+    coord, side = np.nonzero(np.column_stack([np.isfinite(box.upper), np.isfinite(box.lower)]))
+    upper = side == 0
+    sign = np.where(upper, 1.0, -1.0)
+    b = instance.b[coord]
+    offset = np.where(upper, box.upper[coord] - b, b - box.lower[coord])
+    return sign[:, None] * instance.jac[coord], offset, coord, sign
 
 
-def _pattern(instance, u, active_rows, tol=ACTIVITY_TOL):
+def _pattern(instance, u, coord, sign, tol=ACTIVITY_TOL):
+    """Activity of b + C u; the coordinates of the given tight rows count as active."""
+    lo, hi = instance.box.lower, instance.box.upper
     d = instance.b + instance.jac @ u
-    tight_u = {r.coord for r in active_rows if r.side == "U"}
-    tight_l = {r.coord for r in active_rows if r.side == "L"}
-    pattern = []
-    for j in range(instance.s):
-        lo, hi = instance.box.lower[j], instance.box.upper[j]
-        if lo == hi:
-            pattern.append(Activity.FIXED)
-        elif j in tight_u or (np.isfinite(hi) and abs(d[j] - hi) <= tol):
-            pattern.append(Activity.AT_UPPER)
-        elif j in tight_l or (np.isfinite(lo) and abs(d[j] - lo) <= tol):
-            pattern.append(Activity.AT_LOWER)
-        else:
-            pattern.append(Activity.INTERIOR)
-    return tuple(pattern)
-
-
-def _lambda_from_rows(instance, rows, mults):
-    lam = np.zeros(instance.s)
-    for row, mu in zip(rows, mults):
-        lam[row.coord] += mu if row.side == "U" else -mu
-    return lam
+    at_upper = np.isfinite(hi) & (np.abs(d - hi) <= tol)
+    at_lower = np.isfinite(lo) & (np.abs(d - lo) <= tol)
+    at_upper[coord[sign > 0]] = True
+    at_lower[coord[sign < 0]] = True
+    kinds = np.select(
+        [lo == hi, at_upper, at_lower], [Activity.FIXED, Activity.AT_UPPER, Activity.AT_LOWER],
+        Activity.INTERIOR,
+    )
+    return tuple(kinds)
 
 
 def solve_qp(instance):
@@ -111,30 +107,32 @@ def solve_qp(instance):
     (certified by an unbounded dual step) and :class:`NonconvergenceError`
     past 100 (n + s) active-set updates.
     """
-    rows = _rows(instance)
-    cap = 100 * (instance.n + instance.s)
-
-    def _viol_tol(row, u):
-        # rounding noise of the dot product grows with the size of u
-        return 1e-11 * (1.0 + abs(row.offset) + float(np.abs(row.normal) @ np.abs(u)))
+    normals, offsets, coords, signs = _rows(instance)
+    abs_normals, abs_offsets = np.abs(normals), np.abs(offsets)
+    n = instance.n
+    cap = 100 * (n + instance.s)
+    # Q (columns) is an orthonormal basis of the active normals B = Q R,
+    # kept in active order with the inverse of R; the dependence test keeps
+    # the active rows independent, so at most min(n, rows) are active
+    size = min(n, len(offsets))
+    q_basis = np.zeros((n, size))
+    r_inv = np.zeros((size, size))
 
     u = -instance.c.copy()
-    active = []  # indices into rows
-    mults = []
+    inactive = np.ones(len(offsets), dtype=bool)
+    active = []  # indices into the rows
+    mults = np.zeros(0)
     steps = 0
-    while True:
-        worst, worst_violation = -1, 0.0
-        for i, row in enumerate(rows):
-            if i in active:
-                continue
-            violation = row.normal @ u - row.offset - _viol_tol(row, u)
-            if violation > worst_violation:  # ties keep the lowest index
-                worst, worst_violation = i, violation
-        if worst < 0:
+    while offsets.size:
+        # rounding noise of the dot product grows with the size of u
+        tol = 1e-11 * (1.0 + abs_offsets + abs_normals @ np.abs(u))
+        violation = np.where(inactive, normals @ u - offsets - tol, 0.0)
+        worst = int(np.argmax(violation))  # ties keep the lowest index
+        if not violation[worst] > 0.0:
             break
 
-        target = rows[worst]
-        nn = max(1.0, float(target.normal @ target.normal))
+        target = normals[worst]
+        nn = max(1.0, float(target @ target))
         lam_target = 0.0  # grows across partial dual steps, lands in mults
         while True:
             steps += 1
@@ -142,56 +140,71 @@ def solve_qp(instance):
                 raise NonconvergenceError(
                     f"active-set update cap {cap} exceeded (scale issues?)"
                 )
-            if active:
-                basis = np.column_stack([rows[i].normal for i in active])
-                rho = -np.linalg.solve(basis.T @ basis, basis.T @ target.normal)
-                z = target.normal + basis @ rho
-            else:
-                rho = np.zeros(0)
-                z = target.normal.copy()
+            k = len(active)
+            q_act = q_basis[:, :k]
+            # project out the active normals twice (CGS2); rho = -R^-1 Q^T n
+            # solves the normal equations (B^T B) rho = -B^T n
+            h = q_act.T @ target
+            z = target - q_act @ h
+            h2 = q_act.T @ z
+            z -= q_act @ h2
+            rho = -(r_inv[:k, :k] @ (h + h2))
             znorm2 = float(z @ z)
-            violation = float(target.normal @ u - target.offset)
+            violation = float(target @ u - offsets[worst])
             t_full = violation / znorm2 if znorm2 > _DEP_REL_TOL * nn else np.inf
-            t_drop, drop_idx = np.inf, -1
-            rho_floor = 1e-10 * max(1.0, float(np.max(np.abs(rho))) if rho.size else 0.0)
-            for idx, r in enumerate(rho):
-                if r < -rho_floor:
-                    ratio = max(mults[idx], 0.0) / -r
-                    if ratio < t_drop:
-                        t_drop, drop_idx = ratio, idx
+            rho_floor = 1e-10 * max(1.0, float(np.max(np.abs(rho))) if k else 0.0)
+            blocking = rho < -rho_floor
+            ratios = np.full(k, np.inf)
+            ratios[blocking] = np.maximum(mults[blocking], 0.0) / -rho[blocking]
+            drop_idx = int(np.argmin(ratios)) if k else -1  # ties keep the first
+            t_drop = ratios[drop_idx] if k else np.inf
             if not np.isfinite(t_full) and not np.isfinite(t_drop):
+                side = "U" if signs[worst] > 0 else "L"
                 raise QPInfeasibleError(
-                    f"constraint {target.side} on coordinate {target.coord} cannot be "
+                    f"constraint {side} on coordinate {coords[worst]} cannot be "
                     "met: dual step is unbounded",
-                    constraint=(target.coord, target.side),
+                    constraint=(int(coords[worst]), side),
                 )
             t = min(t_full, t_drop)
             if np.isfinite(t_full):
                 u -= t * z
-            mults = [m + t * r for m, r in zip(mults, rho)]
+            mults = mults + t * rho
             lam_target += t
             if t_full <= t_drop:
+                # border the factor: B+ = [Q, z/|z|] [[R, h], [0, |z|]]
+                znorm = np.sqrt(znorm2)
+                q_basis[:, k] = z / znorm
+                r_inv[:k, k] = rho / znorm
+                r_inv[k, k] = 1.0 / znorm
                 active.append(worst)
-                mults.append(lam_target)
+                mults = np.append(mults, lam_target)
+                inactive[worst] = False
                 break
-            del active[drop_idx], mults[drop_idx]
+            inactive[active.pop(drop_idx)] = True
+            mults = np.delete(mults, drop_idx)
+            if active:  # refactor the remaining rows
+                q_new, r_new = np.linalg.qr(normals[active].T)
+                q_basis[:, : k - 1] = q_new
+                r_inv[: k - 1, : k - 1] = np.linalg.inv(r_new)
 
     if active:
-        # polish: re-solve the terminal equality-constrained subproblem so u
-        # and the multipliers carry no error accumulated along the path; the
-        # augmented system keeps the conditioning of the rows, not its square
-        basis = np.column_stack([rows[i].normal for i in active])
-        targets = np.array([rows[i].offset for i in active])
-        q = len(active)
-        kkt = np.block([[np.eye(instance.n), basis], [basis.T, np.zeros((q, q))]])
-        sol, *_ = np.linalg.lstsq(
-            kkt, np.concatenate([-instance.c, targets]), rcond=None
+        # polish: re-solve the terminal equality-constrained subproblem
+        # (u = -c - B mu with B^T u = targets) from a fresh QR of the active
+        # rows, so u and the multipliers carry no error accumulated along the
+        # path: R mu = -Q^T c - R^-T targets, then one step of refinement
+        basis = normals[active].T
+        targets = offsets[active]
+        q_new, r_new = np.linalg.qr(basis)
+        mults = np.linalg.solve(
+            r_new, -(q_new.T @ instance.c) - np.linalg.solve(r_new.T, targets)
         )
-        mults = list(sol[instance.n :])
-        u = -instance.c - basis @ sol[instance.n :]  # stationarity holds exactly
+        u = -instance.c - basis @ mults
+        mults += np.linalg.solve(r_new, np.linalg.solve(r_new.T, basis.T @ u - targets))
+        u = -instance.c - basis @ mults  # stationarity holds exactly
 
-    lam = _lambda_from_rows(instance, [rows[i] for i in active], mults)
-    pattern = _pattern(instance, u, [rows[i] for i in active])
+    lam = np.zeros(instance.s)
+    np.add.at(lam, coords[active], signs[active] * mults)
+    pattern = _pattern(instance, u, coords[active], signs[active])
     degenerate = False
     # the box multiplier is unique iff the Jacobian rows of the tight
     # coordinates are linearly independent; the internal U/L row pair of a

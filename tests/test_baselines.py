@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from ssnewton.baselines import (
 from ssnewton.cones import BoxSet
 from ssnewton.errors import CombinatorialBlowupError
 from ssnewton.newton import solve
-from ssnewton.problems import get_problem
+from ssnewton.problems import AffineProblemSpec, get_problem
 from ssnewton.reports import Status
 
 NCP = get_problem("ncp-paper")
@@ -86,6 +88,19 @@ def test_newton_reports_overflowing_system_as_status():
     assert report.status is Status.EVALUATION_FAILED
     assert report.message.startswith("approximation step at iteration 1: ")
     assert len(report.iterations) == 1
+
+
+def test_newton_reports_invalid_jacobian_element_as_status():
+    system = NonsmoothSystem(
+        n=1,
+        eval=lambda x: x + 1.0,
+        jacobian_element=lambda x: np.full((1, 1), np.nan),
+    )
+    report = nonsmooth_newton(system, np.array([1.0]))
+    assert report.status is Status.EVALUATION_FAILED
+    assert report.message.startswith("direction step at iteration 0: jacobian element is invalid")
+    assert len(report.iterations) == 1
+    assert report.final_x == (1.0,)
 
 
 def _ncp_avi(x):
@@ -175,6 +190,41 @@ def test_josephy_fails_on_ncp():
     assert report.status is Status.UNSOLVABLE_SUBPROBLEM
     assert report.iterations[-1].k == 0
     assert "iteration 0" in report.message
+
+
+def test_josephy_rejects_more_than_six_bounds_before_any_callback():
+    n = 7
+    spec = AffineProblemSpec(
+        name="nonpositive-7",
+        m=np.eye(n),
+        q=-np.ones(n),
+        g_mat=np.eye(n),
+        h=np.zeros(n),
+        lower=np.full(n, -np.inf),
+        upper=np.zeros(n),
+    )
+    problem = spec.build()
+    calls = []
+
+    def counted(name):
+        fn = getattr(problem, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    traced = dataclasses.replace(
+        problem, **{name: counted(name) for name in ("f", "jf", "g", "jg", "hg")}
+    )
+    x0 = np.full(n, 0.3)
+    with pytest.raises(CombinatorialBlowupError):
+        josephy_newton(traced, x0)
+    assert calls == []
+    report = solve(problem, x0)
+    assert report.status is Status.CONVERGED
+    assert np.max(np.abs(report.final_x)) <= 1e-10
 
 
 def test_josephy_on_affine_problem():

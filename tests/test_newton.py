@@ -1,5 +1,9 @@
 import dataclasses
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,7 +112,7 @@ def test_workspace_orthogonality_invariants():
             assert np.max(np.abs(ws.w.T @ p.jg(x) @ ws.z)) <= 1e-10
 
 
-def test_one_iteration_evaluates_f_once_and_jg_twice():
+def test_one_iteration_evaluates_f_once_and_jg_once():
     calls = Counter()
 
     def counted(name):
@@ -124,7 +128,7 @@ def test_one_iteration_evaluates_f_once_and_jg_twice():
         BOXVI, **{name: counted(name) for name in ("f", "jf", "g", "jg", "hg")}
     )
     newton_workspace(p, approximation_step(p, np.array([0.3, 0.3])))
-    assert calls == Counter(f=1, g=1, jg=2, jf=1, hg=1)
+    assert calls == Counter(f=1, g=1, jg=1, jf=1, hg=1)
 
 
 def test_newton_step_examples():
@@ -398,3 +402,19 @@ def test_solve_calls_the_module_globals_the_benchmark_tracer_patches():
             setattr(newton, name, fn)
     assert report.status is Status.CONVERGED
     assert all(calls[name] > 0 for name in (*names, "approximation_step"))
+
+
+def test_import_does_not_load_scipy():
+    # the benchmark's setup_s times a fresh import; scipy.linalg alone costs
+    # about 0.3 s there, so the package must run on numpy only
+    src = str(Path(newton.__file__).resolve().parents[1])
+    check = "import sys, ssnewton; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", check],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -16,6 +16,7 @@ from .cones import (
     BoxSet,
     enumerate_box_patterns,
     guard_pattern_enumeration,
+    pattern_admits,
     pattern_summary,
 )
 from .errors import EvaluationError, UnsolvableSubproblemError
@@ -89,38 +90,31 @@ def solve_avi_enumerate(instance, tol=1e-9):
         float(np.max(np.abs(instance.jac))) if instance.jac.size else 0.0,
     )
     for combo in enumerate_box_patterns(instance.box):
-        act = [j for j, (kind, _) in enumerate(combo) if kind is not Activity.INTERIOR]
+        pattern = tuple(kind for kind, _ in combo)
+        act = [j for j, kind in enumerate(pattern) if kind is not Activity.INTERIOR]
         size = n + len(act)
         kkt = np.zeros((size, size))
         rhs = np.zeros(size)
         kkt[:n, :n] = instance.mat
+        kkt[:n, n:] = instance.jac[act].T
+        kkt[n:, :n] = instance.jac[act]
         rhs[:n] = -instance.q
-        for row, j in enumerate(act):
-            kkt[:n, n + row] = instance.jac[j]
-            kkt[n + row, :n] = instance.jac[j]
-            rhs[n + row] = combo[j][1] - instance.g0[j]
+        rhs[n:] = [combo[j][1] - instance.g0[j] for j in act]
         try:
             sol = np.linalg.solve(kkt, rhs)
         except np.linalg.LinAlgError:
             continue
         if np.max(np.abs(kkt @ sol - rhs)) > 1e-8 * scale:
             continue  # nearly singular system, numerically untrustworthy
-        w, mu = sol[:n], sol[n:]
+        w = sol[:n]
         lam = np.zeros(s)
-        ok = True
-        for row, j in enumerate(act):
-            lam[j] = mu[row]
-            kind = combo[j][0]
-            if kind is Activity.AT_UPPER and mu[row] < -tol:
-                ok = False
-            elif kind is Activity.AT_LOWER and mu[row] > tol:
-                ok = False
-        if not ok:
+        lam[act] = sol[n:]
+        if not pattern_admits(pattern, lam, tol):
             continue
         d = instance.g0 + instance.jac @ w
         if np.any(d < instance.box.lower - tol) or np.any(d > instance.box.upper + tol):
             continue
-        return instance.base + w, lam, tuple(kind for kind, _ in combo)
+        return instance.base + w, lam, pattern
     return None
 
 

@@ -3,7 +3,9 @@
 A box D is a product of intervals, so every cone attached to it (tangent,
 normal, critical, their polars) is a product of per-coordinate cones and the
 faces of the critical cone are indexed by subsets of the active coordinates.
-All operations below exploit that coordinatewise structure.
+All operations below exploit that coordinatewise structure: each
+per-coordinate cone is a closed interval with endpoints in {-inf, 0, +inf},
+and its polar swaps the zero and the infinite endpoints.
 """
 
 import itertools
@@ -68,28 +70,32 @@ class BoxSet:
 def activity(d, box, tol=ACTIVITY_TOL):
     """Classify each coordinate of a feasible point against its bounds.
 
+    A pinched coordinate (lower == upper) is fixed; otherwise a coordinate
+    within tol of a finite bound is at that bound, and within tol of both
+    bounds of a narrow interval it is at the nearer one (the lower on a tie).
+    This is the only classifier of points against a box: the QP solver, the
+    oracles and the checkers all read their patterns from it.
+
     Returns a tuple of :class:`Activity`.  Raises
     :class:`InfeasiblePointError` when d leaves the box by more than tol.
     """
     d = np.asarray(d, dtype=float)
     if d.shape != (box.dim,):
         raise DimensionError(f"point has shape {d.shape}, box dimension is {box.dim}")
-    pattern = []
-    for i in range(box.dim):
-        lo, hi = box.lower[i], box.upper[i]
-        if d[i] < lo - tol or d[i] > hi + tol:
-            raise InfeasiblePointError(
-                f"coordinate {i}: {d[i]!r} outside [{lo}, {hi}] beyond tol", coord=i
-            )
-        if lo == hi:
-            pattern.append(Activity.FIXED)
-        elif np.isfinite(lo) and abs(d[i] - lo) <= tol:
-            pattern.append(Activity.AT_LOWER)
-        elif np.isfinite(hi) and abs(d[i] - hi) <= tol:
-            pattern.append(Activity.AT_UPPER)
-        else:
-            pattern.append(Activity.INTERIOR)
-    return tuple(pattern)
+    lo, hi = box.lower, box.upper
+    outside = (d < lo - tol) | (d > hi + tol)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise InfeasiblePointError(
+            f"coordinate {i}: {d[i]!r} outside [{lo[i]}, {hi[i]}] beyond tol", coord=i
+        )
+    gap_lo, gap_hi = np.abs(d - lo), np.abs(d - hi)  # +inf at an infinite bound
+    kinds = np.select(
+        [lo == hi, (gap_lo <= tol) & (gap_lo <= gap_hi), gap_hi <= tol],
+        [Activity.FIXED, Activity.AT_LOWER, Activity.AT_UPPER],
+        Activity.INTERIOR,
+    )
+    return tuple(kinds)
 
 
 def pattern_summary(pattern):
@@ -97,22 +103,46 @@ def pattern_summary(pattern):
     return "".join(a.value for a in pattern)
 
 
-def normal_cone_membership(d, lam, box, tol=ACTIVITY_TOL):
-    """True iff lam lies in the normal cone to the box at d.
+# a cone is held as its (lower, upper) endpoint arrays; the normal cone of
+# each activity:
+_NORMAL_CONE = {
+    Activity.INTERIOR: (0.0, 0.0),
+    Activity.AT_LOWER: (-np.inf, 0.0),
+    Activity.AT_UPPER: (0.0, np.inf),
+    Activity.FIXED: (-np.inf, np.inf),
+}
 
-    Coordinatewise: interior needs lam_i = 0, a lower bound allows lam_i <= 0,
-    an upper bound allows lam_i >= 0, a fixed coordinate allows anything.
+
+def _normal_cone(pattern):
+    ends = np.array([_NORMAL_CONE[a] for a in pattern]).reshape(-1, 2)
+    return ends[:, 0], ends[:, 1]
+
+
+def _polar(cone):
+    """The polar cone: zero endpoints become infinite, infinite ones zero."""
+    lower, upper = cone
+    return np.where(lower == 0.0, -np.inf, 0.0), np.where(upper == 0.0, np.inf, 0.0)
+
+
+def _contains(cone, x, tol):
+    """Per coordinate, whether x lies in the interval widened by tol."""
+    lower, upper = cone
+    return ~((x < lower - tol) | (x > upper + tol))
+
+
+def pattern_admits(pattern, lam, tol=ACTIVITY_TOL):
+    """True iff lam lies in the normal cone of an activity pattern.
+
+    Coordinatewise, up to tol: interior needs lam_i = 0, a lower bound
+    allows lam_i <= 0, an upper bound allows lam_i >= 0, a fixed coordinate
+    allows anything.  This is the one multiplier test of the package.
     """
-    lam = np.asarray(lam, dtype=float)
-    pattern = activity(d, box, tol)
-    for i, a in enumerate(pattern):
-        if a is Activity.INTERIOR and abs(lam[i]) > tol:
-            return False
-        if a is Activity.AT_LOWER and lam[i] > tol:
-            return False
-        if a is Activity.AT_UPPER and lam[i] < -tol:
-            return False
-    return True
+    return bool(np.all(_contains(_normal_cone(pattern), np.asarray(lam, dtype=float), tol)))
+
+
+def normal_cone_membership(d, lam, box, tol=ACTIVITY_TOL):
+    """True iff lam lies in the normal cone to the box at d."""
+    return pattern_admits(activity(d, box, tol), lam, tol)
 
 
 def basis_for_pattern(pattern):
@@ -121,17 +151,11 @@ def basis_for_pattern(pattern):
     One column per non-interior coordinate, ascending: -e_i at a lower bound,
     +e_i at an upper bound, +e_i for a fixed coordinate.
     """
-    s = len(pattern)
-    cols = []
-    for i, a in enumerate(pattern):
-        if a is Activity.INTERIOR:
-            continue
-        e = np.zeros(s)
-        e[i] = -1.0 if a is Activity.AT_LOWER else 1.0
-        cols.append(e)
-    if not cols:
-        return np.zeros((s, 0))
-    return np.column_stack(cols)
+    lower, upper = _normal_cone(pattern)
+    cols = np.flatnonzero(lower != upper)
+    w = np.zeros((len(pattern), cols.size))
+    w[cols, np.arange(cols.size)] = np.where(upper[cols] == 0.0, -1.0, 1.0)
+    return w
 
 
 def guard_pattern_enumeration(box):
@@ -170,59 +194,30 @@ def span_normal_basis(d, box, tol=ACTIVITY_TOL):
     return basis_for_pattern(activity(d, box, tol))
 
 
-class _Cone(Enum):
-    FREE = "R"
-    ZERO = "0"
-    NONPOS = "-"
-    NONNEG = "+"
+def _critical_cone(pattern, lam, tol):
+    """The critical cone T_D(d) n [lam]^perp at a graph point (d, lam).
 
-
-_POLAR = {
-    _Cone.FREE: _Cone.ZERO,
-    _Cone.ZERO: _Cone.FREE,
-    _Cone.NONPOS: _Cone.NONNEG,
-    _Cone.NONNEG: _Cone.NONPOS,
-}
-
-
-def _cone_contains(code, value, tol):
-    if code is _Cone.FREE:
-        return True
-    if code is _Cone.ZERO:
-        return abs(value) <= tol
-    if code is _Cone.NONPOS:
-        return value <= tol
-    return value >= -tol
-
-
-def _critical_cone_codes(pattern, lam, tol):
-    """Per-coordinate factors of the critical cone T_D(d) n [lam]^perp."""
-    codes = []
-    for i, a in enumerate(pattern):
-        if a is Activity.FIXED:
-            codes.append(_Cone.ZERO)
-        elif a is Activity.INTERIOR:
-            codes.append(_Cone.FREE)
-        elif a is Activity.AT_UPPER:
-            codes.append(_Cone.ZERO if lam[i] > tol else _Cone.NONPOS)
-        else:  # AT_LOWER
-            codes.append(_Cone.ZERO if lam[i] < -tol else _Cone.NONNEG)
-    return codes
+    The tangent cone is the polar of the normal cone; orthogonality to lam
+    pins every coordinate whose multiplier exceeds tol to zero.
+    """
+    lower, upper = _polar(_normal_cone(pattern))
+    strict = np.abs(lam) > tol
+    return np.where(strict, 0.0, lower), np.where(strict, 0.0, upper)
 
 
 def _require_graph_point(d, lam, box, tol, what="multiplier"):
-    if not normal_cone_membership(d, lam, box, tol):
+    pattern = activity(d, box, tol)
+    if not pattern_admits(pattern, lam, tol):
         raise InvalidMultiplierError(f"{what} is not in the normal cone at the point")
-    return activity(d, box, tol)
+    return pattern
 
 
 def critical_cone_membership(v, d, lam, box, tol=ACTIVITY_TOL):
     """True iff v is tangent at d and orthogonal to lam (coordinatewise)."""
     v = np.asarray(v, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    pattern = _require_graph_point(d, lam, box, tol)
-    codes = _critical_cone_codes(pattern, lam, tol)
-    return all(_cone_contains(c, v[i], tol) for i, c in enumerate(codes))
+    cone = _critical_cone(_require_graph_point(d, lam, box, tol), lam, tol)
+    return bool(np.all(_contains(cone, v, tol)))
 
 
 def enumerate_face_index_sets(d, lam, box, tol=ACTIVITY_TOL, guard=20):
@@ -234,15 +229,10 @@ def enumerate_face_index_sets(d, lam, box, tol=ACTIVITY_TOL, guard=20):
     Returned as sorted tuples, 2^(free count) of them, in mask order.
     """
     lam = np.asarray(lam, dtype=float)
-    pattern = _require_graph_point(d, lam, box, tol)
-    forced, free = [], []
-    for i, a in enumerate(pattern):
-        if a is Activity.INTERIOR:
-            continue
-        if a is Activity.FIXED or abs(lam[i]) > tol:
-            forced.append(i)
-        else:
-            free.append(i)
+    lower, upper = _critical_cone(_require_graph_point(d, lam, box, tol), lam, tol)
+    # a {0} factor is forced into J, a half-line is free, a line is interior
+    forced = np.flatnonzero((lower == 0.0) & (upper == 0.0)).tolist()
+    free = np.flatnonzero((lower == 0.0) != (upper == 0.0)).tolist()
     if len(free) > guard:
         raise CombinatorialBlowupError(
             f"{len(free)} weakly active coordinates exceed the enumeration guard {guard}"
@@ -263,14 +253,10 @@ def regular_coderivative_nd(d, lam, p_dir, candidate, box, tol=ACTIVITY_TOL):
     p_dir = np.asarray(p_dir, dtype=float)
     candidate = np.asarray(candidate, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    pattern = _require_graph_point(d, lam, box, tol)
-    codes = _critical_cone_codes(pattern, lam, tol)
-    for i, code in enumerate(codes):
-        if not _cone_contains(code, -p_dir[i], tol):
-            return False
-        if not _cone_contains(_POLAR[code], candidate[i], tol):
-            return False
-    return True
+    cone = _critical_cone(_require_graph_point(d, lam, box, tol), lam, tol)
+    return bool(
+        np.all(_contains(cone, -p_dir, tol)) and np.all(_contains(_polar(cone), candidate, tol))
+    )
 
 
 def semismooth_star_defect(reference, probe, element, box, tol=ACTIVITY_TOL):
@@ -287,16 +273,16 @@ def semismooth_star_defect(reference, probe, element, box, tol=ACTIVITY_TOL):
     v_star, u_star = (np.asarray(a, dtype=float) for a in element)
     _require_graph_point(d_ref, lam_ref, box, tol, what="reference multiplier")
     pattern = _require_graph_point(d, lam, box, tol, what="probe multiplier")
-    codes = _critical_cone_codes(pattern, lam, tol)
-    for i, code in enumerate(codes):
-        if not _cone_contains(code, -v_star[i], tol):
-            raise InvalidElementError(
-                f"direction component {i} is not in the critical cone"
-            )
-        if not _cone_contains(_POLAR[code], u_star[i], tol):
-            raise InvalidElementError(
-                f"output component {i} is not in the polar of the critical cone"
-            )
+    cone = _critical_cone(pattern, lam, tol)
+    bad_dir = ~_contains(cone, -v_star, tol)
+    bad_out = ~_contains(_polar(cone), u_star, tol)
+    if np.any(bad_dir | bad_out):
+        i = int(np.argmax(bad_dir | bad_out))
+        if bad_dir[i]:
+            raise InvalidElementError(f"direction component {i} is not in the critical cone")
+        raise InvalidElementError(
+            f"output component {i} is not in the polar of the critical cone"
+        )
     return float(abs(u_star @ (d - d_ref) - v_star @ (lam - lam_ref)))
 
 
@@ -309,14 +295,12 @@ def exactness_radius(d_ref, lam_ref, box):
     """
     d_ref = np.asarray(d_ref, dtype=float)
     lam_ref = np.asarray(lam_ref, dtype=float)
-    gaps = [1.0]
-    for i in range(box.dim):
-        for bound in (box.lower[i], box.upper[i]):
-            if np.isfinite(bound) and abs(d_ref[i] - bound) > 0:
-                gaps.append(abs(d_ref[i] - bound))
-        if lam_ref[i] != 0.0:
-            gaps.append(abs(lam_ref[i]))
-    return 0.5 * min(gaps)
+    bounds = np.stack([box.lower, box.upper])
+    dist = np.abs(d_ref - bounds)
+    gaps = np.concatenate(
+        [[1.0], dist[np.isfinite(bounds) & (dist > 0)], np.abs(lam_ref[lam_ref != 0.0])]
+    )
+    return 0.5 * float(np.min(gaps))
 
 
 def _probe_states(i, a, d_ref, lam_ref, box, eta):
@@ -335,20 +319,6 @@ def _probe_states(i, a, d_ref, lam_ref, box, eta):
     return [(lo, 0.0), (lo, -eta), (lo + eta, 0.0)]
 
 
-_DIR_GENS = {  # admissible v* values, i.e. -v* in the cone
-    _Cone.FREE: (0.0, 1.0, -1.0),
-    _Cone.ZERO: (0.0,),
-    _Cone.NONPOS: (0.0, 1.0),
-    _Cone.NONNEG: (0.0, -1.0),
-}
-_OUT_GENS = {  # admissible u* values, i.e. u* in the polar cone
-    _Cone.FREE: (0.0,),
-    _Cone.ZERO: (0.0, 1.0, -1.0),
-    _Cone.NONPOS: (0.0, 1.0),
-    _Cone.NONNEG: (0.0, -1.0),
-}
-
-
 def polyhedral_defect_scan(d_ref, lam_ref, box, tol=ACTIVITY_TOL, guard=8):
     """Max defect over an exhaustive local sample of probes and elements.
 
@@ -357,14 +327,18 @@ def polyhedral_defect_scan(d_ref, lam_ref, box, tol=ACTIVITY_TOL, guard=8):
     is additive across coordinates, so single-coordinate generators plus one
     fully assembled element cover every conic combination).  For a box this
     maximum is exactly zero.
+
+    Each probe is a graph point and each element lies in its cones by
+    construction, so the defects are evaluated directly: a single-coordinate
+    generator +-e_i has defect |lam_i - lam_ref_i| as a direction and
+    |d_i - d_ref_i| as an output.
     """
     d_ref = np.asarray(d_ref, dtype=float)
     lam_ref = np.asarray(lam_ref, dtype=float)
-    _require_graph_point(d_ref, lam_ref, box, tol, what="reference multiplier")
+    ref_pattern = _require_graph_point(d_ref, lam_ref, box, tol, what="reference multiplier")
     s = box.dim
     if s > guard:
         raise CombinatorialBlowupError(f"dimension {s} exceeds the scan guard {guard}")
-    ref_pattern = activity(d_ref, box, tol)
     delta = exactness_radius(d_ref, lam_ref, box)
     eta = delta / (2.0 * np.sqrt(2.0 * max(1, s)))
 
@@ -373,26 +347,18 @@ def polyhedral_defect_scan(d_ref, lam_ref, box, tol=ACTIVITY_TOL, guard=8):
     ]
     worst = 0.0
     for combo in itertools.product(*per_coord):
-        d = np.array([c[0] for c in combo])
-        lam = np.array([c[1] for c in combo])
-        codes = _critical_cone_codes(activity(d, box, tol), lam, tol)
-        elements = []
-        for i, code in enumerate(codes):
-            for g in _DIR_GENS[code]:
-                if g:
-                    v = np.zeros(s)
-                    v[i] = g
-                    elements.append((v, np.zeros(s)))
-            for g in _OUT_GENS[code]:
-                if g:
-                    u = np.zeros(s)
-                    u[i] = g
-                    elements.append((np.zeros(s), u))
-        combined_v = np.array([_DIR_GENS[c][-1] for c in codes])
-        combined_u = np.array([_OUT_GENS[c][-1] for c in codes])
-        elements.append((combined_v, combined_u))
-        for element in elements:
-            worst = max(
-                worst, semismooth_star_defect((d_ref, lam_ref), (d, lam), element, box, tol)
-            )
+        d, lam = np.array(combo, dtype=float).reshape(s, 2).T
+        cone = _critical_cone(activity(d, box, tol), lam, tol)
+        polar = _polar(cone)
+        # the assembled element: -v* and u* pick a nonzero generator of each
+        # factor (the upper ray first for -v*, the lower ray first for u*)
+        v_star = np.where(cone[1] == np.inf, -1.0, np.where(cone[0] == -np.inf, 1.0, 0.0))
+        u_star = np.where(polar[0] == -np.inf, -1.0, np.where(polar[1] == np.inf, 1.0, 0.0))
+        d_gap, lam_gap = d - d_ref, lam - lam_ref
+        worst = max(
+            worst,
+            float(np.max(np.abs(lam_gap), where=v_star != 0.0, initial=0.0)),
+            float(np.max(np.abs(d_gap), where=u_star != 0.0, initial=0.0)),
+            float(abs(u_star @ d_gap - v_star @ lam_gap)),
+        )
     return worst

@@ -4,8 +4,10 @@ Everything here operates on plain ``numpy`` arrays at desk scale (a few
 hundred rows at most).  The LQ factorization uses a fixed sign convention --
 all diagonal entries of the triangular factor are nonnegative -- which makes
 the returned orthogonal factor (and hence the null-space basis taken from its
-trailing columns) a continuous function of the input as long as the input has
-full row rank.  The Newton machinery relies on that continuity.
+trailing columns) a deterministic function of the input.  It is continuous
+away from inputs where a reduced column is a positive multiple of e1 (see
+:func:`lq_householder`).  The Newton step does not depend on the choice of
+the null-space basis, so the Newton machinery needs no such continuity.
 """
 
 from dataclasses import dataclass
@@ -45,10 +47,14 @@ def lq_householder(c):
     """Factor a wide matrix as C Q = (L : 0) with L lower triangular.
 
     Householder reflections applied to C^T, with each reflection chosen so
-    the produced diagonal entry is nonnegative.  The reflector direction is
-    computed in the cancellation-free form, so Q varies continuously with C
-    at every full-row-rank input.  The product of the reflections is kept in
-    compact WY form, Q = I - W V^T, and formed by one matrix product.
+    the produced diagonal entry is nonnegative; the reflector direction is
+    computed in the cancellation-free form.  Q is deterministic, and
+    continuous in C away from inputs where a reduced column is a positive
+    multiple of e1: such a column needs no reflection, while a column next
+    to it gets one that flips the remaining coordinates (at C = [[1, 0, 0]]
+    a perturbation of 1e-12 moves the null-space basis by 2).  The product
+    of the reflections is kept in compact WY form, Q = I - W V^T, and formed
+    by one matrix product.
 
     Requires m <= n.
     """
@@ -97,7 +103,9 @@ def nullspace_basis(c):
 
     Returns the trailing n - m columns of the orthogonal factor of
     :func:`lq_householder`, so C Z = 0 and Z^T Z = I.  The sign convention
-    makes Z deterministic and locally continuous in C.
+    makes Z deterministic, and continuous in C away from inputs where a
+    reduced column is a positive multiple of e1.  The Newton step does not
+    depend on the choice of Z.
     """
     c = _as_matrix(c)
     m, n = c.shape

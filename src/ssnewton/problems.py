@@ -18,7 +18,7 @@ from .cones import (
     activity,
     basis_for_pattern,
     enumerate_face_index_sets,
-    normal_cone_membership,
+    pattern_admits,
     span_normal_basis,
 )
 from .errors import (
@@ -155,9 +155,9 @@ def check_second_order(problem, x, lam, tol=ACTIVITY_TOL):
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float)
     g0 = eval_g(problem, x)
-    if not normal_cone_membership(g0, lam, problem.box, tol):
-        raise InvalidMultiplierError("multiplier is not in the normal cone at g(x)")
     pattern = activity(g0, problem.box, tol)
+    if not pattern_admits(pattern, lam, tol):
+        raise InvalidMultiplierError("multiplier is not in the normal cone at g(x)")
     jac_g = eval_jg(problem, x)
     l_jac = lagrangian_jacobian(problem, x, lam)
     checks = []

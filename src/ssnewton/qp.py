@@ -14,7 +14,9 @@ R^-1: adding a row projects it out of Q twice (classical Gram-Schmidt with
 reorthogonalization) and borders R^-1, both in O(n q); dropping a row
 refactors with a Householder QR.  The terminal subproblem is re-solved
 from a fresh QR of the active rows (the polish), so the returned point
-carries no error accumulated along the path.
+carries no error accumulated along the path.  The returned pattern comes
+from :func:`ssnewton.cones.activity` at b + C u, clipped to the box, with
+the coordinate of every active row placed on its bound.
 
 ``brute_force_qp`` solves the same problem by enumerating every activity
 pattern and serves as the independent oracle in the test suite.
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import ACTIVITY_TOL, Activity, BoxSet, activity, enumerate_box_patterns
+from .cones import Activity, BoxSet, activity, enumerate_box_patterns, pattern_admits
 from .errors import DimensionError, NonconvergenceError, QPInfeasibleError
 
 _DEP_REL_TOL = 1e-18  # ||z||^2 below this times ||n||^2 counts as dependent
@@ -83,21 +85,6 @@ def _rows(instance):
     b = instance.b[coord]
     offset = np.where(upper, box.upper[coord] - b, b - box.lower[coord])
     return sign[:, None] * instance.jac[coord], offset, coord, sign
-
-
-def _pattern(instance, u, coord, sign, tol=ACTIVITY_TOL):
-    """Activity of b + C u; the coordinates of the given tight rows count as active."""
-    lo, hi = instance.box.lower, instance.box.upper
-    d = instance.b + instance.jac @ u
-    at_upper = np.isfinite(hi) & (np.abs(d - hi) <= tol)
-    at_lower = np.isfinite(lo) & (np.abs(d - lo) <= tol)
-    at_upper[coord[sign > 0]] = True
-    at_lower[coord[sign < 0]] = True
-    kinds = np.select(
-        [lo == hi, at_upper, at_lower], [Activity.FIXED, Activity.AT_UPPER, Activity.AT_LOWER],
-        Activity.INTERIOR,
-    )
-    return tuple(kinds)
 
 
 def solve_qp(instance):
@@ -202,14 +189,19 @@ def solve_qp(instance):
         mults += np.linalg.solve(r_new, np.linalg.solve(r_new.T, basis.T @ u - targets))
         u = -instance.c - basis @ mults  # stationarity holds exactly
 
+    on_bound = coords[active]
     lam = np.zeros(instance.s)
-    np.add.at(lam, coords[active], signs[active] * mults)
-    pattern = _pattern(instance, u, coords[active], signs[active])
+    np.add.at(lam, on_bound, signs[active] * mults)
+    # classify b + C u with the coordinate of each active row on its bound
+    box = instance.box
+    d = instance.b + instance.jac @ u
+    d[on_bound] = np.where(signs[active] > 0, box.upper[on_bound], box.lower[on_bound])
+    pattern = activity(np.clip(d, box.lower, box.upper), box)
     degenerate = False
     # the box multiplier is unique iff the Jacobian rows of the tight
     # coordinates are linearly independent; the internal U/L row pair of a
     # pinched coordinate does not count (their difference is unique)
-    tight_coords = [j for j in range(instance.s) if pattern[j] is not Activity.INTERIOR]
+    tight_coords = [j for j, a in enumerate(pattern) if a is not Activity.INTERIOR]
     if tight_coords:
         jac_tight = instance.jac[tight_coords]
         svals = np.linalg.svd(jac_tight, compute_uv=False)
@@ -224,15 +216,10 @@ def solve_qp(instance):
             candidate[tight_coords] = mu
             residual = np.linalg.norm(u + instance.c + instance.jac.T @ candidate)
             sign_tol = 1e-9 * (1.0 + float(np.max(np.abs(candidate))))
-            signs_ok = all(
-                (pattern[j] is Activity.FIXED)
-                or (pattern[j] is Activity.AT_UPPER and candidate[j] >= -sign_tol)
-                or (pattern[j] is Activity.AT_LOWER and candidate[j] <= sign_tol)
-                for j in tight_coords
-            )
             # prefer the least-norm multiplier, but never at the price of
             # stationarity: barely-tight rows can make the system inconsistent
-            if signs_ok and residual <= 1e-10 * (1.0 + np.linalg.norm(instance.c)):
+            stationary = residual <= 1e-10 * (1.0 + np.linalg.norm(instance.c))
+            if stationary and pattern_admits(pattern, candidate, sign_tol):
                 lam = candidate
     return QPSolution(
         u=u,
@@ -256,7 +243,8 @@ def brute_force_qp(instance, tol=1e-9):
     examined = 0
     for combo in enumerate_box_patterns(instance.box):
         examined += 1
-        act = [j for j, (kind, _) in enumerate(combo) if kind is not Activity.INTERIOR]
+        pattern = tuple(kind for kind, _ in combo)
+        act = [j for j, kind in enumerate(pattern) if kind is not Activity.INTERIOR]
         if act:
             c_act = instance.jac[act]
             targets = np.array([combo[j][1] - instance.b[j] for j in act])
@@ -277,14 +265,10 @@ def brute_force_qp(instance, tol=1e-9):
         else:
             mu = np.zeros(0)
             u = -instance.c.copy()
+        lam = np.zeros(instance.s)
+        lam[act] = mu
         mu_tol = tol * (1.0 + (float(np.max(np.abs(mu))) if mu.size else 0.0))
-        ok = True
-        for j, (kind, _) in enumerate(combo):
-            if kind is Activity.AT_UPPER and mu[act.index(j)] < -mu_tol:
-                ok = False
-            elif kind is Activity.AT_LOWER and mu[act.index(j)] > mu_tol:
-                ok = False
-        if not ok:
+        if not pattern_admits(pattern, lam, mu_tol):
             continue
         d = instance.b + instance.jac @ u
         row_slack = tol * (1.0 + np.abs(instance.jac) @ np.abs(u))
@@ -294,9 +278,6 @@ def brute_force_qp(instance, tol=1e-9):
             continue
         objective = 0.5 * float(u @ u) + float(instance.c @ u)
         if best is None or objective < best[0] - 1e-12:
-            lam = np.zeros(instance.s)
-            for j in act:
-                lam[j] = mu[act.index(j)]
             best = (objective, u, lam)
     if best is None:
         raise QPInfeasibleError("no activity pattern admits a KKT point")

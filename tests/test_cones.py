@@ -56,6 +56,42 @@ def test_activity_examples():
     assert info.value.coord == 0
 
 
+def test_activity_matches_a_coordinatewise_reference():
+    # narrow intervals put points within tol of both bounds: the nearer one
+    # wins, the lower on a tie
+    rng = np.random.default_rng(3)
+    tol = 1e-9
+    for _ in range(200):
+        s = int(rng.integers(1, 7))
+        lo = rng.choice([-1.0, 0.0], s)
+        width = rng.choice([0.0, 5e-10, 2e-9, 1.0, np.inf], s)
+        box = BoxSet(np.where(rng.random(s) < 0.2, -np.inf, lo), lo + width)
+        # points across each interval, its midpoint (a tie) included, and a
+        # few below it
+        step = rng.choice([-1.0, 0.0, 0.25, 0.5, 0.75, 1.0], s, p=[0.04] + [0.192] * 5)
+        d = lo + step * np.minimum(width, 4e-9)
+        expected = []
+        for i in range(s):
+            lo_i, hi_i = box.lower[i], box.upper[i]
+            if d[i] < lo_i - tol or d[i] > hi_i + tol:
+                break
+            near_lo, near_hi = abs(d[i] - lo_i) <= tol, abs(d[i] - hi_i) <= tol
+            if lo_i == hi_i:
+                expected.append(Activity.FIXED)
+            elif near_lo and not (near_hi and abs(d[i] - hi_i) < abs(d[i] - lo_i)):
+                expected.append(Activity.AT_LOWER)
+            elif near_hi:
+                expected.append(Activity.AT_UPPER)
+            else:
+                expected.append(Activity.INTERIOR)
+        else:
+            assert activity(d, box, tol) == tuple(expected)
+            continue
+        with pytest.raises(InfeasiblePointError) as info:
+            activity(d, box, tol)
+        assert info.value.coord == len(expected)
+
+
 def test_pattern_summary():
     assert pattern_summary((Activity.AT_UPPER, Activity.INTERIOR)) == "UI"
 

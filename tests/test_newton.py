@@ -12,7 +12,8 @@ from helpers import random_affine_problem
 from ssnewton import newton
 from ssnewton.baselines import josephy_newton
 from ssnewton.cones import Activity, BoxSet, normal_cone_membership, regular_coderivative_nd
-from ssnewton.errors import NonconvergenceError, SingularMatrixError
+from ssnewton.errors import DegeneracyError, NonconvergenceError, SingularMatrixError
+from ssnewton.linalg import nullspace_basis
 from ssnewton.newton import (
     approximation_step,
     assemble_full_ab,
@@ -110,6 +111,31 @@ def test_workspace_orthogonality_invariants():
             assert np.max(np.abs(ws.z.T @ ws.z - np.eye(k))) <= 1e-12
         if ws.w.shape[1] and k:
             assert np.max(np.abs(ws.w.T @ p.jg(x) @ ws.z)) <= 1e-10
+
+
+def test_newton_step_does_not_depend_on_the_nullspace_basis(monkeypatch):
+    # Z is continuous in C only away from inputs where a reduced column of the
+    # LQ factorization lies on +e1, so the step must not depend on the basis
+    rng = np.random.default_rng(4)
+    checked = 0
+    for _ in range(100):
+        p = random_affine_problem(rng, max_n=6, max_s=3)
+        approx = approximation_step(p, rng.uniform(-0.5, 0.5, p.n))
+        try:
+            ws = newton_workspace(p, approx)
+            step = newton_step(ws)
+        except (DegeneracyError, SingularMatrixError):
+            continue
+        k = ws.z.shape[1]
+        if k < 2:
+            continue
+        rotation, _ = np.linalg.qr(rng.standard_normal((k, k)))
+        monkeypatch.setattr(newton, "nullspace_basis", lambda c: nullspace_basis(c) @ rotation)
+        rotated = newton_step(newton_workspace(p, approx))
+        monkeypatch.undo()
+        assert np.max(np.abs(rotated - step)) <= 1e-12 * (1.0 + np.max(np.abs(step)))
+        checked += 1
+    assert checked >= 30
 
 
 def test_one_iteration_evaluates_f_once_and_jg_once():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import random_box, random_qp_instance
-from ssnewton.cones import Activity, BoxSet, normal_cone_membership
+from ssnewton.cones import Activity, BoxSet, normal_cone_membership, pattern_admits
 from ssnewton.errors import CombinatorialBlowupError, QPInfeasibleError
 from ssnewton.qp import QPInstance, brute_force_qp, solve_qp
 
@@ -81,6 +81,19 @@ def test_degenerate_multiplier_least_norm():
     assert np.allclose(sol.u, [0.0], atol=1e-12)
     assert np.allclose(sol.lam, [0.5, 0.5], atol=1e-9)
     assert np.linalg.norm(sol.u + inst.c + inst.jac.T @ sol.lam) <= 1e-9
+
+
+def test_narrow_box_patterns_agree_between_solvers():
+    # both bounds lie within the activity tolerance of any feasible point;
+    # the point takes the nearer bound, so the multiplier's sign fits it
+    box = BoxSet([0.0], [5e-10])
+    assert normal_cone_membership(np.array([5e-10]), np.array([1.0]), box)
+    for c, kind in ((1.0, Activity.AT_LOWER), (-1.0, Activity.AT_UPPER)):
+        inst = QPInstance(c=np.array([c]), b=np.zeros(1), jac=np.eye(1), box=box)
+        sol, ref = solve_qp(inst), brute_force_qp(inst)
+        assert sol.active == ref.active == (kind,)
+        assert pattern_admits(sol.active, sol.lam)
+        assert pattern_admits(ref.active, ref.lam)
 
 
 def test_brute_force_guard():
@@ -171,6 +184,37 @@ def test_drop_path_matches_oracle():
     assert np.max(np.abs(sol.lam - ref.lam)) <= 1e-14
     assert sol.u == pytest.approx([1.4, 1.2], abs=1e-14)
     assert sol.lam == pytest.approx([0.0, 1.6], abs=1e-14)
+
+
+def test_exact_add_or_drop_tie_adds_the_row():
+    # once row 0 is active, row 1's full step and row 0's drop ratio are both
+    # exactly 1; the tie adds row 1 and keeps row 0 at a zero multiplier in
+    # two steps, where dropping row 0 first would take a third
+    inst = QPInstance(c=np.array([-1.0, -3.0]), b=np.zeros(2),
+                      jac=np.array([[2.0, 0.0], [1.0, 1.0]]),
+                      box=BoxSet([-np.inf, -np.inf], [0.0, 2.0]))
+    sol, ref = solve_qp(inst), brute_force_qp(inst)
+    assert sol.iterations == _reference_path(inst)[1] == 2
+    assert sol.active == ref.active == (Activity.AT_UPPER, Activity.AT_UPPER)
+    assert np.max(np.abs(sol.u - ref.u)) <= 1e-14
+    assert np.max(np.abs(sol.lam - ref.lam)) <= 1e-14
+
+
+def test_nearly_dependent_row_enters():
+    # the rows are 1e-4 apart in angle: the second to enter keeps
+    # ||z||^2 / ||n||^2 = 1e-8, far above the dependence floor
+    eps = 1e-4
+    inst = QPInstance(c=np.array([-2.0, -1.0 - eps]), b=np.zeros(2),
+                      jac=np.array([[1.0, 0.0], [1.0, eps]]),
+                      box=BoxSet([-np.inf, -np.inf], [0.0, eps]))
+    sol, ref = solve_qp(inst), brute_force_qp(inst)
+    assert sol.iterations == 2
+    assert sol.active == ref.active == (Activity.AT_UPPER, Activity.AT_UPPER)
+    # the oracle's lstsq on the nearly singular KKT system loses digits
+    assert np.max(np.abs(sol.u - ref.u)) <= 1e-10
+    assert np.max(np.abs(sol.lam - ref.lam)) <= 1e-6
+    assert sol.u == pytest.approx([0.0, 1.0], abs=1e-12)
+    assert sol.lam == pytest.approx([1.0, 1.0], abs=1e-12)
 
 
 def _feasible_instance(rng):

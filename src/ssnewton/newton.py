@@ -62,13 +62,19 @@ class NewtonWorkspace:
     reduced_rhs: np.ndarray
 
 
-def approximation_step(problem, x):
-    """Solve QP(x) and package the induced graph point and multiplier."""
+def approximation_step(problem, x, guess=None):
+    """Solve QP(x) and package the induced graph point and multiplier.
+
+    ``guess``, an earlier :class:`ApproxResult` (in :func:`solve`, the
+    previous iterate's), seeds the QP's active set with its pattern and
+    multiplier; the QP's solution does not depend on it.
+    """
     x = np.asarray(x, dtype=float)
     c = eval_f(problem, x)
     b = eval_g(problem, x)
     jac = eval_jg(problem, x)
-    qp = solve_qp(QPInstance(c=c, b=b, jac=jac, box=problem.box))
+    seed = None if guess is None else (guess.pattern, guess.lam_hat)
+    qp = solve_qp(QPInstance(c=c, b=b, jac=jac, box=problem.box, guess=seed))
     d_hat = b + jac @ qp.u
     p_star = c + jac.T @ qp.lam
     return ApproxResult(
@@ -247,11 +253,16 @@ def solve(problem, x0, tol=1e-10, max_iter=50, approximation=approximation_step)
     The residual proxy ||u_hat|| vanishes exactly at solutions of the
     inclusion, so it doubles as the stopping test.  Solver-level failures
     are reported in the returned status, never raised (see :func:`drive`).
-    ``approximation`` replaces the approximation step, e.g. to trace it.
+    ``approximation(problem, x, guess)`` replaces the approximation step,
+    e.g. to trace it; it is called with three positional arguments, the
+    guess being the previous iteration's result (None at the first), so a
+    replacement that drops the guess runs every QP cold.
     """
+    previous = None
 
     def measure(x):
-        approx = approximation(problem, x)
+        nonlocal previous
+        approx = previous = approximation(problem, x, previous)
         residual = float(np.linalg.norm(approx.u_hat))
         return residual, approx.lam_hat, pattern_summary(approx.pattern), approx
 

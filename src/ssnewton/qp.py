@@ -1,7 +1,7 @@
 """Strictly convex box-constrained QP: min 0.5||u||^2 + c.u  s.t.  b + C u in D.
 
 The solver is a dual active-set method in the Goldfarb-Idnani mold,
-specialized to an identity Hessian.  It starts from the unconstrained
+specialized to an identity Hessian.  Cold, it starts from the unconstrained
 minimum u = -c (always dual feasible), repeatedly adds the most violated
 constraint with full dual updates, and therefore needs no phase-1 point;
 an unbounded dual step doubles as an infeasibility certificate.
@@ -14,9 +14,23 @@ R^-1: adding a row projects it out of Q twice (classical Gram-Schmidt with
 reorthogonalization) and borders R^-1, both in O(n q); dropping a row
 refactors with a Householder QR.  The terminal subproblem is re-solved
 from a fresh QR of the active rows (the polish), so the returned point
-carries no error accumulated along the path.  The returned pattern comes
-from :func:`ssnewton.cones.activity` at b + C u, clipped to the box, with
-the coordinate of every active row placed on its bound.
+carries no error accumulated along the path.  The polish forms u in
+range-space form, so nearly dependent rows with huge multipliers do not
+cancel it off its bounds.  The returned pattern comes from
+:func:`ssnewton.cones.activity` at b + C u, clipped to the box, with the
+coordinate of every active row placed on its bound.
+
+Warm start: an instance may carry a guess, the pattern and multiplier of
+a nearby QP's solution (in the Newton method, the previous iterate's).
+Goldfarb and Idnani allow the dual method to start from any independent
+active set whose equality subproblem has nonnegative multipliers, so the
+guessed rows are solved as in the polish, rows with negative multipliers
+are dropped, and the unchanged add/drop loop continues from there; it
+still checks every row for violation.  When the guess's set is also the
+answer, no step is taken and its factor serves as the polish.  A guess
+with dependent rows is ignored.  Verdicts come only from the cold path:
+if the seeded run raises, the cold run is made and its verdict returned,
+because which row certifies infeasibility depends on the path.
 
 ``brute_force_qp`` solves the same problem by enumerating every activity
 pattern and serves as the independent oracle in the test suite.
@@ -38,6 +52,9 @@ class QPInstance:
     b: np.ndarray  # constraint offset, g(x)
     jac: np.ndarray  # constraint matrix, Jg(x), shape (s, n)
     box: BoxSet
+    # (activity pattern, box multiplier) of a nearby QP's solution, e.g. the
+    # previous outer iteration's; it only seeds the active set
+    guess: tuple = None
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
@@ -53,6 +70,15 @@ class QPInstance:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "jac", jac)
+        if self.guess is not None:
+            pattern, lam = self.guess
+            lam = np.asarray(lam, dtype=float)
+            if len(pattern) != self.box.dim or lam.shape != (self.box.dim,):
+                raise DimensionError(
+                    f"guess has {len(pattern)} activities and multiplier {lam.shape}, "
+                    f"box dimension is {self.box.dim}"
+                )
+            object.__setattr__(self, "guess", (tuple(pattern), lam))
 
     @property
     def n(self):
@@ -70,6 +96,12 @@ class QPSolution:
     active: tuple  # activity pattern of b + C u
     iterations: int
     degenerate_multiplier: bool = False
+    warm: bool = False  # the active-set loop started from the instance's guess
+
+
+def _finite_bounds(box):
+    """(s, 2) mask of the finite bounds, upper bound in column 0."""
+    return np.column_stack([np.isfinite(box.upper), np.isfinite(box.lower)])
 
 
 def _rows(instance):
@@ -79,7 +111,7 @@ def _rows(instance):
     lower bound; ``sign`` is +1 for an upper and -1 for a lower row.
     """
     box = instance.box
-    coord, side = np.nonzero(np.column_stack([np.isfinite(box.upper), np.isfinite(box.lower)]))
+    coord, side = np.nonzero(_finite_bounds(box))
     upper = side == 0
     sign = np.where(upper, 1.0, -1.0)
     b = instance.b[coord]
@@ -87,14 +119,74 @@ def _rows(instance):
     return sign[:, None] * instance.jac[coord], offset, coord, sign
 
 
+def _equality_point(q, r, basis, targets, c):
+    """u and multipliers of min 0.5||u||^2 + c.u  s.t.  basis^T u = targets.
+
+    ``basis`` = q r.  u is formed in range-space form,
+    u = -c + Q (Q^T c + R^-T targets), with one refinement on the targets;
+    forming u = -c - B mu instead cancels when nearly dependent rows make
+    the multipliers huge.  Then mu = -R^-1 Q^T (u + c).
+    """
+    u = q @ (q.T @ c + np.linalg.solve(r.T, targets)) - c
+    u += q @ np.linalg.solve(r.T, targets - basis.T @ u)
+    return u, -np.linalg.solve(r, q.T @ (u + c))
+
+
+def _seed(instance, normals, offsets):
+    """A dual-feasible start from ``instance.guess``, or None.
+
+    AT_LOWER and AT_UPPER in the guessed pattern name the lower and upper
+    row of their coordinate, FIXED the row the sign of the guessed
+    multiplier picks (none at 0).  Rows with a negative multiplier on their
+    equality subproblem are dropped and the rest re-solved until every
+    multiplier is nonnegative; that is a valid Goldfarb-Idnani start.  Rows
+    that fail the dependence floor give None (the caller starts cold).
+    Returns (active rows, Q, R, u, multipliers).
+    """
+    pattern, lam = instance.guess
+    kind = np.array(pattern, dtype=object)
+    fixed = kind == Activity.FIXED
+    wanted = np.column_stack(
+        [(kind == Activity.AT_UPPER) | (fixed & (lam > 0)),
+         (kind == Activity.AT_LOWER) | (fixed & (lam < 0))]
+    )
+    active = np.flatnonzero(wanted[_finite_bounds(instance.box)])  # row indices
+    while len(active) <= instance.n:
+        basis = normals[active].T
+        q, r = np.linalg.qr(basis)
+        nn = np.maximum(1.0, np.sum(basis * basis, axis=0))
+        if np.any(np.diag(r) ** 2 <= _DEP_REL_TOL * nn):
+            return None
+        u, mults = _equality_point(q, r, basis, offsets[active], instance.c)
+        if not np.any(mults < 0.0):
+            return list(active), q, r, u, mults
+        active = active[mults >= 0.0]
+    return None  # more rows than unknowns: dependent
+
+
 def solve_qp(instance):
     """Global minimizer of the strictly convex QP, with box multiplier.
 
     Raises :class:`QPInfeasibleError` when the constraints admit no point
     (certified by an unbounded dual step) and :class:`NonconvergenceError`
-    past 100 (n + s) active-set updates.
+    past 100 (n + s) active-set updates.  With ``instance.guess`` set, the
+    loop starts from the guess's rows (see the module docstring) and
+    ``iterations`` counts only the steps taken from there.
     """
-    normals, offsets, coords, signs = _rows(instance)
+    rows = _rows(instance)
+    if instance.guess is not None:
+        seed = _seed(instance, *rows[:2])
+        if seed is not None:
+            try:
+                return _dual_active_set(instance, rows, seed)
+            except (QPInfeasibleError, NonconvergenceError):
+                pass  # verdicts come from the cold path only
+    return _dual_active_set(instance, rows, None)
+
+
+def _dual_active_set(instance, rows, seed):
+    """The add/drop loop from u = -c, or from a seed of :func:`_seed`."""
+    normals, offsets, coords, signs = rows
     abs_normals, abs_offsets = np.abs(normals), np.abs(offsets)
     n = instance.n
     cap = 100 * (n + instance.s)
@@ -104,11 +196,16 @@ def solve_qp(instance):
     size = min(n, len(offsets))
     q_basis = np.zeros((n, size))
     r_inv = np.zeros((size, size))
-
-    u = -instance.c.copy()
     inactive = np.ones(len(offsets), dtype=bool)
-    active = []  # indices into the rows
-    mults = np.zeros(0)
+    if seed is None:
+        u = -instance.c.copy()
+        active = []  # indices into the rows
+        mults = np.zeros(0)
+    else:
+        active, q_seed, r_seed, u, mults = seed
+        q_basis[:, : len(active)] = q_seed
+        r_inv[: len(active), : len(active)] = np.linalg.inv(r_seed)
+        inactive[active] = False
     steps = 0
     while offsets.size:
         # rounding noise of the dot product grows with the size of u
@@ -174,20 +271,13 @@ def solve_qp(instance):
                 q_basis[:, : k - 1] = q_new
                 r_inv[: k - 1, : k - 1] = np.linalg.inv(r_new)
 
-    if active:
-        # polish: re-solve the terminal equality-constrained subproblem
-        # (u = -c - B mu with B^T u = targets) from a fresh QR of the active
-        # rows, so u and the multipliers carry no error accumulated along the
-        # path: R mu = -Q^T c - R^-T targets, then one step of refinement
+    if steps:
+        # polish: re-solve the terminal equality-constrained subproblem from
+        # a fresh QR of the active rows, so u and the multipliers carry no
+        # error accumulated along the path; a seeded run that took no step
+        # already holds that solution
         basis = normals[active].T
-        targets = offsets[active]
-        q_new, r_new = np.linalg.qr(basis)
-        mults = np.linalg.solve(
-            r_new, -(q_new.T @ instance.c) - np.linalg.solve(r_new.T, targets)
-        )
-        u = -instance.c - basis @ mults
-        mults += np.linalg.solve(r_new, np.linalg.solve(r_new.T, basis.T @ u - targets))
-        u = -instance.c - basis @ mults  # stationarity holds exactly
+        u, mults = _equality_point(*np.linalg.qr(basis), basis, offsets[active], instance.c)
 
     on_bound = coords[active]
     lam = np.zeros(instance.s)
@@ -227,6 +317,7 @@ def solve_qp(instance):
         active=pattern,
         iterations=steps,
         degenerate_multiplier=degenerate,
+        warm=seed is not None,
     )
 
 

@@ -23,7 +23,7 @@ from ssnewton.newton import (
     newton_workspace,
     solve,
 )
-from ssnewton.problems import AffineProblemSpec, GEProblem, get_problem
+from ssnewton.problems import AffineProblemSpec, GEProblem, builtin_registry, get_problem
 from ssnewton.reports import Status, report_from_json, report_to_json
 
 NCP = get_problem("ncp-paper")
@@ -389,11 +389,11 @@ def test_solve_reports_direction_evaluation_failure():
 def test_solve_reports_qp_update_cap_as_status():
     calls = []
 
-    def capped_after_one(problem, x):
+    def capped_after_one(problem, x, guess=None):
         calls.append(x)
         if len(calls) > 1:
             raise NonconvergenceError("active-set update cap 200 exceeded (scale issues?)")
-        return approximation_step(problem, x)
+        return approximation_step(problem, x, guess)
 
     report = solve(NCP, np.array([-0.1]), approximation=capped_after_one)
     assert report.status is Status.SUBPROBLEM_NONCONVERGENCE
@@ -401,6 +401,44 @@ def test_solve_reports_qp_update_cap_as_status():
         "approximation step at iteration 1: active-set update cap 200 exceeded (scale issues?)"
     )
     assert report_from_json(report_to_json(report)) == report
+
+
+def test_warm_started_solve_matches_cold_solve(monkeypatch):
+    # solve seeds each QP with the previous iteration's active rows; a run
+    # whose approximation step drops the guess starts every QP cold and must
+    # take the same path, up to rounding
+    warm_flags = []
+
+    def recording(instance, solve_qp=newton.solve_qp):
+        sol = solve_qp(instance)
+        warm_flags.append(sol.warm)
+        return sol
+
+    def cold(problem, x, guess=None):
+        return approximation_step(problem, x)
+
+    monkeypatch.setattr(newton, "solve_qp", recording)
+    rng = np.random.default_rng(19)
+    cases = [(p, rng.uniform(-0.5, 0.5, p.n)) for p in builtin_registry() for _ in range(6)]
+    for _ in range(50):
+        p = random_affine_problem(rng)
+        cases.append((p, rng.uniform(-1, 1, p.n)))
+    seeded = 0
+    for problem, x0 in cases:
+        warm_flags.clear()
+        expected = solve(problem, x0, approximation=cold)
+        assert not any(warm_flags)
+        warm_flags.clear()
+        report = solve(problem, x0)
+        assert warm_flags[1:] == [True] * (len(warm_flags) - 1)
+        seeded += len(warm_flags) - 1
+        assert (report.status, len(report.iterations), report.message) == (
+            expected.status, len(expected.iterations), expected.message
+        )
+        want = np.array(expected.final_x)
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(np.array(report.final_x) - want)) <= 1e-12 * scale
+    assert seeded > 50
 
 
 def test_solve_calls_the_module_globals_the_benchmark_tracer_patches():

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from helpers import random_box, random_qp_instance
 from ssnewton.cones import Activity, BoxSet, normal_cone_membership, pattern_admits
-from ssnewton.errors import CombinatorialBlowupError, QPInfeasibleError
+from ssnewton.errors import CombinatorialBlowupError, NonconvergenceError, QPInfeasibleError
 from ssnewton.qp import QPInstance, brute_force_qp, solve_qp
 
 NEG1 = BoxSet.nonpositive(1)
@@ -339,3 +340,178 @@ def test_kkt_on_feasible_instances_with_dependent_rows():
         )
         assert normal_cone_membership(d, sol.lam, inst.box, tol=mem_tol)
     assert dropped > 0  # the drop path is exercised
+
+
+def _scan_excess(inst, u):
+    """Largest violation of a bound by b + C u, in units of the scan tolerance."""
+    d = inst.b + inst.jac @ u
+    size = 1.0 + np.abs(inst.jac) @ np.abs(u)
+    with np.errstate(invalid="ignore"):  # inf / inf at an infinite bound
+        excess = np.concatenate([
+            (d - inst.box.upper) / (1e-11 * (size + np.abs(inst.box.upper - inst.b))),
+            (inst.box.lower - d) / (1e-11 * (size + np.abs(inst.b - inst.box.lower))),
+        ])
+    return float(np.max(np.nan_to_num(excess, nan=0.0)))
+
+
+def test_polish_keeps_pinned_coordinates_on_their_bounds():
+    # rows 0 and 2 are 1e-8 apart in angle; u = -c - B mu would cancel
+    # against mu ~ 3e16 and leave coordinate 0 at -1 and coordinate 2 at 1
+    inst = QPInstance(c=np.array([-1.0, 2.0]), b=np.array([-2.0, -2.0, -1.0]),
+                      jac=np.array([[1.0, 0.0], [0.0, 0.0], [-1.0, 1.0027732967233898e-08]]),
+                      box=BoxSet([0.0, -np.inf, 0.0], [0.0, np.inf, 0.0]))
+    sol = solve_qp(inst)
+    assert sol.active == (Activity.FIXED, Activity.INTERIOR, Activity.FIXED)
+    assert _scan_excess(inst, sol.u) <= 1.0
+
+
+def test_nearly_dependent_rows_never_leave_the_box():
+    # half the rows are +-1 or 2 times an earlier row plus 10^U(-8, -4)
+    # noise, ~30% of the coordinates pinched: every returned point lies in
+    # D up to the tolerance of the violation scan
+    rng = np.random.default_rng(21)
+    solved = 0
+    for _ in range(1500):
+        n, s = int(rng.integers(1, 6)), int(rng.integers(2, 7))
+        rows = rng.uniform(-2, 2, (s, n))
+        for j in range(1, s):
+            if rng.random() < 0.5:
+                noise = 10.0 ** rng.uniform(-8, -4) * rng.standard_normal(n)
+                rows[j] = rng.choice([-1.0, 1.0, 2.0]) * rows[rng.integers(0, j)] + noise
+        box = random_box(rng, s)
+        lo, hi = box.lower.copy(), box.upper.copy()
+        pinch = rng.random(s) < 0.3
+        lo[pinch] = hi[pinch] = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))[pinch]
+        inst = QPInstance(c=rng.uniform(-2, 2, n), b=rng.uniform(-2, 2, s), jac=rows,
+                          box=BoxSet(lo, hi))
+        try:
+            sol = solve_qp(inst)
+        except QPInfeasibleError:
+            continue
+        solved += 1
+        assert _scan_excess(inst, sol.u) <= 1.0
+    assert solved > 500
+
+
+_SIDE_KIND = {"U": Activity.AT_UPPER, "L": Activity.AT_LOWER, "": Activity.INTERIOR}
+
+
+def _guess(inst, sides):
+    """(pattern, multiplier) that names the upper row at 'U', the lower at 'L'."""
+    pinched = inst.box.lower == inst.box.upper
+    lam = np.zeros(inst.s)
+    pattern = []
+    for j, side in enumerate(sides):
+        if side and pinched[j]:
+            pattern.append(Activity.FIXED)
+            lam[j] = 1.0 if side == "U" else -1.0
+        else:
+            pattern.append(_SIDE_KIND[side])
+    return tuple(pattern), lam
+
+
+def _sides(inst, sol):
+    """The side of every coordinate's active row in a solution."""
+    kinds = {Activity.AT_UPPER: "U", Activity.AT_LOWER: "L", Activity.INTERIOR: ""}
+    return [
+        ("U" if lam > 0 else "L" if lam < 0 else "") if kind is Activity.FIXED else kinds[kind]
+        for kind, lam in zip(sol.active, sol.lam)
+    ]
+
+
+def _guesses(rng, inst, cold):
+    """A random row subset, all rows, the cold solution's rows, and those
+    rows with one coordinate's row swapped for another choice."""
+    options = [
+        [""] + ["U"] * bool(np.isfinite(hi)) + ["L"] * bool(np.isfinite(lo))
+        for lo, hi in zip(inst.box.lower, inst.box.upper)
+    ]
+    guesses = [
+        _guess(inst, [opts[rng.integers(len(opts))] for opts in options]),
+        _guess(inst, [opts[-1] for opts in options]),
+    ]
+    if cold is not None:
+        guesses.append((cold.active, cold.lam))
+        sides = _sides(inst, cold)
+        j = int(rng.integers(inst.s))
+        others = [side for side in options[j] if side != sides[j]]
+        if others:
+            sides[j] = others[rng.integers(len(others))]
+        guesses.append(_guess(inst, sides))
+    return guesses
+
+
+def _assert_same_solution(warm, cold):
+    assert warm.active == cold.active
+    assert warm.degenerate_multiplier == cold.degenerate_multiplier
+    for got, want in ((warm.u, cold.u), (warm.lam, cold.lam)):
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+def test_warm_start_matches_cold_start():
+    # the solution of a strictly convex QP is unique, so any guess must give
+    # the cold path's verdict, message, pattern, u and multiplier
+    rng = np.random.default_rng(12)
+    instances = []
+    for seed in range(4):  # the instances of test_oracle_equivalence_randomized
+        seeded = np.random.default_rng(seed)
+        instances += [random_qp_instance(seeded) for _ in range(500)]
+    feasible = np.random.default_rng(13)
+    instances += [_feasible_instance(feasible) for _ in range(1500)]
+    warm_runs = 0
+    for inst in instances:
+        try:
+            cold = solve_qp(inst)
+            verdict = None
+        except (QPInfeasibleError, NonconvergenceError) as exc:
+            cold, verdict = None, exc
+        for guess in _guesses(rng, inst, cold):
+            guessed = dataclasses.replace(inst, guess=guess)
+            if verdict is not None:
+                with pytest.raises(type(verdict), match=re.escape(str(verdict))):
+                    solve_qp(guessed)
+                continue
+            warm = solve_qp(guessed)
+            warm_runs += warm.warm
+            _assert_same_solution(warm, cold)
+    assert warm_runs > 5000  # the seeded path is exercised
+
+
+def test_exact_guess_takes_no_step():
+    # coordinate 2 is pinched with a negative multiplier: its guess names
+    # the lower row only
+    inst = QPInstance(c=np.array([-1.0, 2.0, 3.0]), b=np.zeros(3), jac=np.eye(3),
+                      box=BoxSet([-np.inf, -np.inf, 0.0], np.zeros(3)))
+    cold = solve_qp(inst)
+    assert cold.active == (Activity.AT_UPPER, Activity.INTERIOR, Activity.FIXED)
+    assert cold.lam == pytest.approx([1.0, 0.0, -3.0], abs=1e-15)
+    warm = solve_qp(dataclasses.replace(inst, guess=(cold.active, cold.lam)))
+    assert (cold.iterations, cold.warm) == (2, False)
+    assert (warm.iterations, warm.warm) == (0, True)
+    _assert_same_solution(warm, cold)
+
+
+def test_warm_start_drops_rows_with_wrong_sign_multipliers():
+    # u = -c is feasible; holding both rows tight needs multipliers -1, -1,
+    # so the seed drops both and starts from u = -c with no step to take
+    inst = QPInstance(c=np.array([1.0, 1.0]), b=np.zeros(2), jac=np.eye(2),
+                      box=BoxSet.nonpositive(2))
+    guess = ((Activity.AT_UPPER, Activity.AT_UPPER), np.ones(2))
+    warm = solve_qp(dataclasses.replace(inst, guess=guess))
+    assert (warm.iterations, warm.warm) == (0, True)
+    _assert_same_solution(warm, solve_qp(inst))
+    assert np.all(warm.u == -inst.c)
+
+
+def test_warm_start_continues_from_a_primal_infeasible_guess():
+    # the guessed row has a positive multiplier, but u leaves the other
+    # bound: the loop adds that row in one step, where the cold run takes two
+    inst = QPInstance(c=np.array([-1.0, -1.0]), b=np.zeros(2), jac=np.eye(2),
+                      box=BoxSet.nonpositive(2))
+    guess = ((Activity.AT_UPPER, Activity.INTERIOR), np.array([1.0, 0.0]))
+    warm, cold = solve_qp(dataclasses.replace(inst, guess=guess)), solve_qp(inst)
+    assert (warm.iterations, cold.iterations) == (1, 2)
+    assert warm.warm
+    _assert_same_solution(warm, cold)
+    _assert_same_solution(warm, brute_force_qp(inst))

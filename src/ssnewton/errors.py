@@ -12,7 +12,8 @@ class DimensionError(SSNewtonError):
 class RankDeficiencyError(SSNewtonError):
     """A matrix required to have full row rank does not.
 
-    ``index`` is the offending diagonal position of the triangular factor.
+    ``index`` is the offending diagonal position of the triangular factor,
+    or the column count n when the matrix has more than n rows.
     """
 
     def __init__(self, message, index=None):

@@ -7,7 +7,10 @@ the returned orthogonal factor (and hence the null-space basis taken from its
 trailing columns) a deterministic function of the input.  It is continuous
 away from inputs where a reduced column is a positive multiple of e1 (see
 :func:`lq_householder`).  The Newton step does not depend on the choice of
-the null-space basis, so the Newton machinery needs no such continuity.
+the null-space basis, so it takes its basis from one LAPACK QR
+(:func:`lapack_nullspace_basis`) and needs no such continuity; the oracles
+and the second-order checker use :func:`nullspace_basis`.  Both go through
+:func:`require_full_row_rank`, the one rank test.
 """
 
 from dataclasses import dataclass
@@ -25,13 +28,11 @@ class QRFactorization:
     """Orthogonal factorization C Q = (L : 0).
 
     ``q`` is n x n orthogonal, ``l`` is m x m lower triangular with
-    nonnegative diagonal.  ``rank_ok`` is True iff every diagonal entry of
-    ``l`` exceeds the rank tolerance relative to the scale of C.
+    nonnegative diagonal.
     """
 
     q: np.ndarray
     l: np.ndarray
-    rank_ok: bool
 
 
 def _as_matrix(c):
@@ -62,8 +63,6 @@ def lq_householder(c):
     m, n = c.shape
     if m > n:
         raise DimensionError(f"need rows <= cols, got {m}x{n}")
-    scale = max(1.0, float(np.max(np.abs(c))) if c.size else 0.0)
-
     a = c.T.copy()  # n x m, reduced to upper triangular
     # compact WY form: H_0 H_1 ... H_k = I - ws[:, :k+1] vs[:, :k+1]^T, where
     # H_k = I - beta v v^T; columns stay zero where no reflection was needed
@@ -73,7 +72,7 @@ def lq_householder(c):
         x = a[k:, k]
         alpha = float(np.linalg.norm(x))
         if alpha == 0.0:
-            continue  # zero column: diagonal stays 0, rank_ok will be False
+            continue  # zero column: diagonal stays 0
         sigma = float(x[1:] @ x[1:])
         if x[0] > 0.0:
             if sigma == 0.0:
@@ -92,10 +91,41 @@ def lq_householder(c):
         ws[:, k] = beta * (vs[:, k] - ws[:, :k] @ (vs[:, :k].T @ vs[:, k]))
     q = np.eye(n) - ws @ vs.T
 
-    l = a[:m, :m].T.copy()
-    diag = np.diagonal(l)
-    rank_ok = bool(diag.size == 0 or np.min(diag) > RANK_TOL * scale)
-    return QRFactorization(q=q, l=l, rank_ok=rank_ok)
+    return QRFactorization(q=q, l=a[:m, :m].T.copy())
+
+
+def _wide_matrix(c):
+    """C as a float matrix; more rows than columns counts as rank deficient.
+
+    Such rows cannot be independent whatever their values, so the error's
+    index is n, the first row that cannot be.
+    """
+    c = _as_matrix(c)
+    m, n = c.shape
+    if m > n:
+        raise RankDeficiencyError(
+            f"matrix is rank deficient ({m} rows, {n} columns)", index=n
+        )
+    return c
+
+
+def require_full_row_rank(c, diag):
+    """Raise :class:`RankDeficiencyError` unless C, m x n with m <= n, has full row rank.
+
+    ``diag`` is the diagonal of a triangular factor of C (the L of C Q =
+    (L : 0), or the R of C^T = Q R); each entry must exceed RANK_TOL x
+    max(1, max |C|) in magnitude, and the error's index is the first
+    smallest one.
+    """
+    diag = np.abs(diag)
+    tol = RANK_TOL * max(1.0, float(np.max(np.abs(c))) if c.size else 0.0)
+    if diag.size and not np.min(diag) > tol:
+        bad = int(np.argmin(diag))
+        raise RankDeficiencyError(
+            f"matrix is rank deficient (diagonal {bad} of the triangular "
+            f"factor is {diag[bad]:.3e})",
+            index=bad,
+        )
 
 
 def nullspace_basis(c):
@@ -104,21 +134,27 @@ def nullspace_basis(c):
     Returns the trailing n - m columns of the orthogonal factor of
     :func:`lq_householder`, so C Z = 0 and Z^T Z = I.  The sign convention
     makes Z deterministic, and continuous in C away from inputs where a
-    reduced column is a positive multiple of e1.  The Newton step does not
-    depend on the choice of Z.
+    reduced column is a positive multiple of e1.  Raises
+    :class:`RankDeficiencyError` (see :func:`require_full_row_rank`) when C
+    has more rows than columns or its rows are dependent.
     """
-    c = _as_matrix(c)
-    m, n = c.shape
+    c = _wide_matrix(c)
     fac = lq_householder(c)
-    if not fac.rank_ok:
-        diag = np.diagonal(fac.l)
-        bad = int(np.argmin(diag)) if diag.size else 0
-        raise RankDeficiencyError(
-            f"matrix is rank deficient (diagonal {bad} of L is "
-            f"{diag[bad] if diag.size else 0.0:.3e})",
-            index=bad,
-        )
-    return fac.q[:, m:].copy()
+    require_full_row_rank(c, np.diagonal(fac.l))
+    return fac.q[:, c.shape[0]:].copy()
+
+
+def lapack_nullspace_basis(c):
+    """Orthonormal basis of ker(C) from one LAPACK QR, C^T = Q R (complete).
+
+    Same contract and rank test as :func:`nullspace_basis`, but the basis
+    carries no sign convention and need not be continuous in C: use it
+    where the result does not depend on the choice of basis.
+    """
+    c = _wide_matrix(c)
+    q, r = np.linalg.qr(c.T, mode="complete")
+    require_full_row_rank(c, np.diagonal(r))
+    return q[:, c.shape[0]:]
 
 
 def _solve_regular(a, rhs, error, what):

@@ -119,12 +119,15 @@ def lagrangian(problem, x, lam):
 def nondegeneracy_modulus(problem, x, d, tol=ACTIVITY_TOL):
     """Smallest singular value of W^T Jg(x) with W spanning N_D(d).
 
-    +inf when d is interior (no normals to test); the point (x, d) is
-    non-degenerate exactly when the returned modulus is positive.
+    +inf when d is interior (no normals to test), 0.0 when there are more
+    active rows than unknowns (the rows are then dependent); the point
+    (x, d) is non-degenerate exactly when the returned modulus is positive.
     """
     w = span_normal_basis(d, problem.box, tol)
     if w.shape[1] == 0:
         return np.inf
+    if w.shape[1] > problem.n:
+        return 0.0
     return smallest_singular_value(w.T @ eval_jg(problem, x))
 
 
@@ -306,9 +309,48 @@ def _box_vi_2d():
     return spec.build()
 
 
+def _kojima_shindo_f(x):
+    x1, x2, x3, x4 = x
+    return np.array([
+        3 * x1**2 + 2 * x1 * x2 + 2 * x2**2 + x3 + 3 * x4 - 6,
+        2 * x1**2 + x1 + x2**2 + 10 * x3 + 2 * x4 - 2,
+        3 * x1**2 + x1 * x2 + 2 * x2**2 + 2 * x3 + 9 * x4 - 9,
+        x1**2 + 3 * x2**2 + 2 * x3 + 3 * x4 - 3,
+    ])
+
+
+def _kojima_shindo_jf(x):
+    x1, x2, _, _ = x
+    return np.array([
+        [6 * x1 + 2 * x2, 2 * x1 + 4 * x2, 1.0, 3.0],
+        [4 * x1 + 1, 2 * x2, 10.0, 2.0],
+        [6 * x1 + x2, x1 + 4 * x2, 2.0, 9.0],
+        [2 * x1, 6 * x2, 2.0, 3.0],
+    ])
+
+
+def _kojima_shindo():
+    """The Kojima-Shindo NCP: 0 <= x, F(x) >= 0, x . F(x) = 0.
+
+    Two solutions: (1, 0, 3, 0), non-degenerate, and (sqrt(6)/2, 0, 0, 1/2),
+    where coordinate 3 is biactive (x3 = F3 = 0).
+    """
+    return GEProblem(
+        name="kojima-shindo",
+        n=4,
+        s=4,
+        f=_kojima_shindo_f,
+        jf=_kojima_shindo_jf,
+        g=lambda x: x.copy(),
+        jg=lambda x: np.eye(4),
+        hg=lambda x, lam: np.zeros((4, 4)),
+        box=BoxSet(np.zeros(4), np.full(4, np.inf)),
+    )
+
+
 def builtin_registry():
     """The built-in problems, sorted by name."""
-    problems = [_box_vi_2d(), _ncp_paper(), _ncp_paper_affine()]
+    problems = [_box_vi_2d(), _kojima_shindo(), _ncp_paper(), _ncp_paper_affine()]
     return sorted(problems, key=lambda p: p.name)
 
 

@@ -27,7 +27,8 @@ active set whose equality subproblem has nonnegative multipliers, so the
 guessed rows are solved as in the polish, rows with negative multipliers
 are dropped, and the unchanged add/drop loop continues from there; it
 still checks every row for violation.  When the guess's set is also the
-answer, no step is taken and its factor serves as the polish.  A guess
+answer, no step is taken, R^-1 is never formed, and the guess's factor
+serves as the polish.  A guess
 with dependent rows is ignored.  Verdicts come only from the cold path:
 if the seeded run raises, the cold run is made and its verdict returned,
 because which row certifies infeasibility depends on the path.
@@ -197,6 +198,7 @@ def _dual_active_set(instance, rows, seed):
     q_basis = np.zeros((n, size))
     r_inv = np.zeros((size, size))
     inactive = np.ones(len(offsets), dtype=bool)
+    r_seed = None  # the seed's R, inverted into r_inv when the loop first steps
     if seed is None:
         u = -instance.c.copy()
         active = []  # indices into the rows
@@ -204,7 +206,6 @@ def _dual_active_set(instance, rows, seed):
     else:
         active, q_seed, r_seed, u, mults = seed
         q_basis[:, : len(active)] = q_seed
-        r_inv[: len(active), : len(active)] = np.linalg.inv(r_seed)
         inactive[active] = False
     steps = 0
     while offsets.size:
@@ -214,6 +215,9 @@ def _dual_active_set(instance, rows, seed):
         worst = int(np.argmax(violation))  # ties keep the lowest index
         if not violation[worst] > 0.0:
             break
+        if r_seed is not None:
+            r_inv[: len(active), : len(active)] = np.linalg.inv(r_seed)
+            r_seed = None
 
         target = normals[worst]
         nn = max(1.0, float(target @ target))

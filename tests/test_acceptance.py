@@ -109,6 +109,7 @@ def test_criterion_5_reduced_full_equivalence():
         "ncp-paper": [[-0.1], [0.3], [-0.24]],
         "ncp-paper-affine": [[-0.5], [0.25]],
         "box-vi-2d": [[0.3, 0.3], [-0.2, 0.4]],
+        "kojima-shindo": [[1.01, 0.01, 2.99, 0.0], [1.23, -0.01, 0.01, 0.49]],
     }
     worst, iterations = 0.0, 0
     for problem in builtin_registry():

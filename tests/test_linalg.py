@@ -5,10 +5,12 @@ from hypothesis import strategies as st
 
 from ssnewton.errors import DimensionError, RankDeficiencyError, SingularMatrixError
 from ssnewton.linalg import (
+    lapack_nullspace_basis,
     lq_householder,
     lu_min_pivot,
     nullspace_basis,
     pseudo_inverse_full_row_rank,
+    require_full_row_rank,
     smallest_singular_value,
     solve_dense,
 )
@@ -18,7 +20,6 @@ def test_lq_identity():
     fac = lq_householder(np.eye(2))
     assert np.allclose(fac.q, np.eye(2))
     assert np.allclose(fac.l, np.eye(2))
-    assert fac.rank_ok
 
 
 def test_lq_single_row():
@@ -80,6 +81,47 @@ def test_nullspace_rank_deficiency_reports_index():
     with pytest.raises(RankDeficiencyError) as info:
         nullspace_basis(c)
     assert info.value.index is not None
+
+
+def test_require_full_row_rank_is_relative():
+    # the floor is 1e-10 x max(1, max |C|), on either sign of the diagonal
+    c = np.array([[1e6, 0.0], [0.0, 1e-3]])
+    require_full_row_rank(c, [-1e6, 2e-4])
+    with pytest.raises(RankDeficiencyError) as info:
+        require_full_row_rank(c, [1e6, -1e-4])
+    assert info.value.index == 1
+    require_full_row_rank(c / 1e6, [1.0, 2e-10])
+    with pytest.raises(RankDeficiencyError):
+        require_full_row_rank(c / 1e6, [1.0, 1e-10])
+    require_full_row_rank(np.zeros((0, 3)), [])
+
+
+@pytest.mark.parametrize("basis", [nullspace_basis, lapack_nullspace_basis])
+def test_nullspace_bases_reject_tall_matrices(basis):
+    # more rows than columns: dependent whatever the values, index n
+    for tall in (np.ones((2, 1)), np.eye(3)[:, :2]):
+        with pytest.raises(RankDeficiencyError) as info:
+            basis(tall)
+        assert info.value.index == tall.shape[1]
+
+
+def test_lapack_nullspace_basis_spans_the_same_kernel():
+    # same rank verdicts as nullspace_basis; the bases differ by a rotation
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        n = int(rng.integers(1, 7))
+        m = int(rng.integers(0, n + 1))
+        c = rng.standard_normal((m, n)) * 10.0 ** rng.integers(-4, 5)
+        z = lapack_nullspace_basis(c)
+        assert z.shape == (n, n - m)
+        assert np.max(np.abs(z.T @ z - np.eye(n - m)), initial=0.0) <= 1e-12
+        z_lq = nullspace_basis(c)
+        assert np.max(np.abs(z @ z.T - z_lq @ z_lq.T), initial=0.0) <= 1e-9
+    dependent = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]])
+    for basis in (nullspace_basis, lapack_nullspace_basis):
+        with pytest.raises(RankDeficiencyError) as info:
+            basis(dependent)
+        assert info.value.index == 1
 
 
 def test_nullspace_continuity_under_perturbation():

@@ -9,6 +9,7 @@ from helpers import random_affine_problem
 from ssnewton.cones import BoxSet
 from ssnewton.errors import EvaluationError, ProblemFormatError
 from ssnewton.linalg import lu_min_pivot, smallest_singular_value
+from ssnewton.newton import solve
 from ssnewton.problems import (
     AffineProblemSpec,
     GEProblem,
@@ -19,6 +20,7 @@ from ssnewton.problems import (
     load_affine_problem,
     nondegeneracy_modulus,
 )
+from ssnewton.reports import Status
 
 NCP = get_problem("ncp-paper")
 
@@ -215,6 +217,39 @@ def test_registry_contents():
     assert NCP.n == 1 and NCP.s == 1
     for p in builtin_registry():
         assert p.self_check()
+
+
+KOJIMA_SHINDO = get_problem("kojima-shindo")
+KS_SOLUTIONS = (np.array([1.0, 0.0, 3.0, 0.0]), np.array([np.sqrt(6) / 2, 0.0, 0.0, 0.5]))
+
+
+def test_kojima_shindo_solutions_are_complementary():
+    for x in KS_SOLUTIONS:
+        assert np.max(np.abs(np.minimum(x, KOJIMA_SHINDO.f(x)))) <= 1e-14
+
+
+def test_kojima_shindo_checkers_pass_at_both_solutions():
+    # at (1, 0, 3, 0) coordinates 2 and 4 are strictly active: one face; at
+    # (sqrt(6)/2, 0, 0, 1/2) coordinate 3 is biactive (x3 = F3 = 0), so the
+    # faces are {2} and {2, 3}.  Strict complementarity is not needed, so
+    # the degenerate solution still passes every face.
+    expected_faces = (((1, 3),), ((1,), (1, 2)))
+    for x, faces in zip(KS_SOLUTIONS, expected_faces):
+        lam = -KOJIMA_SHINDO.f(x)  # 0 = f + lam with lam in N_D(x)
+        report = check_second_order(KOJIMA_SHINDO, x, lam)
+        assert tuple(face.index_set for face in report.faces) == faces
+        assert report.passed
+        assert nondegeneracy_modulus(KOJIMA_SHINDO, x, x) == 1.0
+
+
+def test_kojima_shindo_solve_converges_near_both_solutions():
+    rng = np.random.default_rng(8)
+    for x_star in KS_SOLUTIONS:
+        for _ in range(10):
+            x0 = x_star + 1e-2 * rng.uniform(-1, 1, 4)
+            report = solve(KOJIMA_SHINDO, x0)
+            assert report.status is Status.CONVERGED
+            assert np.max(np.abs(np.array(report.final_x) - x_star)) <= 1e-10
 
 
 def test_get_problem_unknown():

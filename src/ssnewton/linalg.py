@@ -10,9 +10,13 @@ away from inputs where a reduced column is a positive multiple of e1 (see
 the null-space basis, so it takes its basis from one LAPACK QR
 (:func:`lapack_nullspace_basis`) and needs no such continuity; the oracles
 and the second-order checker use :func:`nullspace_basis`.  Both go through
-:func:`require_full_row_rank`, the one rank test.
+:func:`require_full_row_rank`, the one rank test.  Square systems are
+solved by :func:`solve_dense` in one LAPACK LU call, which also certifies
+their regularity from a few fixed probe columns solved next to the
+right-hand side (:func:`_solve_regular`).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +25,7 @@ from .errors import DimensionError, RankDeficiencyError, SingularMatrixError
 
 RANK_TOL = 1e-10
 PIVOT_TOL = 1e-12
+PROBES = 3
 
 
 @dataclass(frozen=True)
@@ -157,38 +162,47 @@ def lapack_nullspace_basis(c):
     return q[:, c.shape[0]:]
 
 
+@functools.lru_cache(maxsize=None)
+def _probes(n):
+    """The PROBES fixed pseudo-random probe columns for size n, read-only."""
+    probes = np.random.default_rng(0).standard_normal((n, PROBES))
+    probes.flags.writeable = False
+    return probes
+
+
 def _solve_regular(a, rhs, error, what):
     """LAPACK solve of A X = rhs behind a relative regularity check.
 
     Raises ``error`` when sigma_min(A) is shown to be at most 1e-12 x
-    max(1, max |A|).  Two upper bounds on sigma_min are checked: min |R_kk|
-    of A = QR (R has the singular values of A), and ||p|| / ||A^{-1} p|| for
-    a fixed pseudo-random probe p solved alongside rhs.  The probe catches
-    the rank deficiency an unpivoted triangular factor can hide.
+    max(1, max |A|).  The PROBES fixed pseudo-random columns p_i of
+    :func:`_probes` are solved in the same LAPACK call as rhs, and each
+    ||p_i|| / ||A^{-1} p_i|| is an upper bound on sigma_min; the check uses
+    their minimum, so a "singular" verdict is never false.  An exactly zero
+    pivot reads as bound 0.  The probe columns do not change the solution
+    columns of rhs.
     """
     n = a.shape[0]
     tol = PIVOT_TOL * max(1.0, float(np.max(np.abs(a))))
-    bound = float(np.min(np.abs(np.diagonal(np.linalg.qr(a, mode="r")))))
-    if bound > tol:
-        probe = np.random.default_rng(0).standard_normal(n)
-        try:
-            sol = np.linalg.solve(a, np.column_stack([rhs, probe]))
-        except np.linalg.LinAlgError:
-            sol = np.full((n, 1), np.inf)  # exactly zero pivot
-        # np.minimum keeps a NaN, which then counts as singular
-        bound = float(np.minimum(bound, np.linalg.norm(probe) / np.linalg.norm(sol[:, -1])))
+    probes = _probes(n)
+    try:
+        sol = np.linalg.solve(a, np.column_stack([rhs, probes]))
+    except np.linalg.LinAlgError:
+        sol = np.full((n, PROBES), np.inf)  # exactly zero pivot
+    ratios = np.linalg.norm(probes, axis=0) / np.linalg.norm(sol[:, -PROBES:], axis=0)
+    # a NaN ratio makes the minimum NaN, which then counts as singular
+    bound = float(np.min(ratios))
     if not bound > tol:
         raise error(f"{what}: sigma_min <= {bound:.3e}, tolerance {tol:.3e}")
-    return sol[:, :-1].reshape(rhs.shape)
+    return sol[:, :-PROBES].reshape(rhs.shape)
 
 
 def solve_dense(a, rhs):
     """Solve the square system A x = rhs with LAPACK (LU, partial pivoting).
 
     ``rhs`` is a vector or a matrix with one right-hand side per column.
-    Raises :class:`SingularMatrixError` when the diagonal of the QR factor R
-    of A, or a probe solved with the same LU, shows sigma_min(A) at most
-    1e-12 x matrix scale.
+    Raises :class:`SingularMatrixError` when any of the probes that
+    :func:`_solve_regular` solves in the same LAPACK call shows
+    sigma_min(A) at most 1e-12 x matrix scale.
     """
     a = _as_matrix(a)
     rhs = np.asarray(rhs, dtype=float)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from ssnewton.errors import DimensionError, RankDeficiencyError, SingularMatrixError
 from ssnewton.linalg import (
+    _probes,
     lapack_nullspace_basis,
     lq_householder,
     lu_min_pivot,
@@ -166,6 +167,76 @@ def test_solve_dense_singular():
         solve_dense(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 1.0]))
 
 
+def test_solve_dense_rejects_every_rank_deficient_product():
+    # rank-(n-1) products at scales 10^U(-8, 8): 20,000 with n = 2..10, then
+    # n = 50 and n = 196; each bound ||p|| / ||A^{-1} p|| is an upper bound on
+    # sigma_min, and here sigma_min is 0
+    rng = np.random.default_rng(9)
+    sizes = [int(n) for n in rng.integers(2, 11, 20_000)] + [50] * 200 + [196] * 100
+    missed = []
+    for i, n in enumerate(sizes):
+        a = rng.standard_normal((n, n - 1)) @ rng.standard_normal((n - 1, n))
+        try:
+            solve_dense(10.0 ** rng.uniform(-8, 8) * a, rng.standard_normal(n))
+        except SingularMatrixError:
+            continue
+        missed.append((i, n))
+    assert missed == []
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 10, 50, 196])
+def test_no_single_probe_decides_regularity(n):
+    # a rank-(n-1) matrix whose left null vector u is orthogonal to one probe
+    # leaves that probe's solve bounded; the other probes must still catch it
+    rng = np.random.default_rng(n)
+    probes = _probes(n)
+    for p in probes.T:
+        for _ in range(20):
+            u = rng.standard_normal(n)
+            u -= (u @ p) / (p @ p) * p
+            u /= np.linalg.norm(u)
+            a = rng.standard_normal((n, n))
+            a -= np.outer(u, u @ a)  # u^T A = 0
+            with pytest.raises(SingularMatrixError):
+                solve_dense(10.0 ** rng.uniform(-8, 8) * a, rng.standard_normal(n))
+
+
+def test_solve_dense_returns_the_lapack_solution_bit_for_bit():
+    # the probe columns share the LAPACK call but never change the solution.
+    # With one right-hand side OpenBLAS takes a triangular-solve kernel of its
+    # own, so a vector rhs is compared with the same column solved beside a copy
+    rng = np.random.default_rng(10)
+    for _ in range(200):
+        n = int(rng.integers(1, 197))
+        a = 10.0 ** rng.uniform(-4, 4) * (rng.standard_normal((n, n)) + np.sqrt(n) * np.eye(n))
+        rhs = rng.standard_normal(n)
+        expected = np.linalg.solve(a, np.column_stack([rhs, rhs]))[:, 0]
+        assert np.array_equal(solve_dense(a, rhs), expected)
+        rhs = rng.standard_normal((n, int(rng.integers(2, 6))))
+        assert np.array_equal(solve_dense(a, rhs), np.linalg.solve(a, rhs))
+
+
+def test_solve_dense_makes_one_lapack_call_and_no_qr(monkeypatch):
+    calls = []
+    solve = np.linalg.solve
+
+    def counted(a, b):
+        calls.append(b.shape)
+        return solve(a, b)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solve_dense must not factor A by QR")
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    monkeypatch.setattr(np.linalg, "qr", forbidden)
+    solve_dense(np.diag([2.0, 4.0, 8.0]), np.ones(3))
+    with pytest.raises(SingularMatrixError):
+        solve_dense(np.ones((3, 3)), np.ones(3))
+    pseudo_inverse_full_row_rank(np.array([[1.0, 2.0, 0.0]]))
+    # each call carries the right-hand sides and the three probes
+    assert calls == [(3, 4), (3, 4), (1, 6)]
+
+
 def test_lu_min_pivot():
     assert lu_min_pivot(np.diag([4.0, 0.5])) == 0.5
     assert lu_min_pivot(np.zeros((2, 2))) == 0.0
@@ -280,7 +351,7 @@ seeds = st.integers(0, 2**32 - 1)
 exponents = st.integers(-8, 8)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(seed=seeds, n=st.integers(1, 10), k=exponents)
 def test_solve_dense_rejects_rank_deficient_at_every_scale(seed, n, k):
     rng = np.random.default_rng(seed)
@@ -290,7 +361,7 @@ def test_solve_dense_rejects_rank_deficient_at_every_scale(seed, n, k):
         solve_dense(10.0**k * a, rng.standard_normal(n))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(seed=seeds, n=st.integers(1, 10), k=exponents)
 def test_solve_dense_backward_error_at_every_scale(seed, n, k):
     rng = np.random.default_rng(seed)
@@ -304,7 +375,7 @@ def test_solve_dense_backward_error_at_every_scale(seed, n, k):
     assert backward <= 8 * n * np.finfo(float).eps
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(seed=seeds, m=st.integers(0, 6), extra=st.integers(0, 6), k=exponents,
        sparse=st.booleans())
 def test_lq_wy_matches_explicit_reflector_product(seed, m, extra, k, sparse):
@@ -322,7 +393,7 @@ def test_lq_wy_matches_explicit_reflector_product(seed, m, extra, k, sparse):
     assert np.all(np.diagonal(fac.l) >= 0.0)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(seed=seeds, m=st.integers(2, 5), extra=st.integers(0, 4), k=exponents)
 def test_pseudo_inverse_rejects_dependent_rows_at_every_scale(seed, m, extra, k):
     rng = np.random.default_rng(seed)

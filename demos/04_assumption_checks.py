@@ -26,7 +26,7 @@ print(f"non-degeneracy modulus: {nondegeneracy_modulus(ncp, x_bar, ncp.g(x_bar))
 report = check_second_order(ncp, x_bar, lam_bar)
 for face in report.faces:
     print(f"  face J = {set(face.index_set) or set()}: "
-          f"{'PASS' if face.passed else 'FAIL'} (min pivot {face.min_pivot})")
+          f"{'PASS' if face.passed else 'FAIL'} (sigma_min {face.sigma_min})")
 print(f"second-order overall: {'PASS' if report.passed else 'FAIL'}")
 
 print("\n=== a degenerate constraint system ===")

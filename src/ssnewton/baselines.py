@@ -19,7 +19,7 @@ from .cones import (
     pattern_admits,
     pattern_summary,
 )
-from .errors import EvaluationError, UnsolvableSubproblemError
+from .errors import DimensionError, EvaluationError, UnsolvableSubproblemError
 from .linalg import solve_dense
 from .newton import approximation_step, drive
 from .problems import eval_f, eval_g, eval_jg, lagrangian_jacobian
@@ -131,10 +131,13 @@ def josephy_newton(problem, x0, lam0=None, tol=1e-10, max_iter=50):
     Precondition: the subproblem is solved by enumerating activity patterns,
     so the box may have at most 6 coordinates.  A larger box raises
     :class:`CombinatorialBlowupError` at entry, before any callback runs; it
-    is a size limit of this baseline, not a solver-level failure.
+    is a size limit of this baseline, not a solver-level failure.  A lam0
+    that is not of shape (s,) raises :class:`DimensionError` there too.
     """
     guard_pattern_enumeration(problem.box)
     lam = None if lam0 is None else np.asarray(lam0, dtype=float)
+    if lam is not None and lam.shape != (problem.s,):
+        raise DimensionError(f"lam0 has shape {lam.shape}, expected ({problem.s},)")
 
     def measure(x):
         nonlocal lam

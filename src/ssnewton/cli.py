@@ -184,7 +184,7 @@ def cmd_check(args):
         verdict = "PASS" if face.passed else "FAIL"
         members = "{" + ",".join(str(i) for i in face.index_set) + "}"
         lines.append(
-            f"second-order face {members}: {verdict} (min pivot {face.min_pivot!r})"
+            f"second-order face {members}: {verdict} (sigma_min {face.sigma_min!r})"
         )
     lines.append(f"second-order overall: {'PASS' if second.passed else 'FAIL'}")
     lines.append(f"semismooth-star defect sample max: {defect!r}")

@@ -6,15 +6,14 @@ inclusion and delivers a multiplier, then (2) a Newton step solving the
 reduced n x n linear system built from a basis W of the normal-cone span at
 the predicted point and an orthonormal basis Z of ker(W^T Jg).  The step
 does not depend on the choice of Z, so Z comes from one LAPACK QR of
-(W^T Jg)^T.  The outer loop, :func:`drive`, is shared with the baselines:
-each method supplies only how to measure an iterate and how to step from
-it.
+(W^T Jg)^T (:func:`nullspace_basis`).  The outer loop, :func:`drive`, is
+shared with the baselines: each method supplies only how to measure an
+iterate and how to step from it.
 
 The module also assembles the full (n+s)-dimensional linearization pair
 (A, B) and its closed-form inverse.  These are redundant for solving -- the
 reduced system is algebraically equivalent -- and serve as cross-check
-oracles for the reduced path; they take Z from :func:`nullspace_basis`, a
-basis computed independently of the solve path's.
+oracles for the reduced path.
 """
 
 from dataclasses import dataclass
@@ -31,12 +30,7 @@ from .errors import (
     SingularMatrixError,
     UnsolvableSubproblemError,
 )
-from .linalg import (
-    lapack_nullspace_basis,
-    nullspace_basis,
-    pseudo_inverse_full_row_rank,
-    solve_dense,
-)
+from .linalg import nullspace_basis, pseudo_inverse_full_row_rank, solve_dense
 from .problems import eval_f, eval_g, eval_jg, lagrangian_jacobian
 from .qp import QPInstance, solve_qp
 from .reports import IterationRecord, SolveReport, Status
@@ -97,8 +91,8 @@ def approximation_step(problem, x, guess=None):
     )
 
 
-def _geometry(problem, approx, basis):
-    """W, Z = basis(W^T Jg), Jg and JL at the approximation step's point.
+def _geometry(problem, approx):
+    """W, Z = nullspace_basis(W^T Jg), Jg and JL at the approximation step's point.
 
     Raises :class:`DegeneracyError` when the active rows W^T Jg do not have
     full row rank (see :func:`require_full_row_rank`).
@@ -107,7 +101,7 @@ def _geometry(problem, approx, basis):
     jac_l = lagrangian_jacobian(problem, approx.x_hat, approx.lam_hat)
     w = basis_for_pattern(approx.pattern)
     try:
-        z = basis(w.T @ jac_g)
+        z = nullspace_basis(w.T @ jac_g)
     except RankDeficiencyError as exc:
         raise DegeneracyError(
             f"point is degenerate: active rows of Jg lost rank ({exc})"
@@ -118,7 +112,7 @@ def _geometry(problem, approx, basis):
 def newton_workspace(problem, approx):
     """Reduced n x n Newton system at the output of the approximation step."""
     n = problem.n
-    w, z, jac_g, jac_l = _geometry(problem, approx, lapack_nullspace_basis)
+    w, z, jac_g, jac_l = _geometry(problem, approx)
     reduced = np.vstack([z.T @ jac_l, w.T @ jac_g])
     rhs = np.concatenate([-(z.T @ approx.y_hat[:n]), -(w.T @ approx.y_hat[n:])])
     return NewtonWorkspace(w=w, z=z, reduced_matrix=reduced, reduced_rhs=rhs)
@@ -132,7 +126,7 @@ def newton_step(workspace):
 def assemble_full_ab(problem, approx):
     """The (n+s) x (n+s) linearization pair (A, B), assembled blockwise."""
     n, s = problem.n, problem.s
-    w, z, jac_g, jac_l = _geometry(problem, approx, nullspace_basis)
+    w, z, jac_g, jac_l = _geometry(problem, approx)
     m = w.shape[1]
     a = np.zeros((n + s, n + s))
     b = np.zeros((n + s, n + s))
@@ -154,7 +148,7 @@ def closed_form_inverse(problem, approx):
     Moore-Penrose inverse of W^T Jg.
     """
     n, s = problem.n, problem.s
-    w, z, jac_g, jac_l = _geometry(problem, approx, nullspace_basis)
+    w, z, jac_g, jac_l = _geometry(problem, approx)
     m = w.shape[1]
     g_mat = z.T @ jac_l @ z
     try:

@@ -28,7 +28,7 @@ from .errors import (
     ProblemFormatError,
     RankDeficiencyError,
 )
-from .linalg import lu_min_pivot, nullspace_basis, smallest_singular_value
+from .linalg import nullspace_basis, smallest_singular_value
 
 HESSIAN_SYMMETRY_TOL = 1e-10
 REGULARITY_TOL = 1e-10
@@ -133,8 +133,15 @@ def nondegeneracy_modulus(problem, x, d, tol=ACTIVITY_TOL):
 
 @dataclass(frozen=True)
 class FaceCheck:
+    """One face's second-order score and verdict.
+
+    ``sigma_min`` is the smallest singular value of Z^T JL Z, which does not
+    depend on the choice of Z (+inf for an empty null space); ``passed``
+    says whether it exceeds REGULARITY_TOL x max(1, sigma_max).
+    """
+
     index_set: tuple
-    min_pivot: float  # smallest pivot met while factoring the reduced Hessian
+    sigma_min: float
     passed: bool
 
 
@@ -152,8 +159,11 @@ def check_second_order(problem, x, lam, tol=ACTIVITY_TOL):
 
     For every index set J between the strictly active and the active
     coordinates, restricts the Lagrangian Jacobian to the null space of the
-    rows of Jg(x) selected by J and records whether that reduced matrix is
-    regular (LU pivots above tolerance).  An empty null space passes.
+    rows of Jg(x) selected by J and records whether that reduced matrix
+    Z^T JL Z is regular: its singular values, from one SVD, must satisfy
+    sigma_min > REGULARITY_TOL x max(1, sigma_max).  Both sides are the same
+    for every orthonormal basis Z of the null space, so the verdict depends
+    only on the face.  An empty null space passes.
     """
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float)
@@ -176,10 +186,10 @@ def check_second_order(problem, x, lam, tol=ACTIVITY_TOL):
         if z.shape[1] == 0:
             checks.append(FaceCheck(index_set, np.inf, True))
             continue
-        reduced = z.T @ l_jac @ z
-        pivot = lu_min_pivot(reduced)
-        scale = max(1.0, float(np.max(np.abs(reduced))))
-        checks.append(FaceCheck(index_set, pivot, pivot > REGULARITY_TOL * scale))
+        sigma = np.linalg.svd(z.T @ l_jac @ z, compute_uv=False)
+        sigma_min = float(sigma[-1])
+        passed = sigma_min > REGULARITY_TOL * max(1.0, float(sigma[0]))
+        checks.append(FaceCheck(index_set, sigma_min, passed))
     return SecondOrderReport(faces=tuple(checks))
 
 

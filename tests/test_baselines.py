@@ -11,7 +11,7 @@ from ssnewton.baselines import (
     solve_avi_enumerate,
 )
 from ssnewton.cones import BoxSet
-from ssnewton.errors import CombinatorialBlowupError
+from ssnewton.errors import CombinatorialBlowupError, DimensionError
 from ssnewton.newton import solve
 from ssnewton.problems import AffineProblemSpec, get_problem
 from ssnewton.reports import Status
@@ -225,6 +225,27 @@ def test_josephy_rejects_more_than_six_bounds_before_any_callback():
     report = solve(problem, x0)
     assert report.status is Status.CONVERGED
     assert np.max(np.abs(report.final_x)) <= 1e-10
+
+
+def test_josephy_rejects_a_wrong_length_multiplier_before_any_callback():
+    calls = []
+
+    def counted(name):
+        fn = getattr(BOXVI, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    traced = dataclasses.replace(
+        BOXVI, **{name: counted(name) for name in ("f", "jf", "g", "jg", "hg")}
+    )
+    for lam0 in ([1.0, 2.0, 3.0], [1.0], [[1.0, 2.0]]):
+        with pytest.raises(DimensionError):
+            josephy_newton(traced, np.array([0.5, 0.5]), lam0=lam0)
+    assert calls == []
 
 
 def test_josephy_on_affine_problem():

@@ -134,6 +134,17 @@ def test_usage_errors(capsys):
     assert main(["solve", "--problem", "ncp-paper", "--x0", "0", "--tol", "-1"]) == 1
 
 
+def test_josephy_rejects_a_wrong_length_lambda0(capsys):
+    code = main([
+        "solve", "--problem", "box-vi-2d", "--method", "josephy",
+        "--x0", "0.5,0.5", "--lambda0", "1,2,3",
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "lam0" in captured.err
+
+
 def test_solve_from_problem_file(tmp_path, capsys):
     doc = {
         "name": "file-problem",
@@ -173,8 +184,8 @@ def test_check_command(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "non-degeneracy modulus: 1.0" in out
-    assert "second-order face {}: PASS" in out
-    assert "second-order face {0}: PASS" in out
+    assert "second-order face {}: PASS (sigma_min 1.0)" in out
+    assert "second-order face {0}: PASS (sigma_min inf)" in out
     assert "second-order overall: PASS" in out
     assert "defect sample max: 0.0" in out
 

@@ -6,9 +6,6 @@ from hypothesis import strategies as st
 from ssnewton.errors import DimensionError, RankDeficiencyError, SingularMatrixError
 from ssnewton.linalg import (
     _probes,
-    lapack_nullspace_basis,
-    lq_householder,
-    lu_min_pivot,
     nullspace_basis,
     pseudo_inverse_full_row_rank,
     require_full_row_rank,
@@ -17,45 +14,9 @@ from ssnewton.linalg import (
 )
 
 
-def test_lq_identity():
-    fac = lq_householder(np.eye(2))
-    assert np.allclose(fac.q, np.eye(2))
-    assert np.allclose(fac.l, np.eye(2))
-
-
-def test_lq_single_row():
-    fac = lq_householder(np.array([[0.0, 2.0]]))
-    assert np.allclose(fac.l, [[2.0]])
-    assert np.allclose(fac.q[:, 0], [0.0, 1.0])
-    rec = np.hstack([fac.l, np.zeros((1, 1))])
-    assert np.max(np.abs(np.array([[0.0, 2.0]]) @ fac.q - rec)) <= 1e-12 * 2
-
-
-def test_lq_random_reconstruction():
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        m = int(rng.integers(1, 5))
-        n = int(rng.integers(m, 8))
-        c = rng.uniform(-3, 3, (m, n))
-        fac = lq_householder(c)
-        scale = max(1.0, np.max(np.abs(c)))
-        assert np.max(np.abs(fac.q.T @ fac.q - np.eye(n))) <= 1e-12
-        rec = np.hstack([fac.l, np.zeros((m, n - m))])
-        assert np.max(np.abs(c @ fac.q - rec)) <= 1e-12 * scale
-        assert np.all(np.diagonal(fac.l) >= 0.0)
-        assert np.max(np.abs(np.triu(fac.l, 1))) == 0.0
-
-
-def test_lq_shape_and_finiteness_errors():
-    with pytest.raises(DimensionError):
-        lq_householder(np.zeros((3, 2)))
-    with pytest.raises(DimensionError):
-        lq_householder(np.array([[np.nan, 1.0]]))
-
-
 def test_nullspace_single_row():
     z = nullspace_basis(np.array([[1.0, 0.0]]))
-    assert np.allclose(z, [[0.0], [1.0]])
+    assert np.allclose(z @ z.T, [[0.0, 0.0], [0.0, 1.0]])
 
 
 def test_nullspace_empty_and_square():
@@ -97,50 +58,34 @@ def test_require_full_row_rank_is_relative():
     require_full_row_rank(np.zeros((0, 3)), [])
 
 
-@pytest.mark.parametrize("basis", [nullspace_basis, lapack_nullspace_basis])
-def test_nullspace_bases_reject_tall_matrices(basis):
+def test_nullspace_basis_rejects_tall_matrices():
     # more rows than columns: dependent whatever the values, index n
     for tall in (np.ones((2, 1)), np.eye(3)[:, :2]):
         with pytest.raises(RankDeficiencyError) as info:
-            basis(tall)
+            nullspace_basis(tall)
         assert info.value.index == tall.shape[1]
+    # non-finite entries are an input error, not a rank verdict
+    with pytest.raises(DimensionError):
+        nullspace_basis(np.array([[np.nan, 1.0]]))
 
 
-def test_lapack_nullspace_basis_spans_the_same_kernel():
-    # same rank verdicts as nullspace_basis; the bases differ by a rotation
+def test_nullspace_basis_spans_the_svd_kernel():
+    # Z Z^T is the projector onto ker(C) that the trailing right singular
+    # vectors of C give; the two bases differ by a rotation
     rng = np.random.default_rng(7)
     for _ in range(100):
         n = int(rng.integers(1, 7))
         m = int(rng.integers(0, n + 1))
         c = rng.standard_normal((m, n)) * 10.0 ** rng.integers(-4, 5)
-        z = lapack_nullspace_basis(c)
+        z = nullspace_basis(c)
         assert z.shape == (n, n - m)
         assert np.max(np.abs(z.T @ z - np.eye(n - m)), initial=0.0) <= 1e-12
-        z_lq = nullspace_basis(c)
-        assert np.max(np.abs(z @ z.T - z_lq @ z_lq.T), initial=0.0) <= 1e-9
+        kernel = np.linalg.svd(c)[2][m:] if m else np.eye(n)
+        assert np.max(np.abs(z @ z.T - kernel.T @ kernel), initial=0.0) <= 1e-9
     dependent = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]])
-    for basis in (nullspace_basis, lapack_nullspace_basis):
-        with pytest.raises(RankDeficiencyError) as info:
-            basis(dependent)
-        assert info.value.index == 1
-
-
-def test_nullspace_continuity_under_perturbation():
-    # the nonnegative-diagonal convention makes Z locally continuous in C
-    rng = np.random.default_rng(2)
-    checked = 0
-    while checked < 100:
-        m = int(rng.integers(1, 4))
-        n = int(rng.integers(m, 6))
-        c = rng.uniform(-2, 2, (m, n))
-        if np.min(np.diagonal(lq_householder(c).l)) <= 1e-3:
-            continue
-        dc = rng.uniform(-1, 1, (m, n))
-        dc *= 1e-8 / max(np.linalg.norm(dc), 1e-300)
-        z = nullspace_basis(c)
-        zp = nullspace_basis(c + dc)
-        assert np.linalg.norm(z - zp) <= 1e-4
-        checked += 1
+    with pytest.raises(RankDeficiencyError) as info:
+        nullspace_basis(dependent)
+    assert info.value.index == 1
 
 
 def test_solve_dense_trivial():
@@ -237,12 +182,6 @@ def test_solve_dense_makes_one_lapack_call_and_no_qr(monkeypatch):
     assert calls == [(3, 4), (3, 4), (1, 6)]
 
 
-def test_lu_min_pivot():
-    assert lu_min_pivot(np.diag([4.0, 0.5])) == 0.5
-    assert lu_min_pivot(np.zeros((2, 2))) == 0.0
-    assert lu_min_pivot(np.zeros((0, 0))) == np.inf
-
-
 def test_pseudo_inverse_examples():
     assert np.allclose(pseudo_inverse_full_row_rank(np.array([[2.0, 0.0]])), [[0.5], [0.0]])
     assert np.allclose(pseudo_inverse_full_row_rank(np.eye(3)), np.eye(3))
@@ -314,34 +253,6 @@ def test_smallest_singular_value_against_charpoly_oracle():
         assert abs(sigma - expected) <= 1e-9 * max(1.0, top)
 
 
-def _lq_reference(c):
-    """The LQ factor with Q updated by each reflector in turn (n x n rank-1 updates)."""
-    m, n = c.shape
-    a = c.T.copy()
-    q = np.eye(n)
-    for k in range(m):
-        x = a[k:, k]
-        alpha = float(np.linalg.norm(x))
-        if alpha == 0.0:
-            continue
-        sigma = float(x[1:] @ x[1:])
-        if x[0] > 0.0:
-            if sigma == 0.0:
-                a[k, k] = alpha
-                continue
-            v0 = -sigma / (x[0] + alpha)
-        else:
-            v0 = x[0] - alpha
-        v = x.copy()
-        v[0] = v0
-        beta = 2.0 / (v0 * v0 + sigma)
-        a[k:, k:] -= beta * np.outer(v, v @ a[k:, k:])
-        a[k, k] = alpha
-        a[k + 1:, k] = 0.0
-        q[:, k:] -= beta * np.outer(q[:, k:] @ v, v)
-    return q, a[:m, :m].T
-
-
 def _orthogonal(rng, n):
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     return q * np.sign(np.diagonal(r))
@@ -373,24 +284,6 @@ def test_solve_dense_backward_error_at_every_scale(seed, n, k):
         np.linalg.norm(a, 2) * np.linalg.norm(x) + np.linalg.norm(rhs)
     )
     assert backward <= 8 * n * np.finfo(float).eps
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(seed=seeds, m=st.integers(0, 6), extra=st.integers(0, 6), k=exponents,
-       sparse=st.booleans())
-def test_lq_wy_matches_explicit_reflector_product(seed, m, extra, k, sparse):
-    rng = np.random.default_rng(seed)
-    n = max(m + extra, 1)
-    if sparse:  # zero and already-aligned columns skip their reflection
-        c = rng.choice([-1.0, 0.0, 0.0, 0.0, 1.0], (m, n))
-    else:
-        c = rng.standard_normal((m, n))
-    c *= 10.0**k
-    fac = lq_householder(c)
-    q_ref, l_ref = _lq_reference(c)
-    assert np.max(np.abs(fac.q - q_ref), initial=0.0) <= 1e-14
-    assert np.array_equal(fac.l, l_ref)
-    assert np.all(np.diagonal(fac.l) >= 0.0)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

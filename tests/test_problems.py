@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from helpers import random_affine_problem
+from ssnewton import problems
 from ssnewton.cones import BoxSet
 from ssnewton.errors import EvaluationError, ProblemFormatError
-from ssnewton.linalg import lu_min_pivot, smallest_singular_value
+from ssnewton.linalg import nullspace_basis, smallest_singular_value
 from ssnewton.newton import solve
 from ssnewton.problems import (
     AffineProblemSpec,
@@ -104,8 +105,8 @@ def test_check_second_order_ncp():
     report = check_second_order(NCP, np.zeros(1), np.zeros(1))
     assert report.passed
     assert [f.index_set for f in report.faces] == [(), (0,)]
-    assert report.faces[0].min_pivot == pytest.approx(1.0)
-    assert report.faces[1].min_pivot == np.inf
+    assert report.faces[0].sigma_min == pytest.approx(1.0)
+    assert report.faces[1].sigma_min == np.inf
 
 
 def test_check_second_order_monotone_passes():
@@ -160,31 +161,63 @@ def test_check_second_order_evaluates_g_and_jg_once_and_f_never():
     assert calls == Counter(g=1, jg=1, jf=1, hg=1)
 
 
-def test_second_order_verdict_basis_independent():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        p = random_affine_problem(rng, max_n=5, max_s=3)
-        x = np.zeros(p.n)
-        jac = p.jg(x)
-        l_jac = p.jf(x)
-        from ssnewton.linalg import nullspace_basis
+def test_check_second_order_fails_a_sheared_face():
+    # M = [[1, -1e6], [0, 1]] has unit LU pivots but sigma_min about 1e-6,
+    # below 1e-10 x sigma_max (about 1e6): face () must fail
+    spec = AffineProblemSpec(
+        name="sheared",
+        m=np.array([[1.0, -1e6], [0.0, 1.0]]),
+        q=np.zeros(2),
+        g_mat=np.eye(2),
+        h=np.zeros(2),
+        lower=np.array([-np.inf, -np.inf]),
+        upper=np.zeros(2),
+    )
+    report = check_second_order(spec.build(), np.zeros(2), np.zeros(2))
+    face = next(f for f in report.faces if f.index_set == ())
+    assert face.sigma_min == pytest.approx(1e-6, rel=1e-6)
+    assert face.passed is False
+    assert not report.passed
 
-        m = int(rng.integers(0, p.s + 1))
-        if m:
-            w = np.eye(p.s)[:, :m]
-            z = nullspace_basis(w.T @ jac)
-        else:
-            z = np.eye(p.n)
-        if z.shape[1] == 0:
-            continue
-        k = z.shape[1]
-        q_rand, _ = np.linalg.qr(rng.normal(size=(k, k)))
-        reduced = z.T @ l_jac @ z
-        rotated = (z @ q_rand).T @ l_jac @ (z @ q_rand)
-        tol = 1e-10
-        ok1 = lu_min_pivot(reduced) > tol * max(1.0, np.max(np.abs(reduced)))
-        ok2 = lu_min_pivot(rotated) > tol * max(1.0, np.max(np.abs(rotated)))
-        assert ok1 == ok2
+
+def test_second_order_verdict_basis_independent(monkeypatch):
+    # every coordinate is biactive at x = lam = 0, so every face is checked;
+    # a randomly rotated null-space basis leaves each score and verdict as is
+    rng = np.random.default_rng(3)
+    failed = 0
+    for _ in range(20):
+        n = int(rng.integers(1, 6))
+        s = int(rng.integers(1, n + 1))
+        rank = int(rng.integers(0, n + 1))  # low rank M makes faces fail
+        spec = AffineProblemSpec(
+            name="rotated",
+            m=rng.normal(size=(n, rank)) @ rng.normal(size=(rank, n)),
+            q=np.zeros(n),
+            g_mat=rng.normal(size=(s, n)),
+            h=np.zeros(s),
+            lower=np.full(s, -np.inf),
+            upper=np.zeros(s),
+        )
+        p, x, lam = spec.build(), np.zeros(n), np.zeros(s)
+        plain = check_second_order(p, x, lam)
+
+        def rotated_basis(c):
+            z = nullspace_basis(c)
+            k = z.shape[1]
+            return z @ np.linalg.qr(rng.normal(size=(k, k)))[0]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(problems, "nullspace_basis", rotated_basis)
+            rotated = check_second_order(p, x, lam)
+        scale = max(1.0, np.linalg.norm(spec.m, 2))
+        assert len(plain.faces) == 2**s
+        for a, b in zip(plain.faces, rotated.faces):
+            assert a.index_set == b.index_set
+            assert a.passed == b.passed
+            if np.isfinite(a.sigma_min):
+                assert abs(a.sigma_min - b.sigma_min) <= 1e-12 * scale
+            failed += not a.passed
+    assert failed > 0
 
 
 def _fd_jac(fn, x, out_dim, step=1e-6):

@@ -58,15 +58,16 @@ def test_require_full_row_rank_is_relative():
     require_full_row_rank(np.zeros((0, 3)), [])
 
 
-def test_nullspace_basis_rejects_tall_matrices():
+@pytest.mark.parametrize("basis", [nullspace_basis])
+def test_nullspace_bases_reject_tall_matrices(basis):
     # more rows than columns: dependent whatever the values, index n
     for tall in (np.ones((2, 1)), np.eye(3)[:, :2]):
         with pytest.raises(RankDeficiencyError) as info:
-            nullspace_basis(tall)
+            basis(tall)
         assert info.value.index == tall.shape[1]
     # non-finite entries are an input error, not a rank verdict
     with pytest.raises(DimensionError):
-        nullspace_basis(np.array([[np.nan, 1.0]]))
+        basis(np.array([[np.nan, 1.0]]))
 
 
 def test_nullspace_basis_spans_the_svd_kernel():

@@ -39,7 +39,8 @@ def nonsmooth_newton(system, x0, tol=1e-10, max_iter=50):
 
     An invalid F(x) or Jacobian element (wrong shape, non-finite entries)
     ends the run with status EVALUATION_FAILED, a singular A with
-    SINGULAR_NEWTON_SYSTEM; nothing is raised.
+    SINGULAR_NEWTON_SYSTEM; nothing is raised.  Only an x0 not of shape (n,)
+    raises :class:`DimensionError`, at entry.
     """
 
     def measure(x):
@@ -55,7 +56,7 @@ def nonsmooth_newton(system, x0, tol=1e-10, max_iter=50):
             raise EvaluationError(f"jacobian element is invalid: {jx!r}")
         return solve_dense(jx, -fx)
 
-    return drive(x0, measure, direction, tol, max_iter)
+    return drive(x0, system.n, measure, direction, tol, max_iter)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,8 +132,10 @@ def josephy_newton(problem, x0, lam0=None, tol=1e-10, max_iter=50):
     Precondition: the subproblem is solved by enumerating activity patterns,
     so the box may have at most 6 coordinates.  A larger box raises
     :class:`CombinatorialBlowupError` at entry, before any callback runs; it
-    is a size limit of this baseline, not a solver-level failure.  A lam0
-    that is not of shape (s,) raises :class:`DimensionError` there too.
+    is a size limit of this baseline, not a solver-level failure.  An x0 not
+    of shape (n,) or a lam0 not of shape (s,) raises :class:`DimensionError`
+    there too.  Each approximation step's QP is seeded with its violated
+    rows (see :func:`ssnewton.newton.approximation_step`).
     """
     guard_pattern_enumeration(problem.box)
     lam = None if lam0 is None else np.asarray(lam0, dtype=float)
@@ -164,4 +167,4 @@ def josephy_newton(problem, x0, lam0=None, tol=1e-10, max_iter=50):
         x_new, lam, _ = sol
         return x_new - x  # x + (x_new - x) == x_new except in rare rounding ties
 
-    return drive(x0, measure, direction, tol, max_iter)
+    return drive(x0, problem.n, measure, direction, tol, max_iter)

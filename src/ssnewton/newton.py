@@ -16,6 +16,7 @@ reduced system is algebraically equivalent -- and serve as cross-check
 oracles for the reduced path.
 """
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ import numpy as np
 from .cones import basis_for_pattern, pattern_summary
 from .errors import (
     DegeneracyError,
+    DimensionError,
     EvaluationError,
     NonconvergenceError,
     QPInfeasibleError,
@@ -32,7 +34,7 @@ from .errors import (
 )
 from .linalg import nullspace_basis, pseudo_inverse_full_row_rank, solve_dense
 from .problems import eval_f, eval_g, eval_jg, lagrangian_jacobian
-from .qp import QPInstance, solve_qp
+from .qp import QPInstance, solve_qp, violated_guess
 from .reports import IterationRecord, SolveReport, Status
 
 
@@ -69,14 +71,19 @@ def approximation_step(problem, x, guess=None):
 
     ``guess``, an earlier :class:`ApproxResult` (in :func:`solve`, the
     previous iterate's), seeds the QP's active set with its pattern and
-    multiplier; the QP's solution does not depend on it.
+    multiplier; without one, the QP is seeded with the rows violated at its
+    unconstrained minimum (:func:`violated_guess`).  The QP's solution does
+    not depend on the seed.
     """
     x = np.asarray(x, dtype=float)
     c = eval_f(problem, x)
     b = eval_g(problem, x)
     jac = eval_jg(problem, x)
     seed = None if guess is None else (guess.pattern, guess.lam_hat)
-    qp = solve_qp(QPInstance(c=c, b=b, jac=jac, box=problem.box, guess=seed))
+    instance = QPInstance(c=c, b=b, jac=jac, box=problem.box, guess=seed)
+    if guess is None:
+        instance = dataclasses.replace(instance, guess=violated_guess(instance))
+    qp = solve_qp(instance)
     d_hat = b + jac @ qp.u
     p_star = c + jac.T @ qp.lam
     return ApproxResult(
@@ -198,7 +205,7 @@ def _failure(phase, k, exc):
     return status, str(exc)
 
 
-def drive(x0, measure, direction, tol, max_iter):
+def drive(x0, n, measure, direction, tol, max_iter):
     """The outer iteration shared by every method.
 
     ``measure(x)`` returns (residual, multiplier or None, branch or None,
@@ -206,9 +213,13 @@ def drive(x0, measure, direction, tol, max_iter):
     stops when the residual is at most tol, at max_iter, or when either call
     raises a solver-level error (infeasible QP, singular or degenerate
     Newton system, unsolvable subproblem, invalid callback output, QP update
-    cap): that error becomes the report's status and is not raised.
+    cap): that error becomes the report's status and is not raised.  An x0
+    not of shape (n,) is a caller error: it raises :class:`DimensionError`
+    before the first call.
     """
     x = np.asarray(x0, dtype=float).copy()
+    if x.shape != (n,):
+        raise DimensionError(f"x0 has shape {x.shape}, expected ({n},)")
     records = []
     prev_step = 0.0
     message = ""
@@ -263,7 +274,9 @@ def solve(problem, x0, tol=1e-10, max_iter=50, approximation=approximation_step)
     ``approximation(problem, x, guess)`` replaces the approximation step,
     e.g. to trace it; it is called with three positional arguments, the
     guess being the previous iteration's result (None at the first), so a
-    replacement that drops the guess runs every QP cold.
+    replacement that drops the guess seeds every QP with its violated rows
+    (see :func:`approximation_step`).  An x0 that is not of shape (n,)
+    raises :class:`DimensionError` before any callback runs.
     """
     previous = None
 
@@ -276,4 +289,4 @@ def solve(problem, x0, tol=1e-10, max_iter=50, approximation=approximation_step)
     def direction(approx, k):
         return newton_step(newton_workspace(problem, approx))
 
-    return drive(x0, measure, direction, tol, max_iter)
+    return drive(x0, problem.n, measure, direction, tol, max_iter)

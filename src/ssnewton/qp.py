@@ -29,9 +29,18 @@ are dropped, and the unchanged add/drop loop continues from there; it
 still checks every row for violation.  When the guess's set is also the
 answer, no step is taken, R^-1 is never formed, and the guess's factor
 serves as the polish.  A guess
-with dependent rows is ignored.  Verdicts come only from the cold path:
-if the seeded run raises, the cold run is made and its verdict returned,
-because which row certifies infeasibility depends on the path.
+with dependent rows, or with more rows than unknowns, is ignored.
+Verdicts come only from the cold path: if the seeded run raises, the cold
+run is made and its verdict returned, because which row certifies
+infeasibility depends on the path.
+
+Where no nearby solution is at hand, :func:`violated_guess` supplies one:
+the rows violated at the cold start u = -c, with zero multipliers.  That
+is one step of the primal-dual active-set method of Hintermueller, Ito and
+Kunisch (SIAM J. Optim. 13, 2002), itself a semismooth Newton method, and
+once the seed drops its rows with negative multipliers it is a valid
+Goldfarb-Idnani start.  The Newton methods seed every QP that has no
+previous result this way; ``solve_qp`` without a guess still starts cold.
 
 ``brute_force_qp`` solves the same problem by enumerating every activity
 pattern and serves as the independent oracle in the test suite.
@@ -163,6 +172,22 @@ def _seed(instance, normals, offsets):
             return list(active), q, r, u, mults
         active = active[mults >= 0.0]
     return None  # more rows than unknowns: dependent
+
+
+def violated_guess(instance):
+    """The guess of the rows violated at the unconstrained minimum u = -c.
+
+    At d = b - C c, AT_LOWER names the lower row of a coordinate below its
+    lower bound and AT_UPPER the upper row of one above its upper bound (for
+    a pinched coordinate, the one violated row); every other coordinate is
+    INTERIOR.  The multipliers are zero.
+    """
+    box = instance.box
+    d = instance.b - instance.jac @ instance.c
+    kinds = np.full(instance.s, Activity.INTERIOR, dtype=object)
+    kinds[d < box.lower] = Activity.AT_LOWER
+    kinds[d > box.upper] = Activity.AT_UPPER
+    return tuple(kinds), np.zeros(instance.s)
 
 
 def solve_qp(instance):

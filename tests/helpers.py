@@ -1,10 +1,28 @@
-"""Shared random-instance generators for the test suite."""
+"""Shared random-instance generators and callback counters for the test suite."""
+
+import dataclasses
 
 import numpy as np
 
 from ssnewton.cones import BoxSet
 from ssnewton.problems import AffineProblemSpec
 from ssnewton.qp import QPInstance
+
+
+def counting_callbacks(problem, calls):
+    """The problem with each callback appending its name to ``calls``."""
+
+    def counted(name):
+        fn = getattr(problem, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    names = ("f", "jf", "g", "jg", "hg")
+    return dataclasses.replace(problem, **{name: counted(name) for name in names})
 
 
 def random_box(rng, s):

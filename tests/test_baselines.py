@@ -1,8 +1,7 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
+from helpers import counting_callbacks
 from ssnewton.baselines import (
     AVIInstance,
     NonsmoothSystem,
@@ -64,6 +63,13 @@ def test_newton_zero_start():
     report = nonsmooth_newton(_smooth_square(), np.array([1.0]), tol=1e-12)
     assert report.status is Status.CONVERGED
     assert len(report.iterations) == 1
+
+
+def test_newton_rejects_a_wrong_length_x0():
+    # a 1-d system broadcasts its step over a longer x0: no run may start
+    for x0 in ([2.0, 2.0], [[2.0]], 2.0):
+        with pytest.raises(DimensionError, match="x0 has shape"):
+            nonsmooth_newton(_smooth_square(), np.array(x0))
 
 
 def test_newton_singular_jacobian():
@@ -205,19 +211,7 @@ def test_josephy_rejects_more_than_six_bounds_before_any_callback():
     )
     problem = spec.build()
     calls = []
-
-    def counted(name):
-        fn = getattr(problem, name)
-
-        def wrapper(*args):
-            calls.append(name)
-            return fn(*args)
-
-        return wrapper
-
-    traced = dataclasses.replace(
-        problem, **{name: counted(name) for name in ("f", "jf", "g", "jg", "hg")}
-    )
+    traced = counting_callbacks(problem, calls)
     x0 = np.full(n, 0.3)
     with pytest.raises(CombinatorialBlowupError):
         josephy_newton(traced, x0)
@@ -229,22 +223,19 @@ def test_josephy_rejects_more_than_six_bounds_before_any_callback():
 
 def test_josephy_rejects_a_wrong_length_multiplier_before_any_callback():
     calls = []
-
-    def counted(name):
-        fn = getattr(BOXVI, name)
-
-        def wrapper(*args):
-            calls.append(name)
-            return fn(*args)
-
-        return wrapper
-
-    traced = dataclasses.replace(
-        BOXVI, **{name: counted(name) for name in ("f", "jf", "g", "jg", "hg")}
-    )
+    traced = counting_callbacks(BOXVI, calls)
     for lam0 in ([1.0, 2.0, 3.0], [1.0], [[1.0, 2.0]]):
         with pytest.raises(DimensionError):
             josephy_newton(traced, np.array([0.5, 0.5]), lam0=lam0)
+    assert calls == []
+
+
+def test_josephy_rejects_a_wrong_length_x0_before_any_callback():
+    calls = []
+    traced = counting_callbacks(BOXVI, calls)
+    for x0 in ([0.5, 0.5, 0.5], [0.5], [[0.5, 0.5]], 0.5):
+        with pytest.raises(DimensionError, match="x0 has shape"):
+            josephy_newton(traced, np.array(x0))
     assert calls == []
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_affine_problem
+from helpers import counting_callbacks, random_affine_problem
 from ssnewton import newton
 from ssnewton.baselines import josephy_newton
 from ssnewton.cones import (
@@ -22,6 +22,7 @@ from ssnewton.cones import (
 )
 from ssnewton.errors import (
     DegeneracyError,
+    DimensionError,
     NonconvergenceError,
     QPInfeasibleError,
     RankDeficiencyError,
@@ -257,22 +258,10 @@ def test_more_active_rows_than_unknowns_is_degenerate():
 
 
 def test_one_iteration_evaluates_f_once_and_jg_once():
-    calls = Counter()
-
-    def counted(name):
-        fn = getattr(BOXVI, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-
-        return wrapper
-
-    p = dataclasses.replace(
-        BOXVI, **{name: counted(name) for name in ("f", "jf", "g", "jg", "hg")}
-    )
+    calls = []
+    p = counting_callbacks(BOXVI, calls)
     newton_workspace(p, approximation_step(p, np.array([0.3, 0.3])))
-    assert calls == Counter(f=1, g=1, jg=1, jf=1, hg=1)
+    assert Counter(calls) == Counter(f=1, g=1, jg=1, jf=1, hg=1)
 
 
 def test_newton_step_examples():
@@ -522,34 +511,40 @@ def test_solve_reports_qp_update_cap_as_status():
 
 
 def test_warm_started_solve_matches_cold_solve(monkeypatch):
-    # solve seeds each QP with the previous iteration's active rows; a run
-    # whose approximation step drops the guess starts every QP cold and must
-    # take the same path, up to rounding
+    # solve seeds its first QP with the rows violated at u = -c and each
+    # later QP with the previous iteration's active rows; a run whose QPs
+    # drop the guess starts every QP cold and must take the same path, up
+    # to rounding
     warm_flags = []
+    cold_solve_qp = newton.solve_qp
 
-    def recording(instance, solve_qp=newton.solve_qp):
-        sol = solve_qp(instance)
-        warm_flags.append(sol.warm)
-        return sol
+    def recording(drop_guess):
+        def record(instance):
+            if drop_guess:
+                instance = dataclasses.replace(instance, guess=None)
+            sol = cold_solve_qp(instance)
+            warm_flags.append(sol.warm)
+            return sol
 
-    def cold(problem, x, guess=None):
-        return approximation_step(problem, x)
+        return record
 
-    monkeypatch.setattr(newton, "solve_qp", recording)
     rng = np.random.default_rng(19)
     cases = [(p, rng.uniform(-0.5, 0.5, p.n)) for p in builtin_registry() for _ in range(6)]
     for _ in range(50):
         p = random_affine_problem(rng)
         cases.append((p, rng.uniform(-1, 1, p.n)))
-    seeded = 0
+    seeded = first_warm = 0
     for problem, x0 in cases:
         warm_flags.clear()
-        expected = solve(problem, x0, approximation=cold)
+        monkeypatch.setattr(newton, "solve_qp", recording(drop_guess=True))
+        expected = solve(problem, x0)
         assert not any(warm_flags)
         warm_flags.clear()
+        monkeypatch.setattr(newton, "solve_qp", recording(drop_guess=False))
         report = solve(problem, x0)
         assert warm_flags[1:] == [True] * (len(warm_flags) - 1)
         seeded += len(warm_flags) - 1
+        first_warm += warm_flags[:1] == [True]
         assert (report.status, len(report.iterations), report.message) == (
             expected.status, len(expected.iterations), expected.message
         )
@@ -557,6 +552,54 @@ def test_warm_started_solve_matches_cold_solve(monkeypatch):
         scale = max(1.0, float(np.max(np.abs(want))))
         assert np.max(np.abs(np.array(report.final_x) - want)) <= 1e-12 * scale
     assert seeded > 50
+    # the violated-row seed of every first QP is independent and kept
+    assert first_warm == len(cases)
+
+
+def test_first_qp_of_a_solve_is_seeded_and_takes_no_step(monkeypatch):
+    # obstacle problem on a 1-d grid: f(x) = A x - load with A the 3-point
+    # Laplacian, g(x) = x, D = [psi, inf).  At x0 = 0 the QP is separable,
+    # so the rows violated at u = -c are exactly its contact set: the seeded
+    # first call is an exact hit, where the cold call adds them one by one
+    n = 12
+    h = 1.0 / (n + 1)
+    lap = (2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) / h**2
+    t = h * np.arange(1, n + 1)
+    psi = 0.05 - 0.5 * (t - 0.5) ** 2
+    problem = GEProblem(
+        name="obstacle-1d", n=n, s=n,
+        f=lambda x: lap @ x + 0.01, jf=lambda x: lap,
+        g=lambda x: x.copy(), jg=lambda x: np.eye(n),
+        hg=lambda x, lam: np.zeros((n, n)),
+        box=BoxSet(psi, np.full(n, np.inf)),
+    )
+    calls = []
+    cold_solve_qp = newton.solve_qp
+
+    def recording(instance):
+        calls.append((instance, cold_solve_qp(instance)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(newton, "solve_qp", recording)
+    report = solve(problem, np.zeros(n))
+    assert report.status is Status.CONVERGED
+    instance, first = calls[0]
+    contact = np.flatnonzero(psi > -0.01)
+    assert 0 < len(contact) < n
+    assert (first.iterations, first.warm) == (0, True)
+    cold = cold_solve_qp(dataclasses.replace(instance, guess=None))
+    assert (cold.iterations, cold.warm) == (len(contact), False)
+    assert first.active == cold.active
+    assert [j for j, a in enumerate(first.active) if a is Activity.AT_LOWER] == list(contact)
+
+
+def test_solve_rejects_a_wrong_length_x0_before_any_callback():
+    calls = []
+    traced = counting_callbacks(BOXVI, calls)
+    for x0 in ([0.5, 0.5, 0.5], [0.5], [[0.5, 0.5]], 0.5):
+        with pytest.raises(DimensionError, match="x0 has shape"):
+            solve(traced, np.array(x0))
+    assert calls == []
 
 
 def test_solve_calls_the_module_globals_the_benchmark_tracer_patches():

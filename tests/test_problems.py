@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import random_affine_problem
+from helpers import counting_callbacks, random_affine_problem
 from ssnewton import problems
 from ssnewton.cones import BoxSet
 from ssnewton.errors import EvaluationError, ProblemFormatError
@@ -142,23 +142,10 @@ def test_check_second_order_zero_map_fails():
 
 
 def test_check_second_order_evaluates_g_and_jg_once_and_f_never():
-    calls = Counter()
-    boxvi = get_problem("box-vi-2d")
-
-    def counted(name):
-        fn = getattr(boxvi, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-
-        return wrapper
-
-    p = dataclasses.replace(
-        boxvi, **{name: counted(name) for name in ("f", "jf", "g", "jg", "hg")}
-    )
+    calls = []
+    p = counting_callbacks(get_problem("box-vi-2d"), calls)
     check_second_order(p, np.zeros(2), np.zeros(2))
-    assert calls == Counter(g=1, jg=1, jf=1, hg=1)
+    assert Counter(calls) == Counter(g=1, jg=1, jf=1, hg=1)
 
 
 def test_check_second_order_fails_a_sheared_face():

@@ -7,7 +7,7 @@ import pytest
 from helpers import random_box, random_qp_instance
 from ssnewton.cones import Activity, BoxSet, normal_cone_membership, pattern_admits
 from ssnewton.errors import CombinatorialBlowupError, NonconvergenceError, QPInfeasibleError
-from ssnewton.qp import QPInstance, brute_force_qp, solve_qp
+from ssnewton.qp import QPInstance, brute_force_qp, solve_qp, violated_guess
 
 NEG1 = BoxSet.nonpositive(1)
 
@@ -515,3 +515,56 @@ def test_warm_start_continues_from_a_primal_infeasible_guess():
     assert warm.warm
     _assert_same_solution(warm, cold)
     _assert_same_solution(warm, brute_force_qp(inst))
+
+
+def _scaled_and_pinched(rng, inst):
+    """The instance with row i of Jg, b and the bounds scaled by 10^U(-3, 3)
+    and ~30% of the coordinates pinched to one of their bounds."""
+    lo, hi = inst.box.lower.copy(), inst.box.upper.copy()
+    pinch = rng.random(inst.s) < 0.3
+    bound = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
+    lo[pinch] = hi[pinch] = bound[pinch]
+    sigma = 10.0 ** rng.uniform(-3, 3, inst.s)
+    return QPInstance(c=inst.c, b=sigma * inst.b, jac=sigma[:, None] * inst.jac,
+                      box=BoxSet(sigma * lo, sigma * hi))
+
+
+def test_violated_row_seed_matches_cold_start_and_oracle():
+    # the rows violated at u = -c seed the QP; the answer must be the cold
+    # path's (verdict, message, pattern, degeneracy flag, u and multiplier)
+    # and the brute-force oracle's.  Duplicated and negated rows, and more
+    # violated rows than unknowns, make the seed fall back to the cold run
+    rng = np.random.default_rng(14)
+    instances = [random_qp_instance(rng) for _ in range(1000)]
+    instances += [_feasible_instance(rng) for _ in range(500)]
+    warm_runs = oracle_runs = 0
+    fallbacks = {"dependent": 0, "more rows than n": 0}
+    for inst in instances:
+        inst = _scaled_and_pinched(rng, inst)
+        guess = violated_guess(inst)
+        seeded = dataclasses.replace(inst, guess=guess)
+        try:
+            cold = solve_qp(inst)
+        except (QPInfeasibleError, NonconvergenceError) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                solve_qp(seeded)
+            cold = None
+        else:
+            warm = solve_qp(seeded)
+            if warm.warm:
+                warm_runs += 1
+            else:
+                violated = sum(kind is not Activity.INTERIOR for kind in guess[0])
+                fallbacks["more rows than n" if violated > inst.n else "dependent"] += 1
+            _assert_same_solution(warm, cold)
+        if inst.s <= 6:
+            oracle_runs += 1
+            try:
+                ref = brute_force_qp(inst)
+            except QPInfeasibleError:
+                ref = None
+            assert (cold is None) == (ref is None)
+            if ref is not None:
+                assert np.max(np.abs(warm.u - ref.u)) <= 1e-8 * (1.0 + np.linalg.norm(ref.u))
+    assert warm_runs > 500 and oracle_runs > 500
+    assert min(fallbacks.values()) > 20

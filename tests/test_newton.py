@@ -516,13 +516,13 @@ def test_warm_started_solve_matches_cold_solve(monkeypatch):
     # drop the guess starts every QP cold and must take the same path, up
     # to rounding
     warm_flags = []
-    cold_solve_qp = newton.solve_qp
+    original_solve_qp = newton.solve_qp
 
     def recording(drop_guess):
         def record(instance):
             if drop_guess:
                 instance = dataclasses.replace(instance, guess=None)
-            sol = cold_solve_qp(instance)
+            sol = original_solve_qp(instance)
             warm_flags.append(sol.warm)
             return sol
 
@@ -557,7 +557,7 @@ def test_warm_started_solve_matches_cold_solve(monkeypatch):
 
 
 def test_first_qp_of_a_solve_is_seeded_and_takes_no_step(monkeypatch):
-    # obstacle problem on a 1-d grid: f(x) = A x - load with A the 3-point
+    # obstacle problem on a 1-d grid: f(x) = A x + 0.01 with A the 3-point
     # Laplacian, g(x) = x, D = [psi, inf).  At x0 = 0 the QP is separable,
     # so the rows violated at u = -c are exactly its contact set: the seeded
     # first call is an exact hit, where the cold call adds them one by one
@@ -574,10 +574,10 @@ def test_first_qp_of_a_solve_is_seeded_and_takes_no_step(monkeypatch):
         box=BoxSet(psi, np.full(n, np.inf)),
     )
     calls = []
-    cold_solve_qp = newton.solve_qp
+    original_solve_qp = newton.solve_qp
 
     def recording(instance):
-        calls.append((instance, cold_solve_qp(instance)))
+        calls.append((instance, original_solve_qp(instance)))
         return calls[-1][1]
 
     monkeypatch.setattr(newton, "solve_qp", recording)
@@ -587,7 +587,7 @@ def test_first_qp_of_a_solve_is_seeded_and_takes_no_step(monkeypatch):
     contact = np.flatnonzero(psi > -0.01)
     assert 0 < len(contact) < n
     assert (first.iterations, first.warm) == (0, True)
-    cold = cold_solve_qp(dataclasses.replace(instance, guess=None))
+    cold = original_solve_qp(dataclasses.replace(instance, guess=None))
     assert (cold.iterations, cold.warm) == (len(contact), False)
     assert first.active == cold.active
     assert [j for j, a in enumerate(first.active) if a is Activity.AT_LOWER] == list(contact)

@@ -1,11 +1,13 @@
 """Small dense linear-algebra kernel.
 
 Everything here operates on plain ``numpy`` arrays at desk scale (a few
-hundred rows at most) and calls LAPACK for every factorization.  Null-space
-bases come from one QR (:func:`nullspace_basis`), whose triangular factor
-also gives the one rank test, :func:`require_full_row_rank`.  The basis
-carries no sign convention: every caller uses it only through quantities
-that do not change when it is rotated.  Square systems are solved by
+hundred rows at most) and calls LAPACK for every factorization.  Orthonormal
+bases of the row space and of the null space of a wide matrix C come from
+one QR of C^T (:func:`range_basis`, reduced; :func:`nullspace_basis`,
+complete), whose triangular factor also gives the one rank test,
+:func:`require_full_row_rank`.  The bases carry no sign convention: every
+caller uses them only through quantities that do not change when they are
+rotated.  Square systems are solved by
 :func:`solve_dense` in one LAPACK LU call, which also certifies their
 regularity from a few fixed probe columns solved next to the right-hand side
 (:func:`_solve_regular`).
@@ -49,16 +51,13 @@ def require_full_row_rank(c, diag):
         )
 
 
-def nullspace_basis(c):
-    """Orthonormal basis of ker(C) for a full-row-rank m x n matrix C.
+def _row_qr(c, mode):
+    """Q of C^T = Q R in ``mode`` for a full-row-rank m x n matrix C.
 
-    Returns the trailing n - m columns of Q from one complete LAPACK QR,
-    C^T = Q R, so C Z = 0 and Z^T Z = I.  Z carries no sign convention and
-    need not be continuous in C: use it where the result does not depend on
-    the choice of basis.  Raises :class:`RankDeficiencyError` (see
-    :func:`require_full_row_rank`) when C has more rows than columns (such
-    rows cannot be independent whatever their values, so the error's index
-    is n, the first row that cannot be) or its rows are dependent.
+    Raises :class:`RankDeficiencyError` (see :func:`require_full_row_rank`)
+    when C has more rows than columns (such rows cannot be independent
+    whatever their values, so the error's index is n, the first row that
+    cannot be) or its rows are dependent.
     """
     c = _as_matrix(c)
     m, n = c.shape
@@ -66,9 +65,30 @@ def nullspace_basis(c):
         raise RankDeficiencyError(
             f"matrix is rank deficient ({m} rows, {n} columns)", index=n
         )
-    q, r = np.linalg.qr(c.T, mode="complete")
+    q, r = np.linalg.qr(c.T, mode=mode)
     require_full_row_rank(c, np.diagonal(r))
-    return q[:, m:]
+    return q
+
+
+def range_basis(c):
+    """Orthonormal basis Q1 of range(C^T) for a full-row-rank m x n matrix C.
+
+    The n x m Q1 of one reduced LAPACK QR, C^T = Q1 R, so Q1^T Q1 = I and
+    C = (C Q1) Q1^T; raises as :func:`nullspace_basis` does.
+    """
+    return _row_qr(c, "reduced")
+
+
+def nullspace_basis(c):
+    """Orthonormal basis of ker(C) for a full-row-rank m x n matrix C.
+
+    Returns the trailing n - m columns of Q from one complete LAPACK QR,
+    C^T = Q R, so C Z = 0 and Z^T Z = I.  Z carries no sign convention and
+    need not be continuous in C: use it where the result does not depend on
+    the choice of basis.  Raises :class:`RankDeficiencyError` when C has
+    more rows than columns or dependent rows (see :func:`_row_qr`).
+    """
+    return _row_qr(c, "complete")[:, np.shape(c)[0] :]
 
 
 @functools.lru_cache(maxsize=None)

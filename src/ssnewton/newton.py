@@ -2,18 +2,21 @@
 
 One outer iteration is: (1) an approximation step, the strictly convex QP
 that projects the current iterate onto the graph of the reformulated
-inclusion and delivers a multiplier, then (2) a Newton step solving the
-reduced n x n linear system built from a basis W of the normal-cone span at
-the predicted point and an orthonormal basis Z of ker(W^T Jg).  The step
-does not depend on the choice of Z, so Z comes from one LAPACK QR of
-(W^T Jg)^T (:func:`nullspace_basis`).  The outer loop, :func:`drive`, is
-shared with the baselines: each method supplies only how to measure an
-iterate and how to step from it.
+inclusion and delivers a multiplier, then (2) a Newton step solving one
+n x n linear system.  With W a basis of the normal-cone span at the
+predicted point, C = W^T Jg its active rows and Z an orthonormal basis of
+ker C, that system is [Z^T JL; C] s = [-Z^T y_p; -W^T y_g] up to a scaling
+of each C row.  It is assembled without Z: Q1 from the reduced QR
+C^T = Q1 R (:func:`range_basis`) projects JL onto range(C^T) and replaces
+that part by the row-equilibrated border alpha D^{-1} C, where D holds the
+row norms of C and alpha = max(1, max |JL|).  The outer loop,
+:func:`drive`, is shared with the baselines: each method supplies only how
+to measure an iterate and how to step from it.
 
 The module also assembles the full (n+s)-dimensional linearization pair
-(A, B) and its closed-form inverse.  These are redundant for solving -- the
-reduced system is algebraically equivalent -- and serve as cross-check
-oracles for the reduced path.
+(A, B) and its closed-form inverse from Z (:func:`nullspace_basis`).  These
+are redundant for solving -- the n x n system is algebraically equivalent --
+and serve as cross-check oracles for it.
 """
 
 import dataclasses
@@ -32,7 +35,12 @@ from .errors import (
     SingularMatrixError,
     UnsolvableSubproblemError,
 )
-from .linalg import nullspace_basis, pseudo_inverse_full_row_rank, solve_dense
+from .linalg import (
+    nullspace_basis,
+    pseudo_inverse_full_row_rank,
+    range_basis,
+    solve_dense,
+)
 from .problems import eval_f, eval_g, eval_jg, lagrangian_jacobian
 from .qp import QPInstance, solve_qp, violated_guess
 from .reports import IterationRecord, SolveReport, Status
@@ -61,7 +69,7 @@ class ApproxResult:
 @dataclass(frozen=True, eq=False)
 class NewtonWorkspace:
     w: np.ndarray  # basis of span N_D(d_hat), one signed unit per active coord
-    z: np.ndarray  # orthonormal basis of ker(w^T Jg)
+    q1: np.ndarray  # orthonormal basis of range((w^T Jg)^T)
     reduced_matrix: np.ndarray
     reduced_rhs: np.ndarray
 
@@ -98,35 +106,55 @@ def approximation_step(problem, x, guess=None):
     )
 
 
-def _geometry(problem, approx):
-    """W, Z = nullspace_basis(W^T Jg), Jg and JL at the approximation step's point.
+def _active_basis(basis, c):
+    """``basis(c)`` for the active rows c = W^T Jg.
 
-    Raises :class:`DegeneracyError` when the active rows W^T Jg do not have
-    full row rank (see :func:`require_full_row_rank`).
+    Raises :class:`DegeneracyError` when they do not have full row rank
+    (see :func:`require_full_row_rank`).
     """
-    jac_g = approx.jac_g
-    jac_l = lagrangian_jacobian(problem, approx.x_hat, approx.lam_hat)
-    w = basis_for_pattern(approx.pattern)
     try:
-        z = nullspace_basis(w.T @ jac_g)
+        return basis(c)
     except RankDeficiencyError as exc:
         raise DegeneracyError(
             f"point is degenerate: active rows of Jg lost rank ({exc})"
         ) from exc
-    return w, z, jac_g, jac_l
+
+
+def _geometry(problem, approx):
+    """W, Z = nullspace_basis(W^T Jg), Jg and JL for the oracles."""
+    jac_g = approx.jac_g
+    jac_l = lagrangian_jacobian(problem, approx.x_hat, approx.lam_hat)
+    w = basis_for_pattern(approx.pattern)
+    return w, _active_basis(nullspace_basis, w.T @ jac_g), jac_g, jac_l
 
 
 def newton_workspace(problem, approx):
-    """Reduced n x n Newton system at the output of the approximation step."""
+    """The n x n Newton system M s = rhs at the output of the approximation step.
+
+    With C = W^T Jg, C^T = Q1 R, D = diag(||C_i||) and
+    alpha = max(1, max |JL|):
+    M = JL - Q1 (Q1^T JL - alpha D^{-1} C) and
+    rhs = Q1 (Q1^T y_p - alpha D^{-1} W^T y_g) - y_p.
+    For U = [Z Q1], U^T M = [Z^T JL; alpha D^{-1} C] and
+    U^T rhs = [-Z^T y_p; -alpha D^{-1} W^T y_g]: the reduced system with
+    each C row rescaled, so the step is the same.  Its singular values do
+    not depend on the row scale of C, and the border is scaled to JL, so
+    rounding in the projection of JL does not swamp a small C row.
+    """
     n = problem.n
-    w, z, jac_g, jac_l = _geometry(problem, approx)
-    reduced = np.vstack([z.T @ jac_l, w.T @ jac_g])
-    rhs = np.concatenate([-(z.T @ approx.y_hat[:n]), -(w.T @ approx.y_hat[n:])])
-    return NewtonWorkspace(w=w, z=z, reduced_matrix=reduced, reduced_rhs=rhs)
+    jac_l = lagrangian_jacobian(problem, approx.x_hat, approx.lam_hat)
+    w = basis_for_pattern(approx.pattern)
+    c = w.T @ approx.jac_g
+    q1 = _active_basis(range_basis, c)
+    scale = max(1.0, float(np.max(np.abs(jac_l)))) / np.linalg.norm(c, axis=1)
+    y_p = approx.y_hat[:n]
+    matrix = jac_l - q1 @ (q1.T @ jac_l - scale[:, None] * c)
+    rhs = q1 @ (q1.T @ y_p - scale * (w.T @ approx.y_hat[n:])) - y_p
+    return NewtonWorkspace(w=w, q1=q1, reduced_matrix=matrix, reduced_rhs=rhs)
 
 
 def newton_step(workspace):
-    """Direction s solving the reduced system; raises on a singular system."""
+    """Direction s solving the Newton system; raises on a singular system."""
     return solve_dense(workspace.reduced_matrix, workspace.reduced_rhs)
 
 

@@ -72,6 +72,44 @@ def test_nonfinite_entry_is_named_by_plain_indices():
         lagrangian(bad, np.zeros(1), np.zeros(1))
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+def test_asymmetric_hessian_is_rejected_at_any_scale(scale):
+    h = scale * np.eye(2)
+    h[0, 1] += 1e-3
+    bad = dataclasses.replace(get_problem("box-vi-2d"), hg=lambda x, lam: h)
+    with pytest.raises(EvaluationError, match=r"^box-vi-2d: hg is not symmetric$"):
+        lagrangian(bad, np.zeros(2), np.zeros(2))
+
+
+def test_hessian_rounding_asymmetry_at_scale_1e8_solves():
+    # g_i(x) = (b_i^T x)^2 / 2 <= 1/2 and f(x) = 1e8 (x - a): the Hessian
+    # (B diag lam) B^T reaches about 2e8, and assembling it in that order
+    # leaves a rounding asymmetry far above an absolute 1e-10
+    rng = np.random.default_rng(5)
+    b = rng.uniform(-1, 1, (4, 3))
+    a = 3 * rng.uniform(-1, 1, 4)
+    p = GEProblem(
+        name="quadratic-rows",
+        n=4,
+        s=3,
+        f=lambda x: 1e8 * (x - a),
+        jf=lambda x: 1e8 * np.eye(4),
+        g=lambda x: 0.5 * (b.T @ x) ** 2,
+        jg=lambda x: (b.T @ x)[:, None] * b.T,
+        hg=lambda x, lam: (b * lam) @ b.T,
+        box=BoxSet(np.full(3, -np.inf), np.full(3, 0.5)),
+    )
+    # the stopping test on ||u_hat|| is absolute, so it is set to F's scale
+    report = solve(p, np.full(4, 0.1), tol=1e-6)
+    assert report.status is Status.CONVERGED
+    x, lam = np.array(report.final_x), np.array(report.iterations[-1].lam)
+    h = p.hg(x, lam)
+    assert np.max(np.abs(h)) > 1e8
+    assert np.max(np.abs(h - h.T)) > 1e-10
+    assert np.max(np.abs(p.f(x) + p.jg(x).T @ lam)) <= 1e-6
+    assert np.max(p.g(x)) <= 0.5 + 1e-6
+
+
 def test_nondegeneracy_modulus():
     assert nondegeneracy_modulus(NCP, np.zeros(1), np.zeros(1)) == 1.0
     assert nondegeneracy_modulus(NCP, np.array([-0.1]), np.array([-0.19])) == np.inf

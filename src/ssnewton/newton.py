@@ -35,12 +35,7 @@ from .errors import (
     SingularMatrixError,
     UnsolvableSubproblemError,
 )
-from .linalg import (
-    nullspace_basis,
-    pseudo_inverse_full_row_rank,
-    range_basis,
-    solve_dense,
-)
+from .linalg import nullspace_basis, pseudo_inverse_full_row_rank, range_basis, solve_dense
 from .problems import eval_f, eval_g, eval_jg, lagrangian_jacobian
 from .qp import QPInstance, solve_qp, violated_guess
 from .reports import IterationRecord, SolveReport, Status

@@ -131,6 +131,36 @@ def test_workspace_both_bounds_active():
     assert np.allclose(step, ap.d_hat - BOXVI.g(ap.x_hat), atol=1e-12)
 
 
+def test_newton_workspace_takes_one_reduced_qr_and_no_nullspace_basis(monkeypatch):
+    # f(x) = x - (1, -1), x <= 0: only the first row binds
+    spec = AffineProblemSpec(
+        name="one-active",
+        m=np.eye(2),
+        q=np.array([-1.0, 1.0]),
+        g_mat=np.eye(2),
+        h=np.zeros(2),
+        lower=np.full(2, -np.inf),
+        upper=np.zeros(2),
+    )
+    p = spec.build()
+    ap = approximation_step(p, np.array([0.3, -0.5]))
+    modes = []
+    original = np.linalg.qr
+
+    def recording(a, mode="reduced"):
+        modes.append(mode)
+        return original(a, mode=mode)
+
+    def forbidden(c):
+        raise AssertionError("the Newton workspace took a null-space basis")
+
+    monkeypatch.setattr(np.linalg, "qr", recording)
+    monkeypatch.setattr(newton, "nullspace_basis", forbidden)
+    ws = newton_workspace(p, ap)
+    assert ws.w.shape == (2, 1)
+    assert modes == ["reduced"]
+
+
 def test_workspace_orthogonality_invariants():
     # Q1 is an orthonormal basis of range(C^T), C = W^T Jg, and with Z from
     # nullspace_basis, [Z Q1]^T M = [Z^T JL; alpha D^{-1} C] and

@@ -40,7 +40,9 @@ def nonsmooth_newton(system, x0, tol=1e-10, max_iter=50):
     An invalid F(x) or Jacobian element (wrong shape, non-finite entries)
     ends the run with status EVALUATION_FAILED, a singular A with
     SINGULAR_NEWTON_SYSTEM; nothing is raised.  Only an x0 not of shape (n,)
-    raises :class:`DimensionError`, at entry.
+    raises, :class:`DimensionError`, and a tol that is not finite and
+    positive or a max_iter below 0, :class:`InvalidOptionError`, all at
+    entry (see :func:`ssnewton.newton.drive`).
     """
 
     def measure(x):
@@ -134,8 +136,9 @@ def josephy_newton(problem, x0, lam0=None, tol=1e-10, max_iter=50):
     :class:`CombinatorialBlowupError` at entry, before any callback runs; it
     is a size limit of this baseline, not a solver-level failure.  An x0 not
     of shape (n,) or a lam0 not of shape (s,) raises :class:`DimensionError`
-    there too.  Each approximation step's QP is seeded with its violated
-    rows (see :func:`ssnewton.newton.approximation_step`).
+    there too, and a tol or max_iter out of its domain raises
+    :class:`InvalidOptionError`.  Each approximation step's QP is seeded
+    with its violated rows (see :func:`ssnewton.newton.approximation_step`).
     """
     guard_pattern_enumeration(problem.box)
     lam = None if lam0 is None else np.asarray(lam0, dtype=float)

@@ -128,8 +128,6 @@ def cmd_solve(args):
     known = args.known_solution
     if known is not None and known.shape != (problem.n,):
         raise _UsageError("--known-solution length does not match the problem")
-    if args.tol <= 0:
-        raise _UsageError("--tol must be positive")
 
     def run(method):
         if method == "ssstar":

@@ -145,16 +145,26 @@ def normal_cone_membership(d, lam, box, tol=ACTIVITY_TOL):
     return pattern_admits(activity(d, box, tol), lam, tol)
 
 
+def normal_signs(pattern):
+    """The sign of each coordinate's column of :func:`basis_for_pattern`.
+
+    -1 at a lower bound, +1 at an upper bound or fixed, 0 when interior (no
+    column).  Identity tests on the members, so no enum is hashed.
+    """
+    lower, interior = Activity.AT_LOWER, Activity.INTERIOR
+    return np.array([0.0 if a is interior else -1.0 if a is lower else 1.0 for a in pattern])
+
+
 def basis_for_pattern(pattern):
     """Signed unit columns spanning the normal cone for an activity pattern.
 
     One column per non-interior coordinate, ascending: -e_i at a lower bound,
     +e_i at an upper bound, +e_i for a fixed coordinate.
     """
-    lower, upper = _normal_cone(pattern)
-    cols = np.flatnonzero(lower != upper)
+    signs = normal_signs(pattern)
+    cols = np.flatnonzero(signs)
     w = np.zeros((len(pattern), cols.size))
-    w[cols, np.arange(cols.size)] = np.where(upper[cols] == 0.0, -1.0, 1.0)
+    w[cols, np.arange(cols.size)] = signs[cols]
     return w
 
 

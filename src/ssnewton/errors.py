@@ -9,6 +9,10 @@ class DimensionError(SSNewtonError):
     """Inputs have inconsistent or invalid shapes."""
 
 
+class InvalidOptionError(SSNewtonError):
+    """A solver option lies outside its domain, e.g. a tolerance that is NaN."""
+
+
 class RankDeficiencyError(SSNewtonError):
     """A matrix required to have full row rank does not.
 

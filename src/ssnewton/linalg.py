@@ -3,17 +3,21 @@
 Everything here operates on plain ``numpy`` arrays at desk scale (a few
 hundred rows at most) and calls LAPACK for every factorization.  Orthonormal
 bases of the row space and of the null space of a wide matrix C come from
-one QR of C^T (:func:`range_basis`, reduced; :func:`nullspace_basis`,
+one QR of C^T (:func:`factor_rows`, reduced; :func:`nullspace_basis`,
 complete), whose triangular factor also gives the one rank test,
-:func:`require_full_row_rank`.  The bases carry no sign convention: every
-caller uses them only through quantities that do not change when they are
-rotated.  Square systems are solved by
+:func:`require_full_row_rank`.  :func:`factor_rows` keeps C, Q, R and the
+rank verdict together, so one factorization of a set of active rows can
+serve every later user of it, and it takes a (Q, R) that a caller already
+holds for C^T instead of factoring again.  The bases carry no sign
+convention: every caller uses them only through quantities that do not
+change when they are rotated.  Square systems are solved by
 :func:`solve_dense` in one LAPACK LU call, which also certifies their
 regularity from a few fixed probe columns solved next to the right-hand side
 (:func:`_solve_regular`).
 """
 
 import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,32 +55,42 @@ def require_full_row_rank(c, diag):
         )
 
 
-def _row_qr(c, mode):
-    """Q of C^T = Q R in ``mode`` for a full-row-rank m x n matrix C.
+def _too_many_rows(m, n):
+    """The error for m > n rows: they cannot be independent whatever their
+    values, so its index is n, the first row that cannot be."""
+    return RankDeficiencyError(f"matrix is rank deficient ({m} rows, {n} columns)", index=n)
 
-    Raises :class:`RankDeficiencyError` (see :func:`require_full_row_rank`)
-    when C has more rows than columns (such rows cannot be independent
-    whatever their values, so the error's index is n, the first row that
-    cannot be) or its rows are dependent.
+
+@dataclass(frozen=True, eq=False)
+class RowFactor:
+    """One reduced QR C^T = Q R of an m x n matrix C, and its rank verdict.
+
+    ``deficiency`` is the :class:`RankDeficiencyError` that
+    :func:`require_full_row_rank` raises on R, or None when C has full row
+    rank.  With more rows than columns no QR is taken: q and r are None.
     """
-    c = _as_matrix(c)
+
+    rows: np.ndarray  # C
+    q: np.ndarray  # n x m, orthonormal columns spanning range(C^T)
+    r: np.ndarray  # m x m upper triangular
+    deficiency: RankDeficiencyError = None
+
+
+def factor_rows(c, qr=None):
+    """The :class:`RowFactor` of C: one reduced LAPACK QR of C^T, or ``qr``.
+
+    ``qr`` is a (Q, R) the caller already holds for exactly this C^T; it is
+    used as given.
+    """
     m, n = c.shape
     if m > n:
-        raise RankDeficiencyError(
-            f"matrix is rank deficient ({m} rows, {n} columns)", index=n
-        )
-    q, r = np.linalg.qr(c.T, mode=mode)
-    require_full_row_rank(c, np.diagonal(r))
-    return q
-
-
-def range_basis(c):
-    """Orthonormal basis Q1 of range(C^T) for a full-row-rank m x n matrix C.
-
-    The n x m Q1 of one reduced LAPACK QR, C^T = Q1 R, so Q1^T Q1 = I and
-    C = (C Q1) Q1^T; raises as :func:`nullspace_basis` does.
-    """
-    return _row_qr(c, "reduced")
+        return RowFactor(c, None, None, _too_many_rows(m, n))
+    q, r = np.linalg.qr(c.T) if qr is None else qr
+    try:
+        require_full_row_rank(c, np.diagonal(r))
+    except RankDeficiencyError as exc:
+        return RowFactor(c, q, r, exc.with_traceback(None))
+    return RowFactor(c, q, r)
 
 
 def nullspace_basis(c):
@@ -86,9 +100,16 @@ def nullspace_basis(c):
     C^T = Q R, so C Z = 0 and Z^T Z = I.  Z carries no sign convention and
     need not be continuous in C: use it where the result does not depend on
     the choice of basis.  Raises :class:`RankDeficiencyError` when C has
-    more rows than columns or dependent rows (see :func:`_row_qr`).
+    more rows than columns (index n) or dependent rows (see
+    :func:`require_full_row_rank`).
     """
-    return _row_qr(c, "complete")[:, np.shape(c)[0] :]
+    c = _as_matrix(c)
+    m, n = c.shape
+    if m > n:
+        raise _too_many_rows(m, n)
+    q, r = np.linalg.qr(c.T, mode="complete")
+    require_full_row_rank(c, np.diagonal(r))
+    return q[:, m:]
 
 
 @functools.lru_cache(maxsize=None)

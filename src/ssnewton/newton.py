@@ -7,9 +7,13 @@ n x n linear system.  With W a basis of the normal-cone span at the
 predicted point, C = W^T Jg its active rows and Z an orthonormal basis of
 ker C, that system is [Z^T JL; C] s = [-Z^T y_p; -W^T y_g] up to a scaling
 of each C row.  It is assembled without Z: Q1 from the reduced QR
-C^T = Q1 R (:func:`range_basis`) projects JL onto range(C^T) and replaces
-that part by the row-equilibrated border alpha D^{-1} C, where D holds the
-row norms of C and alpha = max(1, max |JL|).  The outer loop,
+C^T = Q1 R projects JL onto range(C^T) and replaces that part by the
+row-equilibrated border alpha D^{-1} C, where D holds the row norms of C
+and alpha = max(1, max |JL|).  That QR is the QP's: the QP factors its
+tight rows, which are C, once (:func:`ssnewton.linalg.factor_rows`), its
+rank verdict serves both the QP's degeneracy flag and the step's, and the
+next QP's seed reuses it while the rows stay the same, so one active set
+costs one factorization.  The outer loop,
 :func:`drive`, is shared with the baselines: each method supplies only how
 to measure an iterate and how to step from it.
 
@@ -29,13 +33,14 @@ from .errors import (
     DegeneracyError,
     DimensionError,
     EvaluationError,
+    InvalidOptionError,
     NonconvergenceError,
     QPInfeasibleError,
     RankDeficiencyError,
     SingularMatrixError,
     UnsolvableSubproblemError,
 )
-from .linalg import nullspace_basis, pseudo_inverse_full_row_rank, range_basis, solve_dense
+from .linalg import RowFactor, nullspace_basis, pseudo_inverse_full_row_rank, solve_dense
 from .problems import eval_f, eval_g, eval_jg, lagrangian_jacobian
 from .qp import QPInstance, solve_qp, violated_guess
 from .reports import IterationRecord, SolveReport, Status
@@ -47,8 +52,9 @@ class ApproxResult:
 
     ``y_hat`` stacks the two residual blocks (Lagrangian value, g(x) - d);
     by the QP optimality conditions it equals (-u_hat, -Jg(x) u_hat).
-    ``pattern`` is the exact activity pattern reported by the QP solver and
-    ``jac_g`` the Jg(x) the QP was built from.
+    ``pattern`` is the exact activity pattern reported by the QP solver,
+    ``jac_g`` the Jg(x) the QP was built from and ``factor`` the QP's
+    reduced QR of the active rows C = W^T Jg (``QPSolution.factor``).
     """
 
     x_hat: np.ndarray
@@ -59,6 +65,20 @@ class ApproxResult:
     u_hat: np.ndarray
     pattern: tuple
     jac_g: np.ndarray
+    factor: RowFactor
+
+    @property
+    def q1(self):
+        """Orthonormal basis Q1 of range(C^T), the Q of the QP's C^T = Q1 R.
+
+        Raises :class:`DegeneracyError` when the QP's rank test
+        (:func:`ssnewton.linalg.require_full_row_rank`) found C rank
+        deficient, that is exactly when ``QPSolution.degenerate_multiplier``
+        was set; no second rank test is made.
+        """
+        if self.factor.deficiency is not None:
+            raise _degeneracy(self.factor.deficiency) from self.factor.deficiency
+        return self.factor.q
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,14 +95,15 @@ def approximation_step(problem, x, guess=None):
     ``guess``, an earlier :class:`ApproxResult` (in :func:`solve`, the
     previous iterate's), seeds the QP's active set with its pattern and
     multiplier; without one, the QP is seeded with the rows violated at its
-    unconstrained minimum (:func:`violated_guess`).  The QP's solution does
-    not depend on the seed.
+    unconstrained minimum (:func:`violated_guess`).  The guess's factor goes
+    with it, so the seed reuses that QR when the guessed rows have not
+    changed.  The QP's solution does not depend on the seed.
     """
     x = np.asarray(x, dtype=float)
     c = eval_f(problem, x)
     b = eval_g(problem, x)
     jac = eval_jg(problem, x)
-    seed = None if guess is None else (guess.pattern, guess.lam_hat)
+    seed = None if guess is None else (guess.pattern, guess.lam_hat, guess.factor)
     instance = QPInstance(c=c, b=b, jac=jac, box=problem.box, guess=seed)
     if guess is None:
         instance = dataclasses.replace(instance, guess=violated_guess(instance))
@@ -98,21 +119,13 @@ def approximation_step(problem, x, guess=None):
         u_hat=qp.u,
         pattern=qp.active,
         jac_g=jac,
+        factor=qp.factor,
     )
 
 
-def _active_basis(basis, c):
-    """``basis(c)`` for the active rows c = W^T Jg.
-
-    Raises :class:`DegeneracyError` when they do not have full row rank
-    (see :func:`require_full_row_rank`).
-    """
-    try:
-        return basis(c)
-    except RankDeficiencyError as exc:
-        raise DegeneracyError(
-            f"point is degenerate: active rows of Jg lost rank ({exc})"
-        ) from exc
+def _degeneracy(exc):
+    """The :class:`DegeneracyError` for a rank deficiency of the active rows."""
+    return DegeneracyError(f"point is degenerate: active rows of Jg lost rank ({exc})")
 
 
 def _geometry(problem, approx):
@@ -120,7 +133,11 @@ def _geometry(problem, approx):
     jac_g = approx.jac_g
     jac_l = lagrangian_jacobian(problem, approx.x_hat, approx.lam_hat)
     w = basis_for_pattern(approx.pattern)
-    return w, _active_basis(nullspace_basis, w.T @ jac_g), jac_g, jac_l
+    try:
+        z = nullspace_basis(w.T @ jac_g)
+    except RankDeficiencyError as exc:
+        raise _degeneracy(exc) from exc
+    return w, z, jac_g, jac_l
 
 
 def newton_workspace(problem, approx):
@@ -134,13 +151,16 @@ def newton_workspace(problem, approx):
     U^T rhs = [-Z^T y_p; -alpha D^{-1} W^T y_g]: the reduced system with
     each C row rescaled, so the step is the same.  Its singular values do
     not depend on the row scale of C, and the border is scaled to JL, so
-    rounding in the projection of JL does not swamp a small C row.
+    rounding in the projection of JL does not swamp a small C row.  Q1 is
+    ``approx.q1``, from the QP's factor: no QR is taken here, and a
+    :class:`DegeneracyError` is raised exactly when the QP set
+    ``degenerate_multiplier``.
     """
     n = problem.n
     jac_l = lagrangian_jacobian(problem, approx.x_hat, approx.lam_hat)
     w = basis_for_pattern(approx.pattern)
     c = w.T @ approx.jac_g
-    q1 = _active_basis(range_basis, c)
+    q1 = approx.q1
     scale = max(1.0, float(np.max(np.abs(jac_l)))) / np.linalg.norm(c, axis=1)
     y_p = approx.y_hat[:n]
     matrix = jac_l - q1 @ (q1.T @ jac_l - scale[:, None] * c)
@@ -238,11 +258,18 @@ def drive(x0, n, measure, direction, tol, max_iter):
     Newton system, unsolvable subproblem, invalid callback output, QP update
     cap): that error becomes the report's status and is not raised.  An x0
     not of shape (n,) is a caller error: it raises :class:`DimensionError`
-    before the first call.
+    before the first call.  So do a tol that is not finite and positive
+    (``residual <= nan`` never holds, so a NaN tol would turn an exact
+    solution into MAX_ITER) and a max_iter below 0: they raise
+    :class:`InvalidOptionError`.
     """
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (n,):
         raise DimensionError(f"x0 has shape {x.shape}, expected ({n},)")
+    if not (np.isfinite(tol) and tol > 0):
+        raise InvalidOptionError(f"tol must be finite and positive, got {tol!r}")
+    if max_iter < 0:
+        raise InvalidOptionError(f"max_iter must be at least 0, got {max_iter!r}")
     records = []
     prev_step = 0.0
     message = ""
@@ -299,7 +326,8 @@ def solve(problem, x0, tol=1e-10, max_iter=50, approximation=approximation_step)
     guess being the previous iteration's result (None at the first), so a
     replacement that drops the guess seeds every QP with its violated rows
     (see :func:`approximation_step`).  An x0 that is not of shape (n,)
-    raises :class:`DimensionError` before any callback runs.
+    raises :class:`DimensionError` before any callback runs, and a tol or
+    max_iter out of its domain raises :class:`InvalidOptionError` there.
     """
     previous = None
 

@@ -20,6 +20,18 @@ cancel it off its bounds.  The returned pattern comes from
 :func:`ssnewton.cones.activity` at b + C u, clipped to the box, with the
 coordinate of every active row placed on its bound.
 
+The tight rows of that pattern, in coordinate order and signed by
+:func:`ssnewton.cones.normal_signs` as the columns of
+:func:`ssnewton.cones.basis_for_pattern` (-1 at a lower bound, +1 at an
+upper bound or fixed), are factored once by
+:func:`ssnewton.linalg.factor_rows`: the seed's or the polish's (Q, R) is
+reused when its rows are exactly those (same coordinates, signs and
+order), and otherwise one reduced QR is taken.  The solution carries that
+factor.  Its verdict from the one rank test,
+:func:`ssnewton.linalg.require_full_row_rank`, sets
+``degenerate_multiplier``, and the Newton step takes its Q1 and its
+degeneracy verdict from the same factor, so the two cannot disagree.
+
 Warm start: an instance may carry a guess, the pattern and multiplier of
 a nearby QP's solution (in the Newton method, the previous iterate's).
 Goldfarb and Idnani allow the dual method to start from any independent
@@ -29,7 +41,10 @@ are dropped, and the unchanged add/drop loop continues from there; it
 still checks every row for violation.  When the guess's set is also the
 answer, no step is taken, R^-1 is never formed, and the guess's factor
 serves as the polish.  A guess
-with dependent rows, or with more rows than unknowns, is ignored.
+with dependent rows, or with more rows than unknowns, is ignored.  A guess
+may carry the factor of the solution it came from; the seed's first
+equality solve reuses its (Q, R) when the guessed rows are bitwise the
+rows it factored, as they are for an affine g whose pattern holds.
 Verdicts come only from the cold path: if the seeded run raises, the cold
 run is made and its verdict returned, because which row certifies
 infeasibility depends on the path.
@@ -50,8 +65,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import Activity, BoxSet, activity, enumerate_box_patterns, pattern_admits
+from .cones import (
+    Activity,
+    BoxSet,
+    activity,
+    enumerate_box_patterns,
+    normal_signs,
+    pattern_admits,
+)
 from .errors import DimensionError, NonconvergenceError, QPInfeasibleError
+from .linalg import RowFactor, factor_rows
 
 _DEP_REL_TOL = 1e-18  # ||z||^2 below this times ||n||^2 counts as dependent
 
@@ -62,8 +85,9 @@ class QPInstance:
     b: np.ndarray  # constraint offset, g(x)
     jac: np.ndarray  # constraint matrix, Jg(x), shape (s, n)
     box: BoxSet
-    # (activity pattern, box multiplier) of a nearby QP's solution, e.g. the
-    # previous outer iteration's; it only seeds the active set
+    # (activity pattern, box multiplier[, factor]) of a nearby QP's solution,
+    # e.g. the previous outer iteration's; it only seeds the active set.  The
+    # factor is that solution's RowFactor, stored as None when not given
     guess: tuple = None
 
     def __post_init__(self):
@@ -81,14 +105,14 @@ class QPInstance:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "jac", jac)
         if self.guess is not None:
-            pattern, lam = self.guess
+            pattern, lam, factor = (*self.guess, None)[:3]
             lam = np.asarray(lam, dtype=float)
             if len(pattern) != self.box.dim or lam.shape != (self.box.dim,):
                 raise DimensionError(
                     f"guess has {len(pattern)} activities and multiplier {lam.shape}, "
                     f"box dimension is {self.box.dim}"
                 )
-            object.__setattr__(self, "guess", (tuple(pattern), lam))
+            object.__setattr__(self, "guess", (tuple(pattern), lam, factor))
 
     @property
     def n(self):
@@ -107,6 +131,9 @@ class QPSolution:
     iterations: int
     degenerate_multiplier: bool = False
     warm: bool = False  # the active-set loop started from the instance's guess
+    # RowFactor of the tight rows (see the module docstring); brute_force_qp
+    # leaves it None
+    factor: RowFactor = None
 
 
 def _finite_bounds(box):
@@ -150,10 +177,12 @@ def _seed(instance, normals, offsets):
     multiplier picks (none at 0).  Rows with a negative multiplier on their
     equality subproblem are dropped and the rest re-solved until every
     multiplier is nonnegative; that is a valid Goldfarb-Idnani start.  Rows
-    that fail the dependence floor give None (the caller starts cold).
-    Returns (active rows, Q, R, u, multipliers).
+    that fail the dependence floor give None (the caller starts cold).  The
+    first pass takes the guess's factor as its QR when the guessed rows are
+    bitwise the rows it factored.  Returns (active rows, Q, R, u,
+    multipliers).
     """
-    pattern, lam = instance.guess
+    pattern, lam, factor = instance.guess
     kind = np.array(pattern, dtype=object)
     fixed = kind == Activity.FIXED
     wanted = np.column_stack(
@@ -163,7 +192,11 @@ def _seed(instance, normals, offsets):
     active = np.flatnonzero(wanted[_finite_bounds(instance.box)])  # row indices
     while len(active) <= instance.n:
         basis = normals[active].T
-        q, r = np.linalg.qr(basis)
+        if factor is not None and np.array_equal(factor.rows, basis.T):
+            q, r = factor.q, factor.r
+        else:
+            q, r = np.linalg.qr(basis)
+        factor = None  # later passes only drop rows
         nn = np.maximum(1.0, np.sum(basis * basis, axis=0))
         if np.any(np.diag(r) ** 2 <= _DEP_REL_TOL * nn):
             return None
@@ -228,8 +261,10 @@ def _dual_active_set(instance, rows, seed):
         u = -instance.c.copy()
         active = []  # indices into the rows
         mults = np.zeros(0)
+        qr = None  # (Q, R) of the active rows, once the loop is done
     else:
         active, q_seed, r_seed, u, mults = seed
+        qr = q_seed, r_seed
         q_basis[:, : len(active)] = q_seed
         inactive[active] = False
     steps = 0
@@ -306,7 +341,8 @@ def _dual_active_set(instance, rows, seed):
         # error accumulated along the path; a seeded run that took no step
         # already holds that solution
         basis = normals[active].T
-        u, mults = _equality_point(*np.linalg.qr(basis), basis, offsets[active], instance.c)
+        qr = np.linalg.qr(basis)
+        u, mults = _equality_point(*qr, basis, offsets[active], instance.c)
 
     on_bound = coords[active]
     lam = np.zeros(instance.s)
@@ -316,30 +352,34 @@ def _dual_active_set(instance, rows, seed):
     d = instance.b + instance.jac @ u
     d[on_bound] = np.where(signs[active] > 0, box.upper[on_bound], box.lower[on_bound])
     pattern = activity(np.clip(d, box.lower, box.upper), box)
-    degenerate = False
     # the box multiplier is unique iff the Jacobian rows of the tight
     # coordinates are linearly independent; the internal U/L row pair of a
-    # pinched coordinate does not count (their difference is unique)
-    tight_coords = [j for j, a in enumerate(pattern) if a is not Activity.INTERIOR]
-    if tight_coords:
-        jac_tight = instance.jac[tight_coords]
-        svals = np.linalg.svd(jac_tight, compute_uv=False)
-        rank = int(np.sum(svals > 1e-9 * max(1.0, svals[0])))
-        if rank < len(tight_coords):
-            degenerate = True
-            rhs = -(u + instance.c)
-            mu, *_ = np.linalg.lstsq(jac_tight.T, rhs, rcond=None)
-            correction, *_ = np.linalg.lstsq(jac_tight.T, rhs - jac_tight.T @ mu, rcond=None)
-            mu += correction
-            candidate = np.zeros(instance.s)
-            candidate[tight_coords] = mu
-            residual = np.linalg.norm(u + instance.c + instance.jac.T @ candidate)
-            sign_tol = 1e-9 * (1.0 + float(np.max(np.abs(candidate))))
-            # prefer the least-norm multiplier, but never at the price of
-            # stationarity: barely-tight rows can make the system inconsistent
-            stationary = residual <= 1e-10 * (1.0 + np.linalg.norm(instance.c))
-            if stationary and pattern_admits(pattern, candidate, sign_tol):
-                lam = candidate
+    # pinched coordinate does not count (their difference is unique).  The
+    # tight rows are signed as W^T Jg, so the Newton step can use their
+    # factor as it is
+    signed = normal_signs(pattern)
+    tight_coords = np.flatnonzero(signed)
+    tight_signs = signed[tight_coords]
+    jac_tight = instance.jac[tight_coords]
+    same_rows = np.array_equal(coords[active], tight_coords) and np.array_equal(
+        signs[active], tight_signs
+    )
+    factor = factor_rows(tight_signs[:, None] * jac_tight, qr if same_rows else None)
+    degenerate = factor.deficiency is not None
+    if degenerate:
+        rhs = -(u + instance.c)
+        mu, *_ = np.linalg.lstsq(jac_tight.T, rhs, rcond=None)
+        correction, *_ = np.linalg.lstsq(jac_tight.T, rhs - jac_tight.T @ mu, rcond=None)
+        mu += correction
+        candidate = np.zeros(instance.s)
+        candidate[tight_coords] = mu
+        residual = np.linalg.norm(u + instance.c + instance.jac.T @ candidate)
+        sign_tol = 1e-9 * (1.0 + float(np.max(np.abs(candidate))))
+        # prefer the least-norm multiplier, but never at the price of
+        # stationarity: barely-tight rows can make the system inconsistent
+        stationary = residual <= 1e-10 * (1.0 + np.linalg.norm(instance.c))
+        if stationary and pattern_admits(pattern, candidate, sign_tol):
+            lam = candidate
     return QPSolution(
         u=u,
         lam=lam,
@@ -347,6 +387,7 @@ def _dual_active_set(instance, rows, seed):
         iterations=steps,
         degenerate_multiplier=degenerate,
         warm=seed is not None,
+        factor=factor,
     )
 
 

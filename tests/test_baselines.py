@@ -10,7 +10,7 @@ from ssnewton.baselines import (
     solve_avi_enumerate,
 )
 from ssnewton.cones import BoxSet
-from ssnewton.errors import CombinatorialBlowupError, DimensionError
+from ssnewton.errors import CombinatorialBlowupError, DimensionError, InvalidOptionError
 from ssnewton.newton import solve
 from ssnewton.problems import AffineProblemSpec, get_problem
 from ssnewton.reports import Status
@@ -70,6 +70,27 @@ def test_newton_rejects_a_wrong_length_x0():
     for x0 in ([2.0, 2.0], [[2.0]], 2.0):
         with pytest.raises(DimensionError, match="x0 has shape"):
             nonsmooth_newton(_smooth_square(), np.array(x0))
+
+
+BAD_OPTIONS = [
+    dict(tol=np.nan), dict(tol=np.inf), dict(tol=0.0), dict(tol=-1e-10), dict(max_iter=-1)
+]
+
+
+def test_newton_rejects_a_bad_tol_or_max_iter_before_any_callback():
+    calls = []
+    system = NonsmoothSystem(
+        n=1,
+        eval=lambda x: calls.append("eval") or np.array([x[0] ** 2 - 1.0]),
+        jacobian_element=lambda x: calls.append("jac") or np.array([[2.0 * x[0]]]),
+    )
+    for options in BAD_OPTIONS:
+        with pytest.raises(InvalidOptionError):
+            nonsmooth_newton(system, np.array([1.0]), **options)
+    assert calls == []
+    # max_iter = 0 stays legal: the run measures x0 and stops
+    report = nonsmooth_newton(system, np.array([2.0]), max_iter=0)
+    assert report.status is Status.MAX_ITER and len(report.iterations) == 1
 
 
 def test_newton_singular_jacobian():
@@ -236,6 +257,15 @@ def test_josephy_rejects_a_wrong_length_x0_before_any_callback():
     for x0 in ([0.5, 0.5, 0.5], [0.5], [[0.5, 0.5]], 0.5):
         with pytest.raises(DimensionError, match="x0 has shape"):
             josephy_newton(traced, np.array(x0))
+    assert calls == []
+
+
+def test_josephy_rejects_a_bad_tol_or_max_iter_before_any_callback():
+    calls = []
+    traced = counting_callbacks(BOXVI, calls)
+    for options in BAD_OPTIONS:
+        with pytest.raises(InvalidOptionError):
+            josephy_newton(traced, np.array([0.3, 0.3]), **options)
     assert calls == []
 
 

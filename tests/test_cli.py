@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from ssnewton.cli import main
 from ssnewton.newton import solve
@@ -132,6 +133,18 @@ def test_usage_errors(capsys):
     assert main(["solve", "--problem", "ncp-paper", "--x0", "1,2"]) == 1
     assert main(["solve", "--problem", "ncp-paper", "--x0", "abc"]) == 1
     assert main(["solve", "--problem", "ncp-paper", "--x0", "0", "--tol", "-1"]) == 1
+
+
+@pytest.mark.parametrize("method", ["ssstar", "josephy", "compare"])
+@pytest.mark.parametrize("option", [["--tol", "nan"], ["--tol", "inf"], ["--max-iter", "-1"]])
+def test_a_nan_tol_or_negative_max_iter_is_a_usage_error(capsys, method, option):
+    # x0 = 0.5 reaches residual 0 at k = 1; with tol = nan the run used to
+    # report MAX_ITER and exit 2
+    argv = ["solve", "--problem", "ncp-paper", "--x0", "0.5", "--method", method]
+    assert main(argv + option) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_josephy_rejects_a_wrong_length_lambda0(capsys):

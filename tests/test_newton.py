@@ -5,6 +5,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from ssnewton.cones import (
 from ssnewton.errors import (
     DegeneracyError,
     DimensionError,
+    InvalidOptionError,
     NonconvergenceError,
     QPInfeasibleError,
     RankDeficiencyError,
@@ -48,6 +50,7 @@ from ssnewton.problems import (
     lagrangian_jacobian,
     nondegeneracy_modulus,
 )
+from ssnewton.qp import solve_qp
 from ssnewton.reports import Status, report_from_json, report_to_json
 
 NCP = get_problem("ncp-paper")
@@ -131,8 +134,27 @@ def test_workspace_both_bounds_active():
     assert np.allclose(step, ap.d_hat - BOXVI.g(ap.x_hat), atol=1e-12)
 
 
-def test_newton_workspace_takes_one_reduced_qr_and_no_nullspace_basis(monkeypatch):
-    # f(x) = x - (1, -1), x <= 0: only the first row binds
+def _recording_qr(monkeypatch):
+    """Patch np.linalg.qr to record the rows B^T of every B it factors, and
+    np.linalg.svd to fail."""
+    factored = []
+    original = np.linalg.qr
+
+    def recording(a, mode="reduced"):
+        factored.append(np.array(a).T.copy())
+        return original(a, mode=mode)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.linalg.svd was called")
+
+    monkeypatch.setattr(np.linalg, "qr", recording)
+    monkeypatch.setattr(np.linalg, "svd", forbidden)
+    return factored
+
+
+def test_newton_workspace_takes_no_qr_and_a_solve_one_qr_per_tight_row_set(monkeypatch):
+    # the QP factors its tight rows once and the Newton workspace takes Q1
+    # from that factor: no QR and no null-space basis of its own
     spec = AffineProblemSpec(
         name="one-active",
         m=np.eye(2),
@@ -144,21 +166,171 @@ def test_newton_workspace_takes_one_reduced_qr_and_no_nullspace_basis(monkeypatc
     )
     p = spec.build()
     ap = approximation_step(p, np.array([0.3, -0.5]))
-    modes = []
-    original = np.linalg.qr
-
-    def recording(a, mode="reduced"):
-        modes.append(mode)
-        return original(a, mode=mode)
 
     def forbidden(c):
         raise AssertionError("the Newton workspace took a null-space basis")
 
-    monkeypatch.setattr(np.linalg, "qr", recording)
+    factored = _recording_qr(monkeypatch)
     monkeypatch.setattr(newton, "nullspace_basis", forbidden)
     ws = newton_workspace(p, ap)
     assert ws.w.shape == (2, 1)
-    assert modes == ["reduced"]
+    assert factored == []
+    # over a whole solve with an affine g, each distinct set of tight rows is
+    # factored exactly once: the next QP's seed and the Newton step reuse
+    # the QR, and no SVD is taken.  From this x0 the Kojima-Shindo run
+    # passes through three active sets in six QPs; the one other matrix
+    # factored is the first QP's violated-row seed, which is not its answer
+    problem = get_problem("kojima-shindo")
+    tight_rows = []
+    original_solve_qp = newton.solve_qp
+
+    def recording(instance):
+        sol = original_solve_qp(instance)
+        tight_rows.append(sol.factor.rows)
+        return sol
+
+    monkeypatch.setattr(newton, "solve_qp", recording)
+    report = solve(problem, np.array([1.0, 0.5, 0.5, 0.5]))
+    assert report.status is Status.CONVERGED
+    distinct = {(rows.tobytes(), rows.shape) for rows in tight_rows}
+    keys = [(rows.tobytes(), rows.shape) for rows in factored]
+    assert 1 < len(distinct) < len(tight_rows)  # some QPs repeat a row set
+    assert len(set(keys)) == len(keys)  # no matrix is factored twice
+    assert distinct <= set(keys) and len(keys) == len(distinct) + 1
+
+
+def _planted_problem(rng, case):
+    """An affine problem whose QP at x = 0 has a planted solution u0.
+
+    Tight rows sit on a bound at u0 with multipliers of the right sign and
+    c = -u0 - G^T lam, so u0 solves the QP whatever the rows; rows are
+    scaled by 10^U(-3, 3).  ``case`` adds: a near-dependent row
+    (10^U(-13, -6) off the span of the others), an exact duplicate, more
+    tight rows than n, a pinched coordinate held by its lower row (its
+    sign differs from basis_for_pattern's +1), or a coordinate 10^U(-13,
+    -10) inside its bound with multiplier 0 (tight in the pattern, not in
+    the QP's active set).
+    """
+    n = int(rng.integers(1, 6))
+    m = n + int(rng.integers(1, 3)) if case == "more rows than n" else int(rng.integers(1, n + 1))
+    if case in ("near-dependent", "duplicate"):
+        m = max(m, 2)
+    g_mat = rng.uniform(-2, 2, (m + 2, n))  # two more rows, inactive
+    if case == "near-dependent":
+        g_mat[m - 1] = rng.uniform(-1, 1, m - 1) @ g_mat[: m - 1]
+        g_mat[m - 1] += 10.0 ** rng.uniform(-13, -6) * rng.standard_normal(n)
+    elif case == "duplicate":
+        g_mat[m - 1] = g_mat[rng.integers(m - 1)]
+    g_mat *= 10.0 ** rng.uniform(-3, 3, m + 2)[:, None]
+    u0 = rng.uniform(-1, 1, n)
+    h = rng.uniform(-1, 1, m + 2)
+    d = h + g_mat @ u0
+    upper_side = rng.random(m) < 0.5
+    lam = np.where(upper_side, 1.0, -1.0) * rng.uniform(0.2, 1.5, m)
+    lower = np.concatenate([np.where(upper_side, -np.inf, d[:m]), d[m:] - 1.0])
+    upper = np.concatenate([np.where(upper_side, d[:m], np.inf), d[m:] + 1.0])
+    if case == "fixed lower row":
+        lower[0] = upper[0] = d[0]
+        lam[0] = -abs(lam[0])
+    elif case == "barely tight":
+        upper[m] = d[m] + 10.0 ** rng.uniform(-13, -10)
+    lam = np.concatenate([lam, np.zeros(2)])
+    spec = AffineProblemSpec(
+        name="planted",
+        m=rng.uniform(-2, 2, (n, n)),
+        q=-u0 - g_mat.T @ lam,
+        g_mat=g_mat,
+        h=h,
+        lower=lower,
+        upper=upper,
+    )
+    return spec.build()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    case=st.sampled_from(
+        ["near-dependent", "duplicate", "more rows than n", "fixed lower row", "barely tight"]
+    ),
+)
+def test_degenerate_multiplier_flag_is_the_newton_steps_degeneracy_verdict(seed, case):
+    # the QP's flag and the Newton step's DegeneracyError come from one rank
+    # test on one factor of the tight rows, so they agree on every draw: for
+    # the QP seeded with the violated rows and for the one seeded with its
+    # result and factor, also where the factor is not reused (a sign or set
+    # mismatch)
+    p = _planted_problem(np.random.default_rng(seed), case)
+    solutions = []
+
+    def recording(instance):
+        solutions.append(solve_qp(instance))
+        return solutions[-1]
+
+    approx = None
+    for _ in range(2):
+        with mock.patch.object(newton, "solve_qp", recording):
+            try:
+                approx = approximation_step(p, np.zeros(p.n), approx)
+            except (QPInfeasibleError, NonconvergenceError):
+                assume(False)
+        try:
+            newton_workspace(p, approx)
+            raised = False
+        except DegeneracyError as exc:
+            raised = True
+            assert str(exc).startswith("point is degenerate: active rows of Jg lost rank (")
+        assert solutions[-1].degenerate_multiplier == raised
+
+
+def _nonlinear_g_problem():
+    """f(x) = M x + q and g(x) = (x1 + 0.3 x2^2 + 0.1 x3, x3 + 0.2 sin x1) <= 0.
+
+    The rows of Jg(x) change with every iterate.
+    """
+    m = np.array([[3.0, 1.0, 0.0], [1.0, 2.0, 0.5], [0.0, 0.5, 2.0]])
+    q = np.array([1.1, 1.9, -0.4])
+    return GEProblem(
+        name="nonlinear-g", n=3, s=2,
+        f=lambda x: m @ x + q,
+        jf=lambda x: m,
+        g=lambda x: np.array([x[0] + 0.3 * x[1] ** 2 + 0.1 * x[2], x[2] + 0.2 * np.sin(x[0])]),
+        jg=lambda x: np.array([[1.0, 0.6 * x[1], 0.1], [0.2 * np.cos(x[0]), 0.0, 1.0]]),
+        hg=lambda x, lam: np.diag([-0.2 * np.sin(x[0]) * lam[1], 0.6 * lam[0], 0.0]),
+        box=BoxSet(np.full(2, -np.inf), np.zeros(2)),
+    )
+
+
+def test_carried_factor_misses_when_jg_changes_and_changes_nothing(monkeypatch):
+    # with a nonlinear g the guessed rows of each QP differ from the rows
+    # the previous QP factored, so every seed takes its own QR; a run whose
+    # carried factors are stripped at the solve_qp seam takes as many QRs
+    # and the same path
+    problem = _nonlinear_g_problem()
+    original_solve_qp = newton.solve_qp
+    runs = []
+    for strip in (False, True):
+        factored = _recording_qr(monkeypatch)
+        qrs_per_call = []
+
+        def recording(instance, strip=strip):
+            if strip:
+                instance = dataclasses.replace(instance, guess=instance.guess[:2])
+            before = len(factored)
+            sol = original_solve_qp(instance)
+            qrs_per_call.append(len(factored) - before)
+            return sol
+
+        monkeypatch.setattr(newton, "solve_qp", recording)
+        runs.append((solve(problem, np.array([0.5, 0.8, -0.8])), len(factored), qrs_per_call))
+    (report, qrs, per_call), (expected, stripped_qrs, _) = runs
+    assert report.status is Status.CONVERGED
+    assert all(r.branch != "II" for r in report.iterations)  # rows to factor at every QP
+    assert min(per_call) >= 1 and qrs == stripped_qrs
+    assert (report.status, len(report.iterations)) == (expected.status, len(expected.iterations))
+    want = np.array(expected.final_x)
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert np.max(np.abs(np.array(report.final_x) - want)) <= 1e-12 * scale
 
 
 def test_workspace_orthogonality_invariants():
@@ -724,6 +896,19 @@ def test_solve_rejects_a_wrong_length_x0_before_any_callback():
         with pytest.raises(DimensionError, match="x0 has shape"):
             solve(traced, np.array(x0))
     assert calls == []
+
+
+def test_solve_rejects_a_bad_tol_or_max_iter_before_any_callback():
+    calls = []
+    traced = counting_callbacks(BOXVI, calls)
+    for options in (dict(tol=np.nan), dict(tol=np.inf), dict(tol=0.0), dict(max_iter=-1)):
+        with pytest.raises(InvalidOptionError):
+            solve(traced, np.array([0.3, 0.3]), **options)
+    assert calls == []
+    # from x0 = 0.5 the residual is exactly 0 at k = 1; a NaN tol used to
+    # report that as MAX_ITER.  max_iter = 0 stays legal
+    assert solve(NCP, np.array([0.5])).iterations[-1].residual == 0.0
+    assert solve(NCP, np.array([0.5]), max_iter=0).status is Status.MAX_ITER
 
 
 def test_solve_calls_the_module_globals_the_benchmark_tracer_patches():

@@ -99,23 +99,24 @@ def activity(d, box, tol=ACTIVITY_TOL):
 
 
 def pattern_summary(pattern):
-    """One-letter-per-coordinate rendering, e.g. 'IUL'."""
-    return "".join(a.value for a in pattern)
+    """One-letter-per-coordinate rendering, e.g. 'IUL'.
 
-
-# a cone is held as its (lower, upper) endpoint arrays; the normal cone of
-# each activity:
-_NORMAL_CONE = {
-    Activity.INTERIOR: (0.0, 0.0),
-    Activity.AT_LOWER: (-np.inf, 0.0),
-    Activity.AT_UPPER: (0.0, np.inf),
-    Activity.FIXED: (-np.inf, np.inf),
-}
+    Reads each member's stored value, not ``Activity.value``, whose enum
+    descriptor costs several times more per coordinate.
+    """
+    return "".join(a._value_ for a in pattern)
 
 
 def _normal_cone(pattern):
-    ends = np.array([_NORMAL_CONE[a] for a in pattern]).reshape(-1, 2)
-    return ends[:, 0], ends[:, 1]
+    """The normal cone of a pattern as (lower, upper) endpoint arrays, the
+    form every cone takes here: [0, 0] at an interior coordinate, (-inf, 0]
+    at a lower bound, [0, +inf) at an upper bound and the whole line at a
+    fixed one.  Identity tests on the members, so no enum is hashed."""
+    lower, upper, fixed = Activity.AT_LOWER, Activity.AT_UPPER, Activity.FIXED
+    return (
+        np.array([-np.inf if a is lower or a is fixed else 0.0 for a in pattern]),
+        np.array([np.inf if a is upper or a is fixed else 0.0 for a in pattern]),
+    )
 
 
 def _polar(cone):

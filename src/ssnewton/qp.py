@@ -16,7 +16,10 @@ refactors with a Householder QR.  The terminal subproblem is re-solved
 from a fresh QR of the active rows (the polish), so the returned point
 carries no error accumulated along the path.  The polish forms u in
 range-space form, so nearly dependent rows with huge multipliers do not
-cancel it off its bounds.  The returned pattern comes from
+cancel it off its bounds.  Every equality point (the seed's, the
+polish's) applies R^-1 as a product, from one LAPACK inversion per
+factorization (numpy has no triangular solve), so the QP makes no LU
+solve.  The returned pattern comes from
 :func:`ssnewton.cones.activity` at b + C u, clipped to the box, with the
 coordinate of every active row placed on its bound.
 
@@ -24,10 +27,10 @@ The tight rows of that pattern, in coordinate order and signed by
 :func:`ssnewton.cones.normal_signs` as the columns of
 :func:`ssnewton.cones.basis_for_pattern` (-1 at a lower bound, +1 at an
 upper bound or fixed), are factored once by
-:func:`ssnewton.linalg.factor_rows`: the seed's or the polish's (Q, R) is
-reused when its rows are exactly those (same coordinates, signs and
-order), and otherwise one reduced QR is taken.  The solution carries that
-factor.  Its verdict from the one rank test,
+:func:`ssnewton.linalg.factor_rows`: the seed's or the polish's (Q, R),
+with its R^-1, is reused when its rows are exactly those (same
+coordinates, signs and order), and otherwise one reduced QR is taken.
+The solution carries that factor.  Its verdict from the one rank test,
 :func:`ssnewton.linalg.require_full_row_rank`, sets
 ``degenerate_multiplier``, and the Newton step takes its Q1 and its
 degeneracy verdict from the same factor, so the two cannot disagree.
@@ -39,12 +42,14 @@ active set whose equality subproblem has nonnegative multipliers, so the
 guessed rows are solved as in the polish, rows with negative multipliers
 are dropped, and the unchanged add/drop loop continues from there; it
 still checks every row for violation.  When the guess's set is also the
-answer, no step is taken, R^-1 is never formed, and the guess's factor
-serves as the polish.  A guess
-with dependent rows, or with more rows than unknowns, is ignored.  A guess
-may carry the factor of the solution it came from; the seed's first
-equality solve reuses its (Q, R) when the guessed rows are bitwise the
-rows it factored, as they are for an affine g whose pattern holds.
+answer, no step is taken and the guess's factor serves as the polish.  A
+guess with dependent rows, or with more rows than unknowns, is ignored.
+A guess may carry the factor of the solution it came from; the seed's
+first equality solve reuses its (Q, R) and R^-1 when the guessed rows are
+bitwise the rows it factored, as they are for an affine g whose pattern
+holds.  A factor that the seed or the polish handed on already holds R^-1;
+for one taken afresh, the seed inverts R on a hit, so a factor that no
+seed reuses is never inverted.
 Verdicts come only from the cold path: if the seeded run raises, the cold
 run is made and its verdict returned, because which row certifies
 infeasibility depends on the path.
@@ -156,17 +161,19 @@ def _rows(instance):
     return sign[:, None] * instance.jac[coord], offset, coord, sign
 
 
-def _equality_point(q, r, basis, targets, c):
+def _equality_point(q, r_inv, basis, targets, c):
     """u and multipliers of min 0.5||u||^2 + c.u  s.t.  basis^T u = targets.
 
-    ``basis`` = q r.  u is formed in range-space form,
+    ``basis`` = Q R, and ``r_inv`` is R^-1 from one inversion per factor,
+    so every triangular system here is a product with R^-1: no LU solve.
+    u is formed in range-space form,
     u = -c + Q (Q^T c + R^-T targets), with one refinement on the targets;
     forming u = -c - B mu instead cancels when nearly dependent rows make
     the multipliers huge.  Then mu = -R^-1 Q^T (u + c).
     """
-    u = q @ (q.T @ c + np.linalg.solve(r.T, targets)) - c
-    u += q @ np.linalg.solve(r.T, targets - basis.T @ u)
-    return u, -np.linalg.solve(r, q.T @ (u + c))
+    u = q @ (q.T @ c + r_inv.T @ targets) - c
+    u += q @ (r_inv.T @ (targets - basis.T @ u))
+    return u, -(r_inv @ (q.T @ (u + c)))
 
 
 def _seed(instance, normals, offsets):
@@ -178,9 +185,10 @@ def _seed(instance, normals, offsets):
     equality subproblem are dropped and the rest re-solved until every
     multiplier is nonnegative; that is a valid Goldfarb-Idnani start.  Rows
     that fail the dependence floor give None (the caller starts cold).  The
-    first pass takes the guess's factor as its QR when the guessed rows are
-    bitwise the rows it factored.  Returns (active rows, Q, R, u,
-    multipliers).
+    first pass takes the guess's factor as its QR, and its R^-1, when the
+    guessed rows are bitwise the rows it factored; every other pass inverts
+    its own R once its rows pass the dependence floor.  Returns (active
+    rows, (Q, R, R^-1), u, multipliers).
     """
     pattern, lam, factor = instance.guess
     kind = np.array(pattern, dtype=object)
@@ -192,17 +200,16 @@ def _seed(instance, normals, offsets):
     active = np.flatnonzero(wanted[_finite_bounds(instance.box)])  # row indices
     while len(active) <= instance.n:
         basis = normals[active].T
-        if factor is not None and np.array_equal(factor.rows, basis.T):
-            q, r = factor.q, factor.r
-        else:
-            q, r = np.linalg.qr(basis)
-        factor = None  # later passes only drop rows
+        hit = factor is not None and np.array_equal(factor.rows, basis.T)
+        q, r = (factor.q, factor.r) if hit else np.linalg.qr(basis)
         nn = np.maximum(1.0, np.sum(basis * basis, axis=0))
         if np.any(np.diag(r) ** 2 <= _DEP_REL_TOL * nn):
             return None
-        u, mults = _equality_point(q, r, basis, offsets[active], instance.c)
+        r_inv = factor.r_inv if hit and factor.r_inv is not None else np.linalg.inv(r)
+        factor = None  # later passes only drop rows
+        u, mults = _equality_point(q, r_inv, basis, offsets[active], instance.c)
         if not np.any(mults < 0.0):
-            return list(active), q, r, u, mults
+            return list(active), (q, r, r_inv), u, mults
         active = active[mults >= 0.0]
     return None  # more rows than unknowns: dependent
 
@@ -256,16 +263,15 @@ def _dual_active_set(instance, rows, seed):
     q_basis = np.zeros((n, size))
     r_inv = np.zeros((size, size))
     inactive = np.ones(len(offsets), dtype=bool)
-    r_seed = None  # the seed's R, inverted into r_inv when the loop first steps
     if seed is None:
         u = -instance.c.copy()
         active = []  # indices into the rows
         mults = np.zeros(0)
-        qr = None  # (Q, R) of the active rows, once the loop is done
+        qr = None  # (Q, R, R^-1) of the active rows, once the loop is done
     else:
-        active, q_seed, r_seed, u, mults = seed
-        qr = q_seed, r_seed
-        q_basis[:, : len(active)] = q_seed
+        active, qr, u, mults = seed
+        k = len(active)
+        q_basis[:, :k], r_inv[:k, :k] = qr[0], qr[2]
         inactive[active] = False
     steps = 0
     while offsets.size:
@@ -275,10 +281,6 @@ def _dual_active_set(instance, rows, seed):
         worst = int(np.argmax(violation))  # ties keep the lowest index
         if not violation[worst] > 0.0:
             break
-        if r_seed is not None:
-            r_inv[: len(active), : len(active)] = np.linalg.inv(r_seed)
-            r_seed = None
-
         target = normals[worst]
         nn = max(1.0, float(target @ target))
         lam_target = 0.0  # grows across partial dual steps, lands in mults
@@ -341,8 +343,9 @@ def _dual_active_set(instance, rows, seed):
         # error accumulated along the path; a seeded run that took no step
         # already holds that solution
         basis = normals[active].T
-        qr = np.linalg.qr(basis)
-        u, mults = _equality_point(*qr, basis, offsets[active], instance.c)
+        q, r = np.linalg.qr(basis)
+        qr = q, r, np.linalg.inv(r)
+        u, mults = _equality_point(q, qr[2], basis, offsets[active], instance.c)
 
     on_bound = coords[active]
     lam = np.zeros(instance.s)

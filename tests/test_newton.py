@@ -3,6 +3,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import traceback
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -13,7 +14,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import counting_callbacks, random_affine_problem
-from ssnewton import newton
+from ssnewton import linalg, newton
+from ssnewton import qp as qp_module
 from ssnewton.baselines import josephy_newton
 from ssnewton.cones import (
     Activity,
@@ -152,6 +154,33 @@ def _recording_qr(monkeypatch):
     return factored
 
 
+def _recording_solve_and_inv(monkeypatch):
+    """Patch np.linalg.solve to record the (file, function) frames of the
+    stack of every call, np.linalg.inv to record every matrix it inverts,
+    and np.linalg.qr to keep every R it returns."""
+    solve_stacks, inverted, factored_r = [], [], []
+    original_solve, original_inv, original_qr = np.linalg.solve, np.linalg.inv, np.linalg.qr
+
+    def recording_solve(a, b):
+        frames = traceback.extract_stack()[:-1]
+        solve_stacks.append([(frame.filename, frame.name) for frame in frames])
+        return original_solve(a, b)
+
+    def recording_inv(a):
+        inverted.append(a)
+        return original_inv(a)
+
+    def recording_qr(a, mode="reduced"):
+        q, r = original_qr(a, mode=mode)
+        factored_r.append(r)
+        return q, r
+
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    monkeypatch.setattr(np.linalg, "inv", recording_inv)
+    monkeypatch.setattr(np.linalg, "qr", recording_qr)
+    return solve_stacks, inverted, factored_r
+
+
 def test_newton_workspace_takes_no_qr_and_a_solve_one_qr_per_tight_row_set(monkeypatch):
     # the QP factors its tight rows once and the Newton workspace takes Q1
     # from that factor: no QR and no null-space basis of its own
@@ -190,6 +219,7 @@ def test_newton_workspace_takes_no_qr_and_a_solve_one_qr_per_tight_row_set(monke
         return sol
 
     monkeypatch.setattr(newton, "solve_qp", recording)
+    solve_stacks, inverted, factored_r = _recording_solve_and_inv(monkeypatch)
     report = solve(problem, np.array([1.0, 0.5, 0.5, 0.5]))
     assert report.status is Status.CONVERGED
     distinct = {(rows.tobytes(), rows.shape) for rows in tight_rows}
@@ -197,6 +227,14 @@ def test_newton_workspace_takes_no_qr_and_a_solve_one_qr_per_tight_row_set(monke
     assert 1 < len(distinct) < len(tight_rows)  # some QPs repeat a row set
     assert len(set(keys)) == len(keys)  # no matrix is factored twice
     assert distinct <= set(keys) and len(keys) == len(distinct) + 1
+    # the QP applies R^-1 as a product, so its equality points make no LU
+    # solve: every np.linalg.solve is the Newton step's solve_dense, one per
+    # step, and each inversion is of the R of a factored row set, none twice
+    assert not any(path == qp_module.__file__ for stack in solve_stacks for path, _ in stack)
+    assert all((linalg.__file__, "solve_dense") in stack for stack in solve_stacks)
+    assert len(solve_stacks) == len(report.iterations) - 1
+    assert all(any(a is r for r in factored_r) for a in inverted)
+    assert len({id(a) for a in inverted}) == len(inverted) <= len(keys)
 
 
 def _planted_problem(rng, case):

@@ -1,8 +1,14 @@
 import dataclasses
 import re
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_box, random_qp_instance
 from ssnewton.cones import Activity, BoxSet, normal_cone_membership, pattern_admits
@@ -568,3 +574,100 @@ def test_violated_row_seed_matches_cold_start_and_oracle():
                 assert np.max(np.abs(warm.u - ref.u)) <= 1e-8 * (1.0 + np.linalg.norm(ref.u))
     assert warm_runs > 500 and oracle_runs > 500
     assert min(fallbacks.values()) > 20
+
+
+def _planted_qp(rng, near_dependent):
+    """A QP whose solution u0 holds m rows tight, each on one bound, with
+    multipliers lam of the right sign, and two rows inactive (bounds 1 away).
+
+    c = -u0 - Jg_tight^T lam, so u0 solves it whatever the rows; rows are
+    scaled by 10^U(-3, 3), and ``near_dependent`` puts the last tight row
+    10^U(-13, -6) off the span of the others.  Returns the instance, u0, the
+    tight rows and lam.
+    """
+    n = int(rng.integers(2, 6))
+    m = int(rng.integers(2 if near_dependent else 1, n + 1))
+    jac = rng.uniform(-2, 2, (m + 2, n))
+    if near_dependent:
+        jac[m - 1] = rng.uniform(-1, 1, m - 1) @ jac[: m - 1]
+        jac[m - 1] += 10.0 ** rng.uniform(-13, -6) * rng.standard_normal(n)
+    jac *= 10.0 ** rng.uniform(-3, 3, m + 2)[:, None]
+    u0 = rng.uniform(-1, 1, n)
+    b = rng.uniform(-1, 1, m + 2)
+    d = b + jac @ u0
+    upper_side = rng.random(m) < 0.5
+    lam = np.where(upper_side, 1.0, -1.0) * rng.uniform(0.2, 1.5, m)
+    lower = np.concatenate([np.where(upper_side, -np.inf, d[:m]), d[m:] - 1.0])
+    upper = np.concatenate([np.where(upper_side, d[:m], np.inf), d[m:] + 1.0])
+    inst = QPInstance(c=-u0 - jac[:m].T @ lam, b=b, jac=jac, box=BoxSet(lower, upper))
+    return inst, u0, jac[:m], lam
+
+
+def _solve_counting_qrs(inst):
+    """(solution or exception, number of np.linalg.qr calls)."""
+    with mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as qr:
+        try:
+            result = solve_qp(inst)
+        except (QPInfeasibleError, NonconvergenceError) as exc:
+            result = exc
+    return result, qr.call_count
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    near_dependent=st.booleans(),
+    change=st.sampled_from(["same", "drop", "step"]),
+)
+def test_carried_factor_changes_no_bit_of_the_answer(seed, near_dependent, change):
+    # a QP seeded with the previous solution's factor (the seed reuses its
+    # Q, R and R^-1) returns exactly what it returns with the factor
+    # stripped from the guess (the seed takes its own QR, bitwise the same,
+    # and inverts its R).  The next QP keeps the rows and changes c: not at
+    # all, flipping the sign of some multipliers (the seed drops rows over
+    # one or more passes), or moving u0 by 10^U(-1, 1) (the loop steps)
+    rng = np.random.default_rng(seed)
+    first, u0, tight, lam = _planted_qp(rng, near_dependent)
+    prev = solve_qp(first)
+    if change == "drop":
+        lam = np.where(rng.random(lam.size) < 0.5, -lam, lam)
+        c = -u0 - tight.T @ lam
+    elif change == "step":
+        c = first.c + 10.0 ** rng.uniform(-1, 1) * rng.standard_normal(first.n)
+    else:
+        c = first.c
+    guess = (prev.active, prev.lam, prev.factor)
+    hit, hit_qrs = _solve_counting_qrs(dataclasses.replace(first, c=c, guess=guess))
+    miss, miss_qrs = _solve_counting_qrs(dataclasses.replace(first, c=c, guess=guess[:2]))
+    # the guessed rows are the factored rows: the carried factor saves a QR
+    assert hit_qrs == miss_qrs - 1
+    if isinstance(miss, Exception):
+        assert type(hit) is type(miss) and str(hit) == str(miss)
+        return
+    assert hit.active == miss.active
+    assert hit.degenerate_multiplier == miss.degenerate_multiplier
+    assert (hit.iterations, hit.warm) == (miss.iterations, miss.warm)
+    assert np.array_equal(hit.u, miss.u) and np.array_equal(hit.lam, miss.lam)
+
+
+def test_qp_sweep_script_runs_and_compares(tmp_path):
+    # the checked-in verdict sweep, on its first 50 instances: every
+    # instance gives a cold and a violated-row line, and a run compared
+    # with itself differs nowhere
+    script = Path(__file__).resolve().parent / "qp_sweep.py"
+    out = tmp_path / "sweep.txt"
+
+    def sweep(*args):
+        return subprocess.run([sys.executable, str(script), *args],
+                              capture_output=True, text=True, timeout=120)
+
+    ran = sweep("run", str(out), "--count", "50")
+    assert ran.returncode == 0, ran.stderr
+    lines = out.read_text().splitlines()
+    kinds = [line.split()[1] for line in lines]
+    assert kinds.count("cold") == kinds.count("violated") == 50
+    assert 0 < kinds.count("carried") < 50
+    compared = sweep("compare", str(out), str(out))
+    assert compared.returncode == 0, compared.stdout
+    assert "exception kind, pattern or flag differ: 0 []" in compared.stdout
+    assert f"{len(lines)} solves" in compared.stdout

@@ -45,6 +45,8 @@ class BoxSet:
         upper = np.asarray(upper, dtype=float)
         if lower.shape != upper.shape or lower.ndim != 1:
             raise DimensionError("bounds must be 1-d arrays of equal length")
+        if np.isnan(lower).any() or np.isnan(upper).any():
+            raise DimensionError("bounds may not be NaN")
         if np.any(lower > upper):
             bad = int(np.argmax(lower > upper))
             raise DimensionError(f"lower[{bad}] > upper[{bad}]")

@@ -5,12 +5,11 @@ hundred rows at most) and calls LAPACK for every factorization.  Orthonormal
 bases of the row space and of the null space of a wide matrix C come from
 one QR of C^T (:func:`factor_rows`, reduced; :func:`nullspace_basis`,
 complete), whose triangular factor also gives the one rank test,
-:func:`require_full_row_rank`.  :func:`factor_rows` keeps C, Q, R and the
-rank verdict together, so one factorization of a set of active rows can
-serve every later user of it, and it takes a (Q, R, R^-1) that a caller
-already holds for C^T instead of factoring again; the R^-1 travels on the
-factor (numpy has no triangular solve, so a triangular solve with R is a
-product with R^-1, from one LAPACK inversion).
+:func:`require_full_row_rank`.  A :class:`RowFactor` keeps C, Q, R, the
+rank verdict and, on first use, R^-1 together, so one factorization of a
+set of active rows serves every user of it (numpy has no triangular solve,
+so a triangular solve with R is a product with R^-1, from one LAPACK
+inversion).
 The bases carry no sign convention: every caller uses them only through
 quantities that do not change when they are rotated.  Square systems are
 solved by :func:`solve_dense` in one LAPACK LU call, which also certifies
@@ -70,32 +69,30 @@ class RowFactor:
     ``deficiency`` is the :class:`RankDeficiencyError` that
     :func:`require_full_row_rank` raises on R, or None when C has full row
     rank.  With more rows than columns no QR is taken: q and r are None.
-    ``r_inv`` is R^-1 when the caller that took the QR also inverted R, or
-    None; a user that needs R^-1 of a factor without one inverts R itself.
     """
 
     rows: np.ndarray  # C
     q: np.ndarray  # n x m, orthonormal columns spanning range(C^T)
     r: np.ndarray  # m x m upper triangular
     deficiency: RankDeficiencyError = None
-    r_inv: np.ndarray = None  # R^-1, or None when not formed
+
+    @functools.cached_property
+    def r_inv(self):
+        """R^-1, from one LAPACK inversion on first read."""
+        return np.linalg.inv(self.r)
 
 
-def factor_rows(c, qr=None):
-    """The :class:`RowFactor` of C: one reduced LAPACK QR of C^T, or ``qr``.
-
-    ``qr`` is a (Q, R, R^-1) the caller already holds for exactly this C^T;
-    it is used as given.
-    """
+def factor_rows(c):
+    """The :class:`RowFactor` of C, from one reduced LAPACK QR of C^T."""
     m, n = c.shape
     if m > n:
         return RowFactor(c, None, None, _too_many_rows(m, n))
-    q, r, r_inv = (*np.linalg.qr(c.T), None) if qr is None else qr
+    q, r = np.linalg.qr(c.T)
     try:
         require_full_row_rank(c, np.diagonal(r))
     except RankDeficiencyError as exc:
-        return RowFactor(c, q, r, exc.with_traceback(None), r_inv)
-    return RowFactor(c, q, r, r_inv=r_inv)
+        return RowFactor(c, q, r, exc.with_traceback(None))
+    return RowFactor(c, q, r)
 
 
 def nullspace_basis(c):

@@ -9,8 +9,8 @@ ker C, that system is [Z^T JL; C] s = [-Z^T y_p; -W^T y_g] up to a scaling
 of each C row.  It is assembled without Z: Q1 from the reduced QR
 C^T = Q1 R projects JL onto range(C^T) and replaces that part by the
 row-equilibrated border alpha D^{-1} C, where D holds the row norms of C
-and alpha = max(1, max |JL|).  That QR is the QP's: the QP factors its
-tight rows, which are C, once (:func:`ssnewton.linalg.factor_rows`), its
+and alpha = max(1, max |JL|).  C and its QR are the QP's: the QP's
+:class:`ssnewton.linalg.RowFactor` of its tight rows holds both, its
 rank verdict serves both the QP's degeneracy flag and the step's, and the
 next QP's seed reuses it while the rows stay the same, so one active set
 costs one factorization.  The outer loop,
@@ -54,7 +54,7 @@ class ApproxResult:
     by the QP optimality conditions it equals (-u_hat, -Jg(x) u_hat).
     ``pattern`` is the exact activity pattern reported by the QP solver,
     ``jac_g`` the Jg(x) the QP was built from and ``factor`` the QP's
-    reduced QR of the active rows C = W^T Jg (``QPSolution.factor``).
+    active rows C = W^T Jg with their reduced QR (``QPSolution.factor``).
     """
 
     x_hat: np.ndarray
@@ -151,15 +151,15 @@ def newton_workspace(problem, approx):
     U^T rhs = [-Z^T y_p; -alpha D^{-1} W^T y_g]: the reduced system with
     each C row rescaled, so the step is the same.  Its singular values do
     not depend on the row scale of C, and the border is scaled to JL, so
-    rounding in the projection of JL does not swamp a small C row.  Q1 is
-    ``approx.q1``, from the QP's factor: no QR is taken here, and a
-    :class:`DegeneracyError` is raised exactly when the QP set
+    rounding in the projection of JL does not swamp a small C row.  C and
+    Q1 (``approx.q1``) come from the QP's factor: no QR is taken here, and
+    a :class:`DegeneracyError` is raised exactly when the QP set
     ``degenerate_multiplier``.
     """
     n = problem.n
     jac_l = lagrangian_jacobian(problem, approx.x_hat, approx.lam_hat)
     w = basis_for_pattern(approx.pattern)
-    c = w.T @ approx.jac_g
+    c = approx.factor.rows
     q1 = approx.q1
     scale = max(1.0, float(np.max(np.abs(jac_l)))) / np.linalg.norm(c, axis=1)
     y_p = approx.y_hat[:n]

@@ -231,7 +231,8 @@ def _bound(value, path):
         return -np.inf
     if value in ("+inf", "inf"):
         return np.inf
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    # NaN compares unequal to itself and is no bound
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and value == value:
         return float(value)
     raise ProblemFormatError(f"{path}: expected a number, '-inf' or '+inf', got {value!r}")
 
@@ -256,7 +257,8 @@ def parse_affine_problem(doc):
     if not isinstance(name, str) or not name:
         raise ProblemFormatError("$.name: missing or not a string")
     for key in ("n", "s"):
-        if not isinstance(doc.get(key), int) or doc[key] < 1:
+        value = doc.get(key)
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
             raise ProblemFormatError(f"$.{key}: must be a positive integer")
     n, s = doc["n"], doc["s"]
     m = _array(doc, "M", (n, n))

@@ -12,27 +12,25 @@ violated row is one matrix-vector product with a per-row tolerance.  The
 active normals B are kept as B = Q R with Q orthonormal, together with
 R^-1: adding a row projects it out of Q twice (classical Gram-Schmidt with
 reorthogonalization) and borders R^-1, both in O(n q); dropping a row
-refactors with a Householder QR.  The terminal subproblem is re-solved
-from a fresh QR of the active rows (the polish), so the returned point
+refactors the remaining rows.  The terminal subproblem is re-solved from a
+fresh factor of the active rows (the polish), so the returned point
 carries no error accumulated along the path.  The polish forms u in
 range-space form, so nearly dependent rows with huge multipliers do not
-cancel it off its bounds.  Every equality point (the seed's, the
-polish's) applies R^-1 as a product, from one LAPACK inversion per
-factorization (numpy has no triangular solve), so the QP makes no LU
-solve.  The returned pattern comes from
+cancel it off its bounds.  The returned pattern comes from
 :func:`ssnewton.cones.activity` at b + C u, clipped to the box, with the
 coordinate of every active row placed on its bound.
 
-The tight rows of that pattern, in coordinate order and signed by
-:func:`ssnewton.cones.normal_signs` as the columns of
-:func:`ssnewton.cones.basis_for_pattern` (-1 at a lower bound, +1 at an
-upper bound or fixed), are factored once by
-:func:`ssnewton.linalg.factor_rows`: the seed's or the polish's (Q, R),
-with its R^-1, is reused when its rows are exactly those (same
-coordinates, signs and order), and otherwise one reduced QR is taken.
-The solution carries that factor.  Its verdict from the one rank test,
-:func:`ssnewton.linalg.require_full_row_rank`, sets
-``degenerate_multiplier``, and the Newton step takes its Q1 and its
+Every QR of active rows is a :class:`ssnewton.linalg.RowFactor` from
+:func:`ssnewton.linalg.factor_rows`, and an equality point applies its
+R^-1 as a product, so the QP makes no LU solve.  Where a factor is at
+hand whose rows are bitwise the rows wanted, it is used instead of a new
+one (:func:`_factor_of`).  The tight rows of the returned pattern, in
+coordinate order and signed by :func:`ssnewton.cones.normal_signs` as the
+columns of :func:`ssnewton.cones.basis_for_pattern` (-1 at a lower bound,
++1 at an upper bound or fixed), are the solution's factor: the polish's
+or the seed's when its rows are those, else a new one.  Its verdict from
+the one rank test, :func:`ssnewton.linalg.require_full_row_rank`, is
+``degenerate_multiplier``, and the Newton step takes C, Q1 and its
 degeneracy verdict from the same factor, so the two cannot disagree.
 
 Warm start: an instance may carry a guess, the pattern and multiplier of
@@ -44,12 +42,9 @@ are dropped, and the unchanged add/drop loop continues from there; it
 still checks every row for violation.  When the guess's set is also the
 answer, no step is taken and the guess's factor serves as the polish.  A
 guess with dependent rows, or with more rows than unknowns, is ignored.
-A guess may carry the factor of the solution it came from; the seed's
-first equality solve reuses its (Q, R) and R^-1 when the guessed rows are
-bitwise the rows it factored, as they are for an affine g whose pattern
-holds.  A factor that the seed or the polish handed on already holds R^-1;
-for one taken afresh, the seed inverts R on a hit, so a factor that no
-seed reuses is never inverted.
+A guess may carry the factor of the solution it came from, which the seed
+uses when the guessed rows are bitwise its rows, as they are for an
+affine g whose pattern holds.
 Verdicts come only from the cold path: if the seeded run raises, the cold
 run is made and its verdict returned, because which row certifies
 infeasibility depends on the path.
@@ -134,11 +129,15 @@ class QPSolution:
     lam: np.ndarray
     active: tuple  # activity pattern of b + C u
     iterations: int
-    degenerate_multiplier: bool = False
     warm: bool = False  # the active-set loop started from the instance's guess
     # RowFactor of the tight rows (see the module docstring); brute_force_qp
     # leaves it None
     factor: RowFactor = None
+
+    @property
+    def degenerate_multiplier(self):
+        """The tight rows are dependent, so the box multiplier is not unique."""
+        return self.factor is not None and self.factor.deficiency is not None
 
 
 def _finite_bounds(box):
@@ -161,18 +160,25 @@ def _rows(instance):
     return sign[:, None] * instance.jac[coord], offset, coord, sign
 
 
-def _equality_point(q, r_inv, basis, targets, c):
-    """u and multipliers of min 0.5||u||^2 + c.u  s.t.  basis^T u = targets.
+def _factor_of(rows, held):
+    """``held`` when its rows are bitwise ``rows``, else the factor of ``rows``."""
+    if held is not None and np.array_equal(held.rows, rows):
+        return held
+    return factor_rows(rows)
 
-    ``basis`` = Q R, and ``r_inv`` is R^-1 from one inversion per factor,
-    so every triangular system here is a product with R^-1: no LU solve.
-    u is formed in range-space form,
+
+def _equality_point(factor, targets, c):
+    """u and multipliers of min 0.5||u||^2 + c.u  s.t.  C u = targets.
+
+    C^T = Q R is ``factor``, and every triangular system here is a product
+    with its R^-1.  u is formed in range-space form,
     u = -c + Q (Q^T c + R^-T targets), with one refinement on the targets;
-    forming u = -c - B mu instead cancels when nearly dependent rows make
+    forming u = -c - C^T mu instead cancels when nearly dependent rows make
     the multipliers huge.  Then mu = -R^-1 Q^T (u + c).
     """
+    q, r_inv = factor.q, factor.r_inv
     u = q @ (q.T @ c + r_inv.T @ targets) - c
-    u += q @ (r_inv.T @ (targets - basis.T @ u))
+    u += q @ (r_inv.T @ (targets - factor.rows @ u))
     return u, -(r_inv @ (q.T @ (u + c)))
 
 
@@ -184,13 +190,12 @@ def _seed(instance, normals, offsets):
     multiplier picks (none at 0).  Rows with a negative multiplier on their
     equality subproblem are dropped and the rest re-solved until every
     multiplier is nonnegative; that is a valid Goldfarb-Idnani start.  Rows
-    that fail the dependence floor give None (the caller starts cold).  The
-    first pass takes the guess's factor as its QR, and its R^-1, when the
-    guessed rows are bitwise the rows it factored; every other pass inverts
-    its own R once its rows pass the dependence floor.  Returns (active
-    rows, (Q, R, R^-1), u, multipliers).
+    that fail the dependence floor give None (the caller starts cold).  A
+    pass uses the guess's factor when its rows are bitwise the guess's
+    factored rows (see :func:`_factor_of`).  Returns (active rows, their
+    factor, u, multipliers).
     """
-    pattern, lam, factor = instance.guess
+    pattern, lam, held = instance.guess
     kind = np.array(pattern, dtype=object)
     fixed = kind == Activity.FIXED
     wanted = np.column_stack(
@@ -199,17 +204,14 @@ def _seed(instance, normals, offsets):
     )
     active = np.flatnonzero(wanted[_finite_bounds(instance.box)])  # row indices
     while len(active) <= instance.n:
-        basis = normals[active].T
-        hit = factor is not None and np.array_equal(factor.rows, basis.T)
-        q, r = (factor.q, factor.r) if hit else np.linalg.qr(basis)
-        nn = np.maximum(1.0, np.sum(basis * basis, axis=0))
-        if np.any(np.diag(r) ** 2 <= _DEP_REL_TOL * nn):
+        rows = normals[active]
+        factor = _factor_of(rows, held)
+        nn = np.maximum(1.0, np.sum(rows * rows, axis=1))
+        if np.any(np.diag(factor.r) ** 2 <= _DEP_REL_TOL * nn):
             return None
-        r_inv = factor.r_inv if hit and factor.r_inv is not None else np.linalg.inv(r)
-        factor = None  # later passes only drop rows
-        u, mults = _equality_point(q, r_inv, basis, offsets[active], instance.c)
+        u, mults = _equality_point(factor, offsets[active], instance.c)
         if not np.any(mults < 0.0):
-            return list(active), (q, r, r_inv), u, mults
+            return list(active), factor, u, mults
         active = active[mults >= 0.0]
     return None  # more rows than unknowns: dependent
 
@@ -267,11 +269,11 @@ def _dual_active_set(instance, rows, seed):
         u = -instance.c.copy()
         active = []  # indices into the rows
         mults = np.zeros(0)
-        qr = None  # (Q, R, R^-1) of the active rows, once the loop is done
+        factor = None  # RowFactor of the active rows, once the loop is done
     else:
-        active, qr, u, mults = seed
+        active, factor, u, mults = seed
         k = len(active)
-        q_basis[:, :k], r_inv[:k, :k] = qr[0], qr[2]
+        q_basis[:, :k], r_inv[:k, :k] = factor.q, factor.r_inv
         inactive[active] = False
     steps = 0
     while offsets.size:
@@ -333,19 +335,16 @@ def _dual_active_set(instance, rows, seed):
             inactive[active.pop(drop_idx)] = True
             mults = np.delete(mults, drop_idx)
             if active:  # refactor the remaining rows
-                q_new, r_new = np.linalg.qr(normals[active].T)
-                q_basis[:, : k - 1] = q_new
-                r_inv[: k - 1, : k - 1] = np.linalg.inv(r_new)
+                kept = factor_rows(normals[active])
+                q_basis[:, : k - 1], r_inv[: k - 1, : k - 1] = kept.q, kept.r_inv
 
     if steps:
         # polish: re-solve the terminal equality-constrained subproblem from
-        # a fresh QR of the active rows, so u and the multipliers carry no
-        # error accumulated along the path; a seeded run that took no step
+        # a fresh factor of the active rows, so u and the multipliers carry
+        # no error accumulated along the path; a seeded run that took no step
         # already holds that solution
-        basis = normals[active].T
-        q, r = np.linalg.qr(basis)
-        qr = q, r, np.linalg.inv(r)
-        u, mults = _equality_point(q, qr[2], basis, offsets[active], instance.c)
+        factor = factor_rows(normals[active])
+        u, mults = _equality_point(factor, offsets[active], instance.c)
 
     on_bound = coords[active]
     lam = np.zeros(instance.s)
@@ -364,12 +363,8 @@ def _dual_active_set(instance, rows, seed):
     tight_coords = np.flatnonzero(signed)
     tight_signs = signed[tight_coords]
     jac_tight = instance.jac[tight_coords]
-    same_rows = np.array_equal(coords[active], tight_coords) and np.array_equal(
-        signs[active], tight_signs
-    )
-    factor = factor_rows(tight_signs[:, None] * jac_tight, qr if same_rows else None)
-    degenerate = factor.deficiency is not None
-    if degenerate:
+    factor = _factor_of(tight_signs[:, None] * jac_tight, factor)
+    if factor.deficiency is not None:
         rhs = -(u + instance.c)
         mu, *_ = np.linalg.lstsq(jac_tight.T, rhs, rcond=None)
         correction, *_ = np.linalg.lstsq(jac_tight.T, rhs - jac_tight.T @ mu, rcond=None)
@@ -388,7 +383,6 @@ def _dual_active_set(instance, rows, seed):
         lam=lam,
         active=pattern,
         iterations=steps,
-        degenerate_multiplier=degenerate,
         warm=seed is not None,
         factor=factor,
     )

@@ -35,6 +35,8 @@ def test_box_validation():
         BoxSet([1.0], [0.0])
     with pytest.raises(DimensionError):
         BoxSet([np.inf], [np.inf])
+    with pytest.raises(DimensionError, match="NaN"):
+        BoxSet([-1.0, np.nan], [1.0, np.nan])  # NaN > NaN is False
     box = BoxSet([-1.0, -np.inf], [1.0, 0.0])
     assert box.dim == 2
     assert box.contains([0.0, -5.0])

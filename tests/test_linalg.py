@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from ssnewton.errors import DimensionError, RankDeficiencyError, SingularMatrixError
 from ssnewton.linalg import (
     _probes,
+    factor_rows,
     nullspace_basis,
     pseudo_inverse_full_row_rank,
     require_full_row_rank,
@@ -68,6 +69,25 @@ def test_nullspace_bases_reject_tall_matrices(basis):
     # non-finite entries are an input error, not a rank verdict
     with pytest.raises(DimensionError):
         basis(np.array([[np.nan, 1.0]]))
+
+
+def test_row_factor_inverts_r_once_on_first_read(monkeypatch):
+    # building a factor inverts nothing; the first read of r_inv is one
+    # LAPACK inversion of R, and later reads return that same array
+    inverted = []
+    inv = np.linalg.inv
+
+    def counted(a):
+        inverted.append(a)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    factor = factor_rows(np.array([[2.0, 1.0, 0.0], [0.0, 1.0, 3.0]]))
+    assert inverted == []
+    r_inv = factor.r_inv
+    assert len(inverted) == 1 and inverted[0] is factor.r
+    assert np.allclose(r_inv @ factor.r, np.eye(2), atol=1e-15)
+    assert factor.r_inv is r_inv and len(inverted) == 1
 
 
 def test_nullspace_basis_spans_the_svd_kernel():

@@ -504,9 +504,11 @@ def test_newton_step_and_its_verdict_do_not_depend_on_the_row_scale(seed, near_s
     except QPInfeasibleError:
         assume(False)
     sigma = 10.0 ** rng.uniform(-8, 8, p.s)
+    tight = np.array([kind is not Activity.INTERIOR for kind in ap.pattern])
     scaled = dataclasses.replace(
         ap,
         jac_g=sigma[:, None] * ap.jac_g,
+        factor=dataclasses.replace(ap.factor, rows=sigma[tight][:, None] * ap.factor.rows),
         lam_hat=ap.lam_hat / sigma,
         d_hat=sigma * ap.d_hat,
         y_hat=np.concatenate([ap.y_hat[: p.n], sigma * ap.y_hat[p.n :]]),

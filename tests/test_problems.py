@@ -357,3 +357,15 @@ def test_load_affine_problem_errors():
     del bad["q"]
     with pytest.raises(ProblemFormatError, match=r"\$\.q"):
         load_affine_problem(json.dumps(bad))
+    # json reads NaN; a NaN bound is not "no bound"
+    bad = dict(NCP_DOC, M=[[1.0]], q=[-1.0], lower=[float("nan")], upper=[float("nan")])
+    with pytest.raises(ProblemFormatError, match=r"\$\.lower\[0\]"):
+        load_affine_problem(json.dumps(bad))
+    bad["lower"] = ["-inf"]
+    with pytest.raises(ProblemFormatError, match=r"\$\.upper\[0\]"):
+        load_affine_problem(json.dumps(bad))
+    # json's true is a Python int
+    for key in ("n", "s"):
+        bad = dict(NCP_DOC, **{key: True})
+        with pytest.raises(ProblemFormatError, match=rf"\$\.{key}: must be a positive integer"):
+            load_affine_problem(json.dumps(bad))

@@ -72,10 +72,14 @@ def test_infeasible_certificate_both_solvers():
     box = BoxSet([0.0, 0.0], [0.0, 0.0])
     inst = QPInstance(c=np.zeros(1), b=np.array([0.0, 1.0]),
                       jac=np.array([[1.0], [1.0]]), box=box)
-    with pytest.raises(QPInfeasibleError):
+    with pytest.raises(QPInfeasibleError) as info:
         solve_qp(inst)
-    with pytest.raises(QPInfeasibleError):
+    # from u = 0 the dual method adds u <= -1 (coordinate 1, upper); the
+    # lower row of coordinate 0, u >= 0, is then dependent with no row to drop
+    assert info.value.constraint == (0, "L")
+    with pytest.raises(QPInfeasibleError) as info:
         brute_force_qp(inst)
+    assert info.value.constraint is None
 
 
 def test_degenerate_multiplier_least_norm():

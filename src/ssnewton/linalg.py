@@ -131,10 +131,10 @@ def _solve_regular(a, rhs, error, what):
     ||p_i|| / ||A^{-1} p_i|| is an upper bound on sigma_min; the check uses
     their minimum, so a "singular" verdict is never false.  An exactly zero
     pivot reads as bound 0.  The probe columns do not change the solution
-    columns of rhs.
+    columns of rhs.  max |A| is read from max and min of A, with no |A| copy.
     """
     n = a.shape[0]
-    tol = PIVOT_TOL * max(1.0, float(np.max(np.abs(a))))
+    tol = PIVOT_TOL * max(1.0, float(max(a.max(), -a.min())))
     probes = _probes(n)
     try:
         sol = np.linalg.solve(a, np.column_stack([rhs, probes]))

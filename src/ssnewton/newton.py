@@ -154,16 +154,18 @@ def newton_workspace(problem, approx):
     rounding in the projection of JL does not swamp a small C row.  C and
     Q1 (``approx.q1``) come from the QP's factor: no QR is taken here, and
     a :class:`DegeneracyError` is raised exactly when the QP set
-    ``degenerate_multiplier``.
+    ``degenerate_multiplier``.  alpha is read from max and min of JL (no
+    |JL| copy) and M is formed in one n x n temporary, in the same order.
     """
     n = problem.n
     jac_l = lagrangian_jacobian(problem, approx.x_hat, approx.lam_hat)
     w = basis_for_pattern(approx.pattern)
     c = approx.factor.rows
     q1 = approx.q1
-    scale = max(1.0, float(np.max(np.abs(jac_l)))) / np.linalg.norm(c, axis=1)
+    scale = max(1.0, float(max(jac_l.max(), -jac_l.min()))) / np.linalg.norm(c, axis=1)
     y_p = approx.y_hat[:n]
-    matrix = jac_l - q1 @ (q1.T @ jac_l - scale[:, None] * c)
+    matrix = q1 @ (q1.T @ jac_l - scale[:, None] * c)
+    np.subtract(jac_l, matrix, out=matrix)
     rhs = q1 @ (q1.T @ y_p - scale * (w.T @ approx.y_hat[n:])) - y_p
     return NewtonWorkspace(w=w, q1=q1, reduced_matrix=matrix, reduced_rhs=rhs)
 

@@ -91,9 +91,12 @@ def eval_jg(problem, x):
 
 
 def eval_hg(problem, x, lam):
-    """Hg(x, lam), symmetric to HESSIAN_SYMMETRY_TOL x max(1, max |Hg|)."""
+    """Hg(x, lam), symmetric to HESSIAN_SYMMETRY_TOL x max(1, max |Hg|).
+
+    Exact test first, then the relative test only when that one fails.
+    """
     h = _checked(problem.hg(x, lam), (problem.n, problem.n), f"{problem.name}: hg")
-    if h.size:
+    if not np.array_equal(h, h.T):  # an empty Hg is exactly symmetric
         asym = float(np.max(np.abs(h - h.T)))
         # the scale is read only when the absolute test fails
         if asym > HESSIAN_SYMMETRY_TOL and asym > HESSIAN_SYMMETRY_TOL * np.max(np.abs(h)):
@@ -233,7 +236,10 @@ def _bound(value, path):
         return np.inf
     # NaN compares unequal to itself and is no bound
     if isinstance(value, (int, float)) and not isinstance(value, bool) and value == value:
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # a JSON integer past the float range
+            raise ProblemFormatError(f"{path}: integer out of the float range") from None
     raise ProblemFormatError(f"{path}: expected a number, '-inf' or '+inf', got {value!r}")
 
 
@@ -242,10 +248,14 @@ def _array(doc, key, shape):
         arr = np.asarray(doc[key], dtype=float)
     except KeyError:
         raise ProblemFormatError(f"$.{key}: missing field") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ProblemFormatError(f"$.{key}: not a numeric array ({exc})") from None
     if arr.shape != shape:
         raise ProblemFormatError(f"$.{key}: shape {arr.shape}, expected {shape}")
+    if not np.isfinite(arr).all():
+        bad = np.argwhere(~np.isfinite(arr))[0]
+        index = "".join(f"[{int(i)}]" for i in bad)
+        raise ProblemFormatError(f"$.{key}{index}: entry is {arr[tuple(bad)]}, must be finite")
     return arr
 
 

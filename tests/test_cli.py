@@ -181,6 +181,28 @@ def test_solve_from_problem_file(tmp_path, capsys):
     assert main(["solve", "--problem", str(bad), "--x0", "0"]) == 1
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("upper", f"[{10**400}]", "$.upper[0]: integer out of the float range"),
+        ("M", f"[[{10**400}]]", "$.M: not a numeric array (int too large to convert to float)"),
+        ("q", "[NaN]", "$.q[0]: entry is nan, must be finite"),
+    ],
+    ids=["upper-int", "M-int", "q-nan"],
+)
+def test_a_bad_problem_file_exits_1_with_the_field_named(tmp_path, capsys, field, value, message):
+    doc = {
+        "name": "file-problem", "n": 1, "s": 1, "M": [[-1.0]], "q": [0.0],
+        "G": [[1.0]], "h": [0.0], "lower": ["-inf"], "upper": [0],
+    }
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(dict(doc, **{field: None})).replace("null", value), encoding="utf-8")
+    assert main(["solve", "--problem", str(path), "--x0", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code = main([

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from ssnewton.errors import DimensionError, RankDeficiencyError, SingularMatrixError
 from ssnewton.linalg import (
+    PIVOT_TOL,
     _probes,
     factor_rows,
     nullspace_basis,
@@ -131,6 +132,16 @@ def test_solve_dense_residual_and_roundtrip():
 def test_solve_dense_singular():
     with pytest.raises(SingularMatrixError):
         solve_dense(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 1.0]))
+
+
+def test_singular_verdict_scales_by_the_largest_magnitude_negative_entry():
+    # max |A| = 10 comes from a negative entry, so A's largest value (2)
+    # would give a tolerance five times too small
+    a = np.array([[-5.0, 1.0], [-10.0, 2.0]])
+    tol = PIVOT_TOL * max(1.0, np.max(np.abs(a)))
+    with pytest.raises(SingularMatrixError, match=rf"tolerance {tol:.3e}$"):
+        solve_dense(a, np.ones(2))
+    assert f"{tol:.3e}" == "1.000e-11"
 
 
 def test_solve_dense_rejects_every_rank_deficient_product():

@@ -371,6 +371,40 @@ def test_carried_factor_misses_when_jg_changes_and_changes_nothing(monkeypatch):
     assert np.max(np.abs(np.array(report.final_x) - want)) <= 1e-12 * scale
 
 
+def test_workspace_matrix_is_the_out_of_place_expression_bit_for_bit():
+    # M is formed in place and alpha read from max and min of JL; both must
+    # give the bits of the plain expression, for alpha = 1 and alpha > 1 and
+    # whichever sign JL's largest entry has
+    rng = np.random.default_rng(7)
+    seen = Counter()
+    for k in range(120):
+        n = int(rng.integers(2, 9))
+        s = int(rng.integers(1, n + 1))
+        m_scale = (0.1, 3.0)[k % 2]
+        spec = AffineProblemSpec(
+            name="random-affine",
+            m=m_scale * rng.uniform(-1, 1, (n, n)),
+            q=rng.uniform(-2, 2, n),
+            g_mat=rng.uniform(-2, 2, (s, n)),
+            h=rng.uniform(-1, 1, s),
+            lower=rng.choice([-1.0, -np.inf], s),
+            upper=rng.choice([0.0, 1.0, np.inf], s),
+        )
+        p = spec.build()
+        x = rng.uniform(-0.5, 0.5, n)
+        ap = approximation_step(p, x)
+        ws = newton_workspace(p, ap)
+        jac_l = lagrangian_jacobian(p, ap.x_hat, ap.lam_hat)
+        c, q1 = ap.factor.rows, ap.q1
+        alpha = max(1.0, float(np.max(np.abs(jac_l))))
+        scale = alpha / np.linalg.norm(c, axis=1)
+        want = jac_l - q1 @ (q1.T @ jac_l - scale[:, None] * c)
+        assert np.array_equal(ws.reduced_matrix, want)
+        if c.shape[0]:
+            seen[alpha == 1.0, jac_l.max() < -jac_l.min()] += 1
+    assert seen[True, False] and seen[True, True] and seen[False, False] and seen[False, True]
+
+
 def test_workspace_orthogonality_invariants():
     # Q1 is an orthonormal basis of range(C^T), C = W^T Jg, and with Z from
     # nullspace_basis, [Z Q1]^T M = [Z^T JL; alpha D^{-1} C] and

@@ -81,6 +81,52 @@ def test_asymmetric_hessian_is_rejected_at_any_scale(scale):
         lagrangian(bad, np.zeros(2), np.zeros(2))
 
 
+def _relative_symmetry_verdict(h):
+    """The relative test alone: True when h passes it."""
+    asym = np.max(np.abs(h - h.T))
+    tol = problems.HESSIAN_SYMMETRY_TOL
+    return not (asym > tol and asym > tol * np.max(np.abs(h)))
+
+
+def test_symmetry_verdicts_of_the_exact_and_the_relative_test():
+    box_vi = get_problem("box-vi-2d")
+
+    def eval_with(h):
+        return problems.eval_hg(dataclasses.replace(box_vi, hg=lambda x, lam: h), None, None)
+
+    rng = np.random.default_rng(3)
+    a = rng.uniform(-1, 1, (4, 4))
+    sym = a + a.T
+    # bitwise symmetric, also as a strided view and in Fortran order
+    views = (sym[::2, ::2], np.asfortranarray(sym[1:3, 1:3]), 1e8 * sym[:2, :2])
+    assert not views[0].flags.c_contiguous and views[1].flags.f_contiguous
+    for h in views:
+        assert np.array_equal(eval_with(h), h)
+    # 5e-11 off symmetric at scale 1 passes through the absolute branch
+    h = np.eye(2)
+    h[0, 1] += 5e-11
+    assert np.array_equal(eval_with(h), h)
+    # 2e-10 off at scale 1 fails, with the same message as before
+    h = np.eye(2)
+    h[0, 1] += 2e-10
+    with pytest.raises(EvaluationError, match=r"^box-vi-2d: hg is not symmetric$"):
+        eval_with(h)
+    # the verdict is the relative test's at every perturbation and scale
+    verdicts = Counter()
+    for scale in (1e-3, 1.0, 1e4, 1e8):
+        for off in (0.0, 1e-12, 5e-11, 2e-10, 1e-6):
+            h = scale * sym[:2, :2]
+            h[1, 0] += off * max(1.0, scale) * rng.uniform(0.5, 2.0)
+            passes = _relative_symmetry_verdict(h)
+            verdicts[passes] += 1
+            if passes:
+                assert np.array_equal(eval_with(h), h)
+            else:
+                with pytest.raises(EvaluationError, match=r"^box-vi-2d: hg is not symmetric$"):
+                    eval_with(h)
+    assert verdicts[True] and verdicts[False]
+
+
 def test_hessian_rounding_asymmetry_at_scale_1e8_solves():
     # g_i(x) = (b_i^T x)^2 / 2 <= 1/2 and f(x) = 1e8 (x - a): the Hessian
     # (B diag lam) B^T reaches about 2e8, and assembling it in that order
@@ -369,3 +415,32 @@ def test_load_affine_problem_errors():
         bad = dict(NCP_DOC, **{key: True})
         with pytest.raises(ProblemFormatError, match=rf"\$\.{key}: must be a positive integer"):
             load_affine_problem(json.dumps(bad))
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        # json.loads reads NaN and Infinity, and 1e400 as inf
+        ("q", "[NaN]", r"^\$\.q\[0\]: entry is nan, must be finite$"),
+        ("M", "[[Infinity]]", r"^\$\.M\[0\]\[0\]: entry is inf, must be finite$"),
+        ("G", "[[-1e400]]", r"^\$\.G\[0\]\[0\]: entry is -inf, must be finite$"),
+        ("h", "[NaN]", r"^\$\.h\[0\]: entry is nan, must be finite$"),
+        # an integer past the float range is named, not an OverflowError
+        ("M", f"[[{10**400}]]", r"^\$\.M: not a numeric array \(int too large"),
+        ("q", f"[-{10**400}]", r"^\$\.q: not a numeric array \(int too large"),
+        ("upper", f"[{10**400}]", r"^\$\.upper\[0\]: integer out of the float range$"),
+        ("lower", f"[-{10**400}]", r"^\$\.lower\[0\]: integer out of the float range$"),
+    ],
+    ids=["q-nan", "M-inf", "G-1e400", "h-nan", "M-int", "q-int", "upper-int", "lower-int"],
+)
+def test_loader_names_a_non_finite_or_overflowing_entry(field, value, message):
+    text = json.dumps(dict(NCP_DOC, **{field: None})).replace("null", value)
+    with pytest.raises(ProblemFormatError, match=message):
+        load_affine_problem(text)
+
+
+def test_loader_keeps_infinite_bounds():
+    # a bound may be infinite however it is written; only M, q, G and h must be finite
+    for upper in ('"+inf"', "Infinity", "1e400"):
+        text = json.dumps(dict(NCP_DOC, upper=None)).replace("null", f"[{upper}]")
+        assert load_affine_problem(text).box.upper[0] == np.inf

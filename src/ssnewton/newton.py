@@ -140,7 +140,7 @@ def _geometry(problem, approx):
     return w, z, jac_g, jac_l
 
 
-def newton_workspace(problem, approx):
+def newton_workspace(problem, approx, out=None):
     """The n x n Newton system M s = rhs at the output of the approximation step.
 
     With C = W^T Jg, C^T = Q1 R, D = diag(||C_i||) and
@@ -155,24 +155,36 @@ def newton_workspace(problem, approx):
     Q1 (``approx.q1``) come from the QP's factor: no QR is taken here, and
     a :class:`DegeneracyError` is raised exactly when the QP set
     ``degenerate_multiplier``.  alpha is read from max and min of JL (no
-    |JL| copy) and M is formed in one n x n temporary, in the same order.
+    |JL| copy); a JL that overflowed to +-inf raises
+    :class:`EvaluationError`.  JL is summed into ``out`` when one is given
+    (see :func:`lagrangian_jacobian`), and M overwrites JL in that array
+    with the operations of the out-of-place expression, in the same order.
     """
     n = problem.n
-    jac_l = lagrangian_jacobian(problem, approx.x_hat, approx.lam_hat)
+    jac_l = lagrangian_jacobian(problem, approx.x_hat, approx.lam_hat, out)
     w = basis_for_pattern(approx.pattern)
     c = approx.factor.rows
     q1 = approx.q1
-    scale = max(1.0, float(max(jac_l.max(), -jac_l.min()))) / np.linalg.norm(c, axis=1)
+    alpha = max(1.0, float(max(jac_l.max(), -jac_l.min())))
+    if alpha == np.inf:  # a sum of finite arrays overflows to +-inf, never NaN
+        raise EvaluationError(f"{problem.name}: Jf + Hg overflows")
+    scale = alpha / np.linalg.norm(c, axis=1)
     y_p = approx.y_hat[:n]
-    matrix = q1 @ (q1.T @ jac_l - scale[:, None] * c)
-    np.subtract(jac_l, matrix, out=matrix)
+    matrix = np.subtract(jac_l, q1 @ (q1.T @ jac_l - scale[:, None] * c), out=jac_l)
     rhs = q1 @ (q1.T @ y_p - scale * (w.T @ approx.y_hat[n:])) - y_p
     return NewtonWorkspace(w=w, q1=q1, reduced_matrix=matrix, reduced_rhs=rhs)
 
 
 def newton_step(workspace):
-    """Direction s solving the Newton system; raises on a singular system."""
-    return solve_dense(workspace.reduced_matrix, workspace.reduced_rhs)
+    """Direction s solving the Newton system; raises on a singular system.
+
+    A non-finite M, which projecting a finite JL near the float range can
+    give, raises :class:`EvaluationError`.
+    """
+    try:
+        return solve_dense(workspace.reduced_matrix, workspace.reduced_rhs)
+    except DimensionError as exc:  # the workspace's shapes agree by construction
+        raise EvaluationError(f"Newton system overflows: {exc}") from exc
 
 
 def assemble_full_ab(problem, approx):
@@ -330,8 +342,12 @@ def solve(problem, x0, tol=1e-10, max_iter=50, approximation=approximation_step)
     (see :func:`approximation_step`).  An x0 that is not of shape (n,)
     raises :class:`DimensionError` before any callback runs, and a tol or
     max_iter out of its domain raises :class:`InvalidOptionError` there.
+    Each step refills the previous step's M with JL and then M
+    (:func:`newton_workspace`), so a solve keeps one n x n array for both:
+    freeing and regrowing one per step made glibc trim the heap and fault
+    it back in at every step.  Callback arrays are never written into.
     """
-    previous = None
+    previous = matrix = None
 
     def measure(x):
         nonlocal previous
@@ -340,6 +356,9 @@ def solve(problem, x0, tol=1e-10, max_iter=50, approximation=approximation_step)
         return residual, approx.lam_hat, pattern_summary(approx.pattern), approx
 
     def direction(approx, k):
-        return newton_step(newton_workspace(problem, approx))
+        nonlocal matrix
+        workspace = newton_workspace(problem, approx, matrix)
+        matrix = workspace.reduced_matrix
+        return newton_step(workspace)
 
     return drive(x0, problem.n, measure, direction, tol, max_iter)

@@ -110,9 +110,14 @@ class LagrangianEval:
     jacobian: np.ndarray  # Jf(x) + Hg(x, lam)
 
 
-def lagrangian_jacobian(problem, x, lam):
-    """Jf(x) + Hg(x, lam), the Jacobian of x -> f(x) + Jg(x)^T lam."""
-    return eval_jf(problem, x) + eval_hg(problem, x, lam)
+def lagrangian_jacobian(problem, x, lam, out=None):
+    """Jf(x) + Hg(x, lam), the Jacobian of x -> f(x) + Jg(x)^T lam.
+
+    The sum goes to ``out``, an n x n float array, when one is given (a
+    solve refills one array at every step); the callbacks' arrays are never
+    written into.
+    """
+    return np.add(eval_jf(problem, x), eval_hg(problem, x, lam), out=out)
 
 
 def lagrangian(problem, x, lam):
@@ -243,6 +248,19 @@ def _bound(value, path):
     raise ProblemFormatError(f"{path}: expected a number, '-inf' or '+inf', got {value!r}")
 
 
+def _require_numbers(value, path):
+    """Raise at the first entry of nested lists that is not a JSON number.
+
+    ``np.asarray(..., dtype=float)`` reads "1.5" and true (a Python int) as
+    numbers, so it cannot tell.
+    """
+    if isinstance(value, list):
+        for i, entry in enumerate(value):
+            _require_numbers(entry, f"{path}[{i}]")
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ProblemFormatError(f"{path}: expected a number, got {value!r}")
+
+
 def _array(doc, key, shape):
     try:
         arr = np.asarray(doc[key], dtype=float)
@@ -252,6 +270,7 @@ def _array(doc, key, shape):
         raise ProblemFormatError(f"$.{key}: not a numeric array ({exc})") from None
     if arr.shape != shape:
         raise ProblemFormatError(f"$.{key}: shape {arr.shape}, expected {shape}")
+    _require_numbers(doc[key], f"$.{key}")
     if not np.isfinite(arr).all():
         bad = np.argwhere(~np.isfinite(arr))[0]
         index = "".join(f"[{int(i)}]" for i in bad)

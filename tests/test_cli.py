@@ -187,8 +187,9 @@ def test_solve_from_problem_file(tmp_path, capsys):
         ("upper", f"[{10**400}]", "$.upper[0]: integer out of the float range"),
         ("M", f"[[{10**400}]]", "$.M: not a numeric array (int too large to convert to float)"),
         ("q", "[NaN]", "$.q[0]: entry is nan, must be finite"),
+        ("G", "[[true]]", "$.G[0][0]: expected a number, got True"),
     ],
-    ids=["upper-int", "M-int", "q-nan"],
+    ids=["upper-int", "M-int", "q-nan", "G-true"],
 )
 def test_a_bad_problem_file_exits_1_with_the_field_named(tmp_path, capsys, field, value, message):
     doc = {

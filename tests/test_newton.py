@@ -405,6 +405,62 @@ def test_workspace_matrix_is_the_out_of_place_expression_bit_for_bit():
     assert seen[True, False] and seen[True, True] and seen[False, False] and seen[False, True]
 
 
+def test_a_solve_refills_one_matrix_and_writes_no_callback_array(monkeypatch):
+    # an obstacle-pins-style membrane: 6 x 6 grid, x^3 term, held at 3 nodes
+    k = 6
+    n = k * k
+    lap1 = 2 * np.eye(k) - np.eye(k, k=1) - np.eye(k, k=-1)
+    lap = (np.kron(lap1, np.eye(k)) + np.kron(np.eye(k), lap1)) * (k + 1) ** 2
+    rows = np.array([8, 15, 27])
+    basis = np.eye(n)[rows]
+    membrane = GEProblem(
+        name="pins",
+        n=n,
+        s=rows.size,
+        f=lambda x: lap @ x + x**3 + 20.0,
+        jf=lambda x: lap + np.diag(3.0 * x**2),
+        g=lambda x: x[rows],
+        jg=lambda x: basis,
+        hg=lambda x, lam: np.zeros((n, n)),
+        box=BoxSet(np.full(rows.size, -0.05), np.full(rows.size, np.inf)),
+    )
+    matrices = []
+
+    def recording(workspace):
+        matrices.append(workspace.reduced_matrix)
+        return newton_step(workspace)
+
+    monkeypatch.setattr(newton, "newton_step", recording)
+    report = solve(membrane, np.zeros(n))
+    assert report.status is Status.CONVERGED
+    assert len(matrices) >= 3 and all(m.shape == (n, n) for m in matrices)
+    assert all(np.shares_memory(m, matrices[0]) for m in matrices[1:])
+    monkeypatch.undo()
+
+    # without out, each call returns an array of its own
+    ap = approximation_step(membrane, np.zeros(n))
+    first, second = (newton_workspace(membrane, ap).reduced_matrix for _ in range(2))
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(first, second)
+
+    # jf of a built affine problem returns its stored M; a solve leaves it as it was
+    spec = AffineProblemSpec(
+        name="stored-m",
+        m=np.array([[2.0, 0.5, 0.0], [0.5, 3.0, 0.25], [0.0, 0.25, 1.5]]),
+        q=np.array([-1.0, 2.0, -0.5]),
+        g_mat=np.array([[1.0, 1.0, 0.0], [0.0, 1.0, -1.0]]),
+        h=np.zeros(2),
+        lower=np.array([-np.inf, -0.2]),
+        upper=np.array([0.1, 0.2]),
+    )
+    stored = spec.m.tobytes()
+    problem = spec.build()
+    assert problem.jf(np.zeros(3)) is spec.m
+    report = solve(problem, np.array([1.0, -1.0, 1.0]))
+    assert report.status is Status.CONVERGED and len(report.iterations) >= 2
+    assert spec.m.tobytes() == stored
+
+
 def test_workspace_orthogonality_invariants():
     # Q1 is an orthonormal basis of range(C^T), C = W^T Jg, and with Z from
     # nullspace_basis, [Z Q1]^T M = [Z^T JL; alpha D^{-1} C] and
@@ -861,6 +917,42 @@ def test_solve_reports_direction_evaluation_failure():
     assert report.status is Status.EVALUATION_FAILED
     assert report.message.startswith("direction step at iteration 0: ")
     assert report.iterations[-1].step_norm == 0.0
+
+
+@pytest.mark.parametrize(
+    "n, hg_entry, message",
+    [
+        # Jf + Hg of two finite arrays overflows to +inf
+        (2, 1e308, "huge: Jf + Hg overflows"),
+        # JL is finite, but Q1^T JL sums four entries of 1e308 along the active row
+        (4, 0.0, "Newton system overflows: matrix entries must be finite"),
+    ],
+    ids=["lagrangian", "projection"],
+)
+def test_an_overflowing_newton_system_ends_evaluation_failed(n, hg_entry, message):
+    # callbacks near the float range must end the run with a status, not raise
+    # from solve_dense
+    row = np.ones((1, n))
+    problem = GEProblem(
+        name="huge",
+        n=n,
+        s=1,
+        f=lambda x: x - 1.0,
+        jf=lambda x: np.full((n, n), 1e308),
+        g=lambda x: row @ x,
+        jg=lambda x: row,
+        hg=lambda x, lam: np.full((n, n), hg_entry),
+        box=BoxSet(np.array([-np.inf]), np.zeros(1)),
+    )
+    x0 = np.full(n, 0.5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ap = approximation_step(problem, x0)
+        assert ap.factor.rows.shape == (1, n)  # the row is active
+        assert np.isfinite(lagrangian_jacobian(problem, x0, ap.lam_hat)).all() == (n == 4)
+        report = solve(problem, x0)
+    assert report.status is Status.EVALUATION_FAILED
+    assert report.message == f"direction step at iteration 0: {message}"
+    assert len(report.iterations) == 1 and report.iterations[0].step_norm == 0.0
 
 
 def test_solve_reports_qp_update_cap_as_status():

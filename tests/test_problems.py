@@ -430,8 +430,16 @@ def test_load_affine_problem_errors():
         ("q", f"[-{10**400}]", r"^\$\.q: not a numeric array \(int too large"),
         ("upper", f"[{10**400}]", r"^\$\.upper\[0\]: integer out of the float range$"),
         ("lower", f"[-{10**400}]", r"^\$\.lower\[0\]: integer out of the float range$"),
+        # np.asarray(..., dtype=float) reads a numeric string and a boolean as numbers
+        ("q", '["1.5"]', r"^\$\.q\[0\]: expected a number, got '1\.5'$"),
+        ("M", '[["2"]]', r"^\$\.M\[0\]\[0\]: expected a number, got '2'$"),
+        ("G", "[[true]]", r"^\$\.G\[0\]\[0\]: expected a number, got True$"),
+        ("h", "[false]", r"^\$\.h\[0\]: expected a number, got False$"),
     ],
-    ids=["q-nan", "M-inf", "G-1e400", "h-nan", "M-int", "q-int", "upper-int", "lower-int"],
+    ids=[
+        "q-nan", "M-inf", "G-1e400", "h-nan", "M-int", "q-int", "upper-int", "lower-int",
+        "q-string", "M-string", "G-true", "h-false",
+    ],
 )
 def test_loader_names_a_non_finite_or_overflowing_entry(field, value, message):
     text = json.dumps(dict(NCP_DOC, **{field: None})).replace("null", value)

@@ -12,7 +12,6 @@ from typing import Callable
 import numpy as np
 
 from .cones import (
-    Activity,
     BoxSet,
     enumerate_box_patterns,
     guard_pattern_enumeration,
@@ -94,7 +93,7 @@ def solve_avi_enumerate(instance, tol=1e-9):
     )
     for combo in enumerate_box_patterns(instance.box):
         pattern = tuple(kind for kind, _ in combo)
-        act = [j for j, kind in enumerate(pattern) if kind is not Activity.INTERIOR]
+        act = np.flatnonzero(pattern)
         size = n + len(act)
         kkt = np.zeros((size, size))
         rhs = np.zeros(size)

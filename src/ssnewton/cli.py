@@ -100,11 +100,11 @@ def _emit(text, out):
         out.write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
 
 
-def _render(report, dim, fmt, known):
+def _render(report, fmt, known):
     extras = None if known is None else _error_columns(report, known)
     if fmt == "json":
         return report_to_json(report, extra_columns=extras)
-    return report_to_csv(report, dim, extra_columns=extras)
+    return report_to_csv(report, extra_columns=extras)
 
 
 def _side_by_side_csv(left_name, left_csv, right_name, right_csv):
@@ -139,10 +139,7 @@ def cmd_solve(args):
     if args.method == "compare":
         reports = {name: run(name) for name in ("ssstar", "josephy")}
         if args.output == "json":
-            docs = {
-                name: _render(rep, problem.n, "json", known)
-                for name, rep in reports.items()
-            }
+            docs = {name: _render(rep, "json", known) for name, rep in reports.items()}
             text = (
                 '{\n"method": "compare",\n"ssstar": %s,\n"josephy": %s\n}'
                 % (docs["ssstar"], docs["josephy"])
@@ -150,15 +147,15 @@ def cmd_solve(args):
         else:
             text = _side_by_side_csv(
                 "ssstar",
-                _render(reports["ssstar"], problem.n, "csv", known),
+                _render(reports["ssstar"], "csv", known),
                 "josephy",
-                _render(reports["josephy"], problem.n, "csv", known),
+                _render(reports["josephy"], "csv", known),
             )
         _emit(text, args.out)
         return 0 if all(r.status is Status.CONVERGED for r in reports.values()) else 2
 
     report = run(args.method)
-    _emit(_render(report, problem.n, args.output, known), args.out)
+    _emit(_render(report, args.output, known), args.out)
     return 0 if report.status is Status.CONVERGED else 2
 
 

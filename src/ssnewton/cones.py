@@ -10,7 +10,7 @@ and its polar swaps the zero and the infinite endpoints.
 
 import itertools
 from dataclasses import dataclass
-from enum import Enum
+from enum import IntEnum
 
 import numpy as np
 
@@ -24,13 +24,30 @@ from .errors import (
 
 ACTIVITY_TOL = 1e-9
 _PATTERN_GUARD = 6  # coordinates; at most 3^6 patterns
+_FACE_GUARD = 20  # weakly active coordinates; at most 2^20 faces
+_SCAN_GUARD = 8  # coordinates of the defect scan
 
 
-class Activity(Enum):
-    INTERIOR = "I"
-    AT_LOWER = "L"
-    AT_UPPER = "U"
-    FIXED = "F"
+class Activity(IntEnum):
+    """How a coordinate meets its bounds, as a code 0-3; a pattern is a tuple
+    of members, and ``bytes(pattern)`` is its string of codes."""
+
+    INTERIOR = 0
+    AT_LOWER = 1
+    AT_UPPER = 2
+    FIXED = 3
+
+
+# indexed by code: the member, the normal cone's endpoints, the basis column's sign
+_MEMBERS = np.array(list(Activity), dtype=object)
+_CONE_LOWER, _CONE_UPPER = np.array([[0.0, -np.inf, 0.0, -np.inf], [0.0, 0.0, np.inf, np.inf]])
+_SIGNS = np.array([0.0, -1.0, 1.0, 1.0])
+_LETTERS = bytes.maketrans(bytes(Activity), b"ILUF")
+
+
+def pattern_of(codes):
+    """The pattern, a tuple of :class:`Activity`, of an array of codes."""
+    return tuple(_MEMBERS[codes].tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,33 +109,24 @@ def activity(d, box, tol=ACTIVITY_TOL):
             f"coordinate {i}: {d[i]!r} outside [{lo[i]}, {hi[i]}] beyond tol", coord=i
         )
     gap_lo, gap_hi = np.abs(d - lo), np.abs(d - hi)  # +inf at an infinite bound
-    kinds = np.select(
-        [lo == hi, (gap_lo <= tol) & (gap_lo <= gap_hi), gap_hi <= tol],
-        [Activity.FIXED, Activity.AT_LOWER, Activity.AT_UPPER],
-        Activity.INTERIOR,
-    )
-    return tuple(kinds)
+    # later writes take precedence: fixed over lower over upper
+    kinds = np.zeros(box.dim, np.int8)
+    kinds[gap_hi <= tol] = Activity.AT_UPPER
+    kinds[(gap_lo <= tol) & (gap_lo <= gap_hi)] = Activity.AT_LOWER
+    kinds[lo == hi] = Activity.FIXED
+    return pattern_of(kinds)
 
 
 def pattern_summary(pattern):
-    """One-letter-per-coordinate rendering, e.g. 'IUL'.
-
-    Reads each member's stored value, not ``Activity.value``, whose enum
-    descriptor costs several times more per coordinate.
-    """
-    return "".join(a._value_ for a in pattern)
+    """One-letter-per-coordinate rendering, e.g. 'IUL'."""
+    return bytes(pattern).translate(_LETTERS).decode()
 
 
 def _normal_cone(pattern):
     """The normal cone of a pattern as (lower, upper) endpoint arrays, the
-    form every cone takes here: [0, 0] at an interior coordinate, (-inf, 0]
-    at a lower bound, [0, +inf) at an upper bound and the whole line at a
-    fixed one.  Identity tests on the members, so no enum is hashed."""
-    lower, upper, fixed = Activity.AT_LOWER, Activity.AT_UPPER, Activity.FIXED
-    return (
-        np.array([-np.inf if a is lower or a is fixed else 0.0 for a in pattern]),
-        np.array([np.inf if a is upper or a is fixed else 0.0 for a in pattern]),
-    )
+    form every cone takes here: {0}, (-inf, 0], [0, +inf) or the line."""
+    codes = np.frombuffer(bytes(pattern), np.int8)
+    return _CONE_LOWER[codes], _CONE_UPPER[codes]
 
 
 def _polar(cone):
@@ -152,10 +160,9 @@ def normal_signs(pattern):
     """The sign of each coordinate's column of :func:`basis_for_pattern`.
 
     -1 at a lower bound, +1 at an upper bound or fixed, 0 when interior (no
-    column).  Identity tests on the members, so no enum is hashed.
+    column).
     """
-    lower, interior = Activity.AT_LOWER, Activity.INTERIOR
-    return np.array([0.0 if a is interior else -1.0 if a is lower else 1.0 for a in pattern])
+    return _SIGNS[np.frombuffer(bytes(pattern), np.int8)]
 
 
 def basis_for_pattern(pattern):
@@ -233,7 +240,7 @@ def critical_cone_membership(v, d, lam, box, tol=ACTIVITY_TOL):
     return bool(np.all(_contains(cone, v, tol)))
 
 
-def enumerate_face_index_sets(d, lam, box, tol=ACTIVITY_TOL, guard=20):
+def enumerate_face_index_sets(d, lam, box, tol=ACTIVITY_TOL):
     """All index sets J between the strictly-active and the active coordinates.
 
     The faces of the critical cone at (d, lam) are in bijection with the sets
@@ -246,15 +253,14 @@ def enumerate_face_index_sets(d, lam, box, tol=ACTIVITY_TOL, guard=20):
     # a {0} factor is forced into J, a half-line is free, a line is interior
     forced = np.flatnonzero((lower == 0.0) & (upper == 0.0)).tolist()
     free = np.flatnonzero((lower == 0.0) != (upper == 0.0)).tolist()
-    if len(free) > guard:
+    if len(free) > _FACE_GUARD:
         raise CombinatorialBlowupError(
-            f"{len(free)} weakly active coordinates exceed the enumeration guard {guard}"
+            f"{len(free)} weakly active coordinates exceed the enumeration guard {_FACE_GUARD}"
         )
-    sets = []
-    for mask in range(1 << len(free)):
-        chosen = [free[j] for j in range(len(free)) if mask >> j & 1]
-        sets.append(tuple(sorted(forced + chosen)))
-    return sets
+    return [
+        tuple(sorted(forced + [i for j, i in enumerate(free) if mask >> j & 1]))
+        for mask in range(1 << len(free))
+    ]
 
 
 def regular_coderivative_nd(d, lam, p_dir, candidate, box, tol=ACTIVITY_TOL):
@@ -318,21 +324,16 @@ def exactness_radius(d_ref, lam_ref, box):
 
 def _probe_states(i, a, d_ref, lam_ref, box, eta):
     """Graph points of the i-th coordinate factor within eta of the reference."""
-    lo, hi = box.lower[i], box.upper[i]
-    if a is Activity.FIXED:
-        return [(lo, lam_ref[i]), (lo, lam_ref[i] - eta), (lo, lam_ref[i] + eta)]
     if a is Activity.INTERIOR:
         return [(d_ref[i], 0.0), (d_ref[i] - eta, 0.0), (d_ref[i] + eta, 0.0)]
-    if a is Activity.AT_UPPER:
-        if lam_ref[i] > 0:
-            return [(hi, lam_ref[i]), (hi, lam_ref[i] - eta), (hi, lam_ref[i] + eta)]
-        return [(hi, 0.0), (hi, eta), (hi - eta, 0.0)]
-    if lam_ref[i] < 0:
-        return [(lo, lam_ref[i]), (lo, lam_ref[i] - eta), (lo, lam_ref[i] + eta)]
-    return [(lo, 0.0), (lo, -eta), (lo + eta, 0.0)]
+    at = box.upper[i] if a is Activity.AT_UPPER else box.lower[i]
+    sign = _SIGNS[a]  # -1 at a lower bound, +1 at an upper one
+    if a is Activity.FIXED or sign * lam_ref[i] > 0:  # the multiplier is strict
+        return [(at, lam_ref[i]), (at, lam_ref[i] - eta), (at, lam_ref[i] + eta)]
+    return [(at, 0.0), (at, sign * eta), (at - sign * eta, 0.0)]
 
 
-def polyhedral_defect_scan(d_ref, lam_ref, box, tol=ACTIVITY_TOL, guard=8):
+def polyhedral_defect_scan(d_ref, lam_ref, box, tol=ACTIVITY_TOL):
     """Max defect over an exhaustive local sample of probes and elements.
 
     Probes enumerate all per-coordinate graph states inside the exactness
@@ -350,8 +351,8 @@ def polyhedral_defect_scan(d_ref, lam_ref, box, tol=ACTIVITY_TOL, guard=8):
     lam_ref = np.asarray(lam_ref, dtype=float)
     ref_pattern = _require_graph_point(d_ref, lam_ref, box, tol, what="reference multiplier")
     s = box.dim
-    if s > guard:
-        raise CombinatorialBlowupError(f"dimension {s} exceeds the scan guard {guard}")
+    if s > _SCAN_GUARD:
+        raise CombinatorialBlowupError(f"dimension {s} exceeds the scan guard {_SCAN_GUARD}")
     delta = exactness_radius(d_ref, lam_ref, box)
     eta = delta / (2.0 * np.sqrt(2.0 * max(1, s)))
 

@@ -170,7 +170,8 @@ def newton_workspace(problem, approx, out=None):
         raise EvaluationError(f"{problem.name}: Jf + Hg overflows")
     scale = alpha / np.linalg.norm(c, axis=1)
     y_p = approx.y_hat[:n]
-    matrix = np.subtract(jac_l, q1 @ (q1.T @ jac_l - scale[:, None] * c), out=jac_l)
+    with np.errstate(over="ignore", invalid="ignore"):  # newton_step checks M
+        matrix = np.subtract(jac_l, q1 @ (q1.T @ jac_l - scale[:, None] * c), out=jac_l)
     rhs = q1 @ (q1.T @ y_p - scale * (w.T @ approx.y_hat[n:])) - y_p
     return NewtonWorkspace(w=w, q1=q1, reduced_matrix=matrix, reduced_rhs=rhs)
 

@@ -115,9 +115,12 @@ def lagrangian_jacobian(problem, x, lam, out=None):
 
     The sum goes to ``out``, an n x n float array, when one is given (a
     solve refills one array at every step); the callbacks' arrays are never
-    written into.
+    written into.  An overflowing sum is +-inf, with no RuntimeWarning
+    (:func:`ssnewton.newton.newton_workspace` raises on it).
     """
-    return np.add(eval_jf(problem, x), eval_hg(problem, x, lam), out=out)
+    jac_f, hess_g = eval_jf(problem, x), eval_hg(problem, x, lam)
+    with np.errstate(over="ignore"):  # finite + finite is never NaN
+        return np.add(jac_f, hess_g, out=out)
 
 
 def lagrangian(problem, x, lam):

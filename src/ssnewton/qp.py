@@ -45,9 +45,9 @@ guess with dependent rows, or with more rows than unknowns, is ignored.
 A guess may carry the factor of the solution it came from, which the seed
 uses when the guessed rows are bitwise its rows, as they are for an
 affine g whose pattern holds.
-Verdicts come only from the cold path: if the seeded run raises, the cold
-run is made and its verdict returned, because which row certifies
-infeasibility depends on the path.
+Only if the seeded run raises is the cold run made and its verdict
+returned (which row certifies infeasibility depends on the path); a seeded
+point is returned even where nearly dependent rows make the cold run raise.
 
 Where no nearby solution is at hand, :func:`violated_guess` supplies one:
 the rows violated at the cold start u = -c, with zero multipliers.  That
@@ -72,6 +72,7 @@ from .cones import (
     enumerate_box_patterns,
     normal_signs,
     pattern_admits,
+    pattern_of,
 )
 from .errors import DimensionError, NonconvergenceError, QPInfeasibleError
 from .linalg import RowFactor, factor_rows
@@ -101,18 +102,22 @@ class QPInstance:
         for arr, label in ((c, "c"), (b, "b"), (jac, "jac")):
             if arr.size and not np.isfinite(arr).all():
                 raise DimensionError(f"QP field {label} has non-finite entries")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "jac", jac)
+            object.__setattr__(self, label, arr)
         if self.guess is not None:
             pattern, lam, factor = (*self.guess, None)[:3]
-            lam = np.asarray(lam, dtype=float)
+            pattern, lam = tuple(pattern), np.asarray(lam, dtype=float)
             if len(pattern) != self.box.dim or lam.shape != (self.box.dim,):
                 raise DimensionError(
                     f"guess has {len(pattern)} activities and multiplier {lam.shape}, "
                     f"box dimension is {self.box.dim}"
                 )
-            object.__setattr__(self, "guess", (tuple(pattern), lam, factor))
+            try:  # bytes() rejects entries that are not integers in range(256)
+                valid = max(bytes(pattern), default=0) <= Activity.FIXED
+            except (TypeError, ValueError):
+                valid = False
+            if not valid:
+                raise DimensionError("guess pattern entries must be activity codes 0-3")
+            object.__setattr__(self, "guess", (pattern, lam, factor))
 
     @property
     def n(self):
@@ -196,12 +201,9 @@ def _seed(instance, normals, offsets):
     factor, u, multipliers).
     """
     pattern, lam, held = instance.guess
-    kind = np.array(pattern, dtype=object)
-    fixed = kind == Activity.FIXED
-    wanted = np.column_stack(
-        [(kind == Activity.AT_UPPER) | (fixed & (lam > 0)),
-         (kind == Activity.AT_LOWER) | (fixed & (lam < 0))]
-    )
+    fixed = np.frombuffer(bytes(pattern), np.int8) == int(Activity.FIXED)
+    side = np.where(fixed, np.sign(lam), normal_signs(pattern))  # +1 upper, -1 lower row
+    wanted = np.column_stack([side > 0, side < 0])
     active = np.flatnonzero(wanted[_finite_bounds(instance.box)])  # row indices
     while len(active) <= instance.n:
         rows = normals[active]
@@ -226,10 +228,10 @@ def violated_guess(instance):
     """
     box = instance.box
     d = instance.b - instance.jac @ instance.c
-    kinds = np.full(instance.s, Activity.INTERIOR, dtype=object)
+    kinds = np.zeros(instance.s, np.int8)
     kinds[d < box.lower] = Activity.AT_LOWER
     kinds[d > box.upper] = Activity.AT_UPPER
-    return tuple(kinds), np.zeros(instance.s)
+    return pattern_of(kinds), np.zeros(instance.s)
 
 
 def solve_qp(instance):
@@ -361,9 +363,8 @@ def _dual_active_set(instance, rows, seed):
     # factor as it is
     signed = normal_signs(pattern)
     tight_coords = np.flatnonzero(signed)
-    tight_signs = signed[tight_coords]
     jac_tight = instance.jac[tight_coords]
-    factor = _factor_of(tight_signs[:, None] * jac_tight, factor)
+    factor = _factor_of(signed[tight_coords, None] * jac_tight, factor)
     if factor.deficiency is not None:
         rhs = -(u + instance.c)
         mu, *_ = np.linalg.lstsq(jac_tight.T, rhs, rcond=None)
@@ -393,23 +394,20 @@ def brute_force_qp(instance, tol=1e-9):
 
     Every activity pattern of the box (:func:`enumerate_box_patterns`, at
     most 6 constraints) yields one equality-constrained subproblem solved
-    through its KKT system.  The
-    feasible candidate with the smallest objective is returned; if no
-    pattern is accepted the problem is infeasible.
+    through its KKT system.  The feasible candidate with the smallest
+    objective is returned; if no pattern is accepted the problem is infeasible.
     """
     best = None
     examined = 0
     for combo in enumerate_box_patterns(instance.box):
         examined += 1
         pattern = tuple(kind for kind, _ in combo)
-        act = [j for j, kind in enumerate(pattern) if kind is not Activity.INTERIOR]
-        if act:
+        act = np.flatnonzero(pattern)
+        if act.size:
             c_act = instance.jac[act]
             targets = np.array([combo[j][1] - instance.b[j] for j in act])
-            k = len(act)
-            kkt = np.block(
-                [[np.eye(instance.n), c_act.T], [c_act, np.zeros((k, k))]]
-            )
+            k = act.size
+            kkt = np.block([[np.eye(instance.n), c_act.T], [c_act, np.zeros((k, k))]])
             sol, *_ = np.linalg.lstsq(
                 kkt, np.concatenate([-instance.c, targets]), rcond=None
             )

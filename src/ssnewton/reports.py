@@ -38,10 +38,6 @@ class SolveReport:
     final_x: tuple
     message: str = ""
 
-    @property
-    def converged(self):
-        return self.status is Status.CONVERGED
-
 
 def _record_to_dict(record):
     return {
@@ -105,8 +101,9 @@ def _cell(value):
     return str(value)
 
 
-def report_to_csv(report, dim, extra_columns=None):
+def report_to_csv(report, extra_columns=None):
     """One row per iteration: k, x components, residual, step_norm, rate."""
+    dim = len(report.final_x)
     header = ["k"] + [f"x{i}" for i in range(dim)] + ["residual", "step_norm", "rate"]
     extra_keys = []
     if extra_columns:

@@ -68,6 +68,19 @@ def test_solve_known_solution_columns(capsys):
     assert doc["iterations"][0]["error_rate"] is not None
 
 
+def test_solve_csv_known_solution_columns(capsys):
+    code = main([
+        "solve", "--problem", "ncp-paper", "--x0", "-0.1", "--tol", "1e-12",
+        "--output", "csv", "--known-solution", "0",
+    ])
+    assert code == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "k,x0,residual,step_norm,rate,error_norm,error_rate"
+    first = lines[1].split(",")
+    assert first[5] == "0.1" and first[6] != ""
+    assert lines[-1].endswith(",")  # no rate after the last error
+
+
 def test_solve_csv(capsys):
     code = main([
         "solve", "--problem", "ncp-paper", "--x0", "-0.1", "--tol", "1e-12",
@@ -133,6 +146,10 @@ def test_usage_errors(capsys):
     assert main(["solve", "--problem", "ncp-paper", "--x0", "1,2"]) == 1
     assert main(["solve", "--problem", "ncp-paper", "--x0", "abc"]) == 1
     assert main(["solve", "--problem", "ncp-paper", "--x0", "0", "--tol", "-1"]) == 1
+    capsys.readouterr()
+    argv = ["solve", "--problem", "ncp-paper", "--x0", "0", "--known-solution", "0,1"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: --known-solution length does not match the problem\n"
 
 
 @pytest.mark.parametrize("method", ["ssstar", "josephy", "compare"])
@@ -188,8 +205,9 @@ def test_solve_from_problem_file(tmp_path, capsys):
         ("M", f"[[{10**400}]]", "$.M: not a numeric array (int too large to convert to float)"),
         ("q", "[NaN]", "$.q[0]: entry is nan, must be finite"),
         ("G", "[[true]]", "$.G[0][0]: expected a number, got True"),
+        ("lower", "[1]", "$.lower[0]: exceeds upper bound"),
     ],
-    ids=["upper-int", "M-int", "q-nan", "G-true"],
+    ids=["upper-int", "M-int", "q-nan", "G-true", "lower-above-upper"],
 )
 def test_a_bad_problem_file_exits_1_with_the_field_named(tmp_path, capsys, field, value, message):
     doc = {
@@ -224,6 +242,18 @@ def test_check_command(capsys):
     assert "second-order face {0}: PASS (sigma_min inf)" in out
     assert "second-order overall: PASS" in out
     assert "defect sample max: 0.0" in out
+
+
+def test_check_command_with_lambda0(capsys):
+    # lambda = 2 is strictly active at the bound, so the face {} drops out
+    assert main(["check", "--problem", "ncp-paper", "--x0", "0", "--lambda0", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "second-order face {0}: PASS (sigma_min inf)" in out
+    assert "second-order face {}:" not in out
+    assert main(["check", "--problem", "ncp-paper", "--x0", "0", "--lambda0", "1,2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --lambda0 length does not match the problem\n"
 
 
 def test_check_infeasible_point(capsys):

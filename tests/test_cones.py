@@ -7,12 +7,14 @@ from helpers import graph_point, random_box
 from ssnewton.cones import (
     Activity,
     BoxSet,
+    _normal_cone,
     activity,
     basis_for_pattern,
     critical_cone_membership,
     enumerate_face_index_sets,
     exactness_radius,
     normal_cone_membership,
+    normal_signs,
     pattern_summary,
     polyhedral_defect_scan,
     regular_coderivative_nd,
@@ -96,6 +98,21 @@ def test_activity_matches_a_coordinatewise_reference():
 
 def test_pattern_summary():
     assert pattern_summary((Activity.AT_UPPER, Activity.INTERIOR)) == "UI"
+
+
+def test_each_code_reads_its_member_letter_cone_and_sign():
+    # one coordinate of each kind: activity returns the members themselves
+    # (the benchmark tracer counts them by identity), and each table lookup
+    # gives the kind's letter, normal cone and basis sign
+    box = BoxSet([0.0, -1.0, -1.0, 2.0], [1.0, 1.0, 1.0, 2.0])
+    pattern = activity(np.array([0.5, -1.0, 1.0, 2.0]), box)
+    assert all(a is b for a, b in zip(pattern, Activity, strict=True))
+    assert bytes(pattern) == bytes([0, 1, 2, 3])
+    assert pattern_summary(pattern) == "ILUF"
+    lower, upper = _normal_cone(pattern)
+    assert lower.tolist() == [0.0, -np.inf, 0.0, -np.inf]
+    assert upper.tolist() == [0.0, 0.0, np.inf, np.inf]
+    assert normal_signs(pattern).tolist() == [0.0, -1.0, 1.0, 1.0]
 
 
 def test_normal_cone_membership():

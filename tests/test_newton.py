@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import traceback
+import warnings
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -919,6 +920,22 @@ def test_solve_reports_direction_evaluation_failure():
     assert report.iterations[-1].step_norm == 0.0
 
 
+def _huge_problem(n, hg_entry):
+    """One active row under Jf = 1e308 everywhere and a constant Hg."""
+    row = np.ones((1, n))
+    return GEProblem(
+        name="huge",
+        n=n,
+        s=1,
+        f=lambda x: x - 1.0,
+        jf=lambda x: np.full((n, n), 1e308),
+        g=lambda x: row @ x,
+        jg=lambda x: row,
+        hg=lambda x, lam: np.full((n, n), hg_entry),
+        box=BoxSet(np.array([-np.inf]), np.zeros(1)),
+    )
+
+
 @pytest.mark.parametrize(
     "n, hg_entry, message",
     [
@@ -932,18 +949,7 @@ def test_solve_reports_direction_evaluation_failure():
 def test_an_overflowing_newton_system_ends_evaluation_failed(n, hg_entry, message):
     # callbacks near the float range must end the run with a status, not raise
     # from solve_dense
-    row = np.ones((1, n))
-    problem = GEProblem(
-        name="huge",
-        n=n,
-        s=1,
-        f=lambda x: x - 1.0,
-        jf=lambda x: np.full((n, n), 1e308),
-        g=lambda x: row @ x,
-        jg=lambda x: row,
-        hg=lambda x, lam: np.full((n, n), hg_entry),
-        box=BoxSet(np.array([-np.inf]), np.zeros(1)),
-    )
+    problem = _huge_problem(n, hg_entry)
     x0 = np.full(n, 0.5)
     with np.errstate(over="ignore", invalid="ignore"):
         ap = approximation_step(problem, x0)
@@ -953,6 +959,21 @@ def test_an_overflowing_newton_system_ends_evaluation_failed(n, hg_entry, messag
     assert report.status is Status.EVALUATION_FAILED
     assert report.message == f"direction step at iteration 0: {message}"
     assert len(report.iterations) == 1 and report.iterations[0].step_norm == 0.0
+
+
+@pytest.mark.parametrize(
+    "n, hg_entry, josephy_status",
+    [(2, 1e308, Status.EVALUATION_FAILED), (4, 0.0, Status.UNSOLVABLE_SUBPROBLEM)],
+    ids=["lagrangian", "projection"],
+)
+def test_an_overflowing_newton_system_warns_nothing(n, hg_entry, josephy_status):
+    # the overflow becomes a status; no RuntimeWarning of numpy leaks out
+    problem, x0 = _huge_problem(n, hg_entry), np.full(n, 0.5)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ours, theirs = solve(problem, x0), josephy_newton(problem, x0)
+    assert [str(w.message) for w in caught] == []
+    assert (ours.status, theirs.status) == (Status.EVALUATION_FAILED, josephy_status)
 
 
 def test_solve_reports_qp_update_cap_as_status():

@@ -8,7 +8,7 @@ import pytest
 from helpers import counting_callbacks, random_affine_problem
 from ssnewton import problems
 from ssnewton.cones import BoxSet
-from ssnewton.errors import EvaluationError, ProblemFormatError
+from ssnewton.errors import EvaluationError, InvalidMultiplierError, ProblemFormatError
 from ssnewton.linalg import nullspace_basis, smallest_singular_value
 from ssnewton.newton import solve
 from ssnewton.problems import (
@@ -191,6 +191,12 @@ def test_check_second_order_ncp():
     assert [f.index_set for f in report.faces] == [(), (0,)]
     assert report.faces[0].sigma_min == pytest.approx(1.0)
     assert report.faces[1].sigma_min == np.inf
+
+
+def test_check_second_order_rejects_a_multiplier_outside_the_normal_cone():
+    # g(0) = 0 is at the upper bound of (-inf, 0], whose normal cone is [0, inf)
+    with pytest.raises(InvalidMultiplierError, match="not in the normal cone at g"):
+        check_second_order(NCP, np.zeros(1), -np.ones(1))
 
 
 def test_check_second_order_monotone_passes():

@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 
 from helpers import random_box, random_qp_instance
 from ssnewton.cones import Activity, BoxSet, normal_cone_membership, pattern_admits
-from ssnewton.errors import CombinatorialBlowupError, NonconvergenceError, QPInfeasibleError
+from ssnewton.errors import (
+    CombinatorialBlowupError,
+    DimensionError,
+    NonconvergenceError,
+    QPInfeasibleError,
+)
 from ssnewton.qp import QPInstance, brute_force_qp, solve_qp, violated_guess
 
 NEG1 = BoxSet.nonpositive(1)
@@ -105,6 +110,24 @@ def test_narrow_box_patterns_agree_between_solvers():
         assert sol.active == ref.active == (kind,)
         assert pattern_admits(sol.active, sol.lam)
         assert pattern_admits(ref.active, ref.lam)
+
+
+@pytest.mark.parametrize(
+    "pattern, lam",
+    [
+        ((Activity.AT_UPPER,), np.zeros(2)),
+        ((Activity.AT_UPPER, Activity.INTERIOR), np.zeros(1)),
+        ((Activity.AT_UPPER, 4), np.zeros(2)),
+        ((Activity.AT_UPPER, -1), np.zeros(2)),
+        (("U", "I"), np.zeros(2)),
+        ((2.0, 0.0), np.zeros(2)),
+    ],
+    ids=["short-pattern", "short-multiplier", "code-4", "code-minus-1", "letters", "floats"],
+)
+def test_a_guess_of_the_wrong_shape_or_with_a_non_code_entry_raises(pattern, lam):
+    box = BoxSet.nonpositive(2)
+    with pytest.raises(DimensionError):
+        QPInstance(c=np.zeros(2), b=np.zeros(2), jac=np.eye(2), box=box, guess=(pattern, lam))
 
 
 def test_brute_force_guard():

@@ -81,7 +81,8 @@ def solve_avi_enumerate(instance, tol=1e-9):
 
     Returns (x_plus, lam_plus, pattern) or None when no pattern is accepted,
     which certifies that the affine subproblem has no solution.  Singular
-    pattern systems are skipped, not errors.
+    pattern systems, and those whose residual is not at most 1e-8 x scale
+    (a NaN residual included), are skipped, not errors.
     """
     n = instance.q.shape[0]
     s = instance.g0.shape[0]
@@ -106,8 +107,8 @@ def solve_avi_enumerate(instance, tol=1e-9):
             sol = np.linalg.solve(kkt, rhs)
         except np.linalg.LinAlgError:
             continue
-        if np.max(np.abs(kkt @ sol - rhs)) > 1e-8 * scale:
-            continue  # nearly singular system, numerically untrustworthy
+        if not np.max(np.abs(kkt @ sol - rhs)) <= 1e-8 * scale:
+            continue  # nearly singular system, numerically untrustworthy (or NaN)
         w = sol[:n]
         lam = np.zeros(s)
         lam[act] = sol[n:]
@@ -127,8 +128,10 @@ def josephy_newton(problem, x0, lam0=None, tol=1e-10, max_iter=50):
     resulting affine variational inequality by enumeration.  When the
     subproblem is certified unsolvable the run stops with status
     UNSOLVABLE_SUBPROBLEM; like every solver-level failure it is reported,
-    never raised.  lam0 defaults to the approximation-step multiplier at x0;
-    later iterates carry the subproblem's multiplier.
+    never raised.  A subproblem matrix Jf + Hg that overflows ends the run
+    EVALUATION_FAILED, as in :func:`ssnewton.newton.newton_workspace`.
+    lam0 defaults to the approximation-step multiplier at x0; later iterates
+    carry the subproblem's multiplier.
 
     Precondition: the subproblem is solved by enumerating activity patterns,
     so the box may have at most 6 coordinates.  A larger box raises
@@ -153,9 +156,12 @@ def josephy_newton(problem, x0, lam0=None, tol=1e-10, max_iter=50):
 
     def direction(x, k):
         nonlocal lam
+        mat = lagrangian_jacobian(problem, x, lam)
+        if not np.isfinite(mat).all():  # a sum of finite arrays overflows to +-inf
+            raise EvaluationError(f"{problem.name}: Jf + Hg overflows")
         avi = AVIInstance(
             q=eval_f(problem, x),
-            mat=lagrangian_jacobian(problem, x, lam),
+            mat=mat,
             jac=eval_jg(problem, x),
             g0=eval_g(problem, x),
             box=problem.box,

@@ -30,7 +30,7 @@ _SCAN_GUARD = 8  # coordinates of the defect scan
 
 class Activity(IntEnum):
     """How a coordinate meets its bounds, as a code 0-3; a pattern is a tuple
-    of members, and ``bytes(pattern)`` is its string of codes."""
+    of members, and :func:`pattern_codes` its string of codes."""
 
     INTERIOR = 0
     AT_LOWER = 1
@@ -48,6 +48,18 @@ _LETTERS = bytes.maketrans(bytes(Activity), b"ILUF")
 def pattern_of(codes):
     """The pattern, a tuple of :class:`Activity`, of an array of codes."""
     return tuple(_MEMBERS[codes].tolist())
+
+
+def pattern_codes(pattern):
+    """The codes of a pattern as bytes, one per coordinate.
+
+    A tuple, list or bytes of members or ints is read by ``bytes(pattern)``
+    (bytes as they are); a numpy array of codes is read by its entries,
+    since ``bytes`` of an array is its raw buffer.  An entry that is not an
+    integer in range(256) raises TypeError or ValueError.  Every reader of a
+    pattern's codes reads them here.
+    """
+    return bytes(pattern.tolist() if isinstance(pattern, np.ndarray) else pattern)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,13 +131,13 @@ def activity(d, box, tol=ACTIVITY_TOL):
 
 def pattern_summary(pattern):
     """One-letter-per-coordinate rendering, e.g. 'IUL'."""
-    return bytes(pattern).translate(_LETTERS).decode()
+    return pattern_codes(pattern).translate(_LETTERS).decode()
 
 
 def _normal_cone(pattern):
     """The normal cone of a pattern as (lower, upper) endpoint arrays, the
     form every cone takes here: {0}, (-inf, 0], [0, +inf) or the line."""
-    codes = np.frombuffer(bytes(pattern), np.int8)
+    codes = np.frombuffer(pattern_codes(pattern), np.int8)
     return _CONE_LOWER[codes], _CONE_UPPER[codes]
 
 
@@ -162,7 +174,7 @@ def normal_signs(pattern):
     -1 at a lower bound, +1 at an upper bound or fixed, 0 when interior (no
     column).
     """
-    return _SIGNS[np.frombuffer(bytes(pattern), np.int8)]
+    return _SIGNS[np.frombuffer(pattern_codes(pattern), np.int8)]
 
 
 def basis_for_pattern(pattern):

@@ -8,8 +8,10 @@ complete), whose triangular factor also gives the one rank test,
 :func:`require_full_row_rank`.  A :class:`RowFactor` keeps C, Q, R, the
 rank verdict and, on first use, R^-1 together, so one factorization of a
 set of active rows serves every user of it (numpy has no triangular solve,
-so a triangular solve with R is a product with R^-1, from one LAPACK
-inversion).
+so a triangular solve with R is a product with R^-1: the reciprocal
+diagonal when R is diagonal, as it is for signed unit rows, else one LAPACK
+inversion).  The factor also carries the QP's dependence floor, tested
+once per factor however often it is reused (:attr:`RowFactor.dependent`).
 The bases carry no sign convention: every caller uses them only through
 quantities that do not change when they are rotated.  Square systems are
 solved by :func:`solve_dense` in one LAPACK LU call, which also certifies
@@ -26,6 +28,7 @@ from .errors import DimensionError, RankDeficiencyError, SingularMatrixError
 
 RANK_TOL = 1e-10
 PIVOT_TOL = 1e-12
+DEP_REL_TOL = 1e-18  # ||z||^2 below this times ||n||^2 counts as dependent
 PROBES = 3
 
 
@@ -78,8 +81,31 @@ class RowFactor:
 
     @functools.cached_property
     def r_inv(self):
-        """R^-1, from one LAPACK inversion on first read."""
+        """R^-1, computed on first read.
+
+        A diagonal R with no zero on its diagonal is inverted entrywise:
+        LAPACK's inverse of it is that same reciprocal diagonal (only the
+        sign of an off-diagonal zero can differ).  Any other R takes one
+        LAPACK inversion.
+        """
+        d = np.diagonal(self.r)
+        if np.count_nonzero(self.r) == d.size and d.all():
+            with np.errstate(over="ignore"):  # 1/d of a subnormal d is inf, as in LAPACK
+                return np.diag(1.0 / d)
         return np.linalg.inv(self.r)
+
+    @functools.cached_property
+    def dependent(self):
+        """Some row fails the dependence floor, read once per factor.
+
+        Row i's squared distance to the span of the rows before it, R_ii^2,
+        is at most DEP_REL_TOL x max(1, ||C_i||^2); always true with more
+        rows than columns (no QR).
+        """
+        if self.r is None:
+            return True
+        nn = np.maximum(1.0, np.sum(self.rows * self.rows, axis=1))
+        return bool(np.any(np.diag(self.r) ** 2 <= DEP_REL_TOL * nn))
 
 
 def factor_rows(c):

@@ -23,7 +23,6 @@ are redundant for solving -- the n x n system is algebraically equivalent --
 and serve as cross-check oracles for it.
 """
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +41,7 @@ from .errors import (
 )
 from .linalg import RowFactor, nullspace_basis, pseudo_inverse_full_row_rank, solve_dense
 from .problems import eval_f, eval_g, eval_jg, lagrangian_jacobian
-from .qp import QPInstance, solve_qp, violated_guess
+from .qp import QPInstance, _violated_guess, solve_qp
 from .reports import IterationRecord, SolveReport, Status
 
 
@@ -103,11 +102,11 @@ def approximation_step(problem, x, guess=None):
     c = eval_f(problem, x)
     b = eval_g(problem, x)
     jac = eval_jg(problem, x)
-    seed = None if guess is None else (guess.pattern, guess.lam_hat, guess.factor)
-    instance = QPInstance(c=c, b=b, jac=jac, box=problem.box, guess=seed)
     if guess is None:
-        instance = dataclasses.replace(instance, guess=violated_guess(instance))
-    qp = solve_qp(instance)
+        seed = _violated_guess(c, b, jac, problem.box)
+    else:
+        seed = (guess.pattern, guess.lam_hat, guess.factor)
+    qp = solve_qp(QPInstance(c=c, b=b, jac=jac, box=problem.box, guess=seed))
     d_hat = b + jac @ qp.u
     p_star = c + jac.T @ qp.lam
     return ApproxResult(
@@ -296,7 +295,7 @@ def drive(x0, n, measure, direction, tol, max_iter):
             status, message = _failure("approximation", k, exc)
             break
         if lam is not None:
-            lam = tuple(float(v) for v in lam)
+            lam = tuple(np.asarray(lam, dtype=float).tolist())
         step = None
         if residual <= tol:
             status = Status.CONVERGED
@@ -309,14 +308,14 @@ def drive(x0, n, measure, direction, tol, max_iter):
                 status, message = _failure("direction", k, exc)
         if step is None:  # the run ends here, with a zero-step record
             records.append(
-                IterationRecord(k, tuple(map(float, x)), residual, 0.0, lam, branch)
+                IterationRecord(k, tuple(x.tolist()), residual, 0.0, lam, branch)
             )
             break
         step_norm = float(np.linalg.norm(step))
         rate = step_norm / prev_step**2 if prev_step > 0 else None
         records.append(
             IterationRecord(
-                k, tuple(map(float, x)), residual, step_norm, lam, branch, rate
+                k, tuple(x.tolist()), residual, step_norm, lam, branch, rate
             )
         )
         x = x + step
@@ -325,7 +324,7 @@ def drive(x0, n, measure, direction, tol, max_iter):
     return SolveReport(
         status=status,
         iterations=tuple(records),
-        final_x=tuple(float(v) for v in x),
+        final_x=tuple(x.tolist()),
         message=message,
     )
 

@@ -22,13 +22,17 @@ coordinate of every active row placed on its bound.
 
 Every QR of active rows is a :class:`ssnewton.linalg.RowFactor` from
 :func:`ssnewton.linalg.factor_rows`, and an equality point applies its
-R^-1 as a product, so the QP makes no LU solve.  Where a factor is at
-hand whose rows are bitwise the rows wanted, it is used instead of a new
-one (:func:`_factor_of`).  The tight rows of the returned pattern, in
-coordinate order and signed by :func:`ssnewton.cones.normal_signs` as the
-columns of :func:`ssnewton.cones.basis_for_pattern` (-1 at a lower bound,
-+1 at an upper bound or fixed), are the solution's factor: the polish's
-or the seed's when its rows are those, else a new one.  Its verdict from
+R^-1 as a product, so the QP makes no LU solve; for signed unit rows R is
+diagonal and R^-1 its reciprocal diagonal, so it makes no inversion
+either.  Where a factor is at hand whose rows are bitwise the rows wanted,
+it is used instead of a new one (:func:`_factor_of`).  The tight rows of
+the returned pattern, in coordinate order and signed by
+:func:`ssnewton.cones.normal_signs` as the columns of
+:func:`ssnewton.cones.basis_for_pattern` (-1 at a lower bound, +1 at an
+upper bound or fixed), are the solution's factor: the polish's or the
+seed's when its rows are those (known without comparing rows when the
+active rows are the tight coordinates in order, with their signs), else a
+new one.  Its verdict from
 the one rank test, :func:`ssnewton.linalg.require_full_row_rank`, is
 ``degenerate_multiplier``, and the Newton step takes C, Q1 and its
 degeneracy verdict from the same factor, so the two cannot disagree.
@@ -40,8 +44,13 @@ active set whose equality subproblem has nonnegative multipliers, so the
 guessed rows are solved as in the polish, rows with negative multipliers
 are dropped, and the unchanged add/drop loop continues from there; it
 still checks every row for violation.  When the guess's set is also the
-answer, no step is taken and the guess's factor serves as the polish.  A
-guess with dependent rows, or with more rows than unknowns, is ignored.
+answer, no step is taken and the guess's factor serves as the polish: the
+call costs one violation scan and one equality point, since the loop's Q
+and R^-1 buffers are made, and the seed's factor copied into them, only
+at the first violated row, and the dependence floor is a verdict the
+factor keeps (:attr:`ssnewton.linalg.RowFactor.dependent`), so a reused
+factor is not tested again.  A guess with dependent rows, or with more
+rows than unknowns, is ignored.
 A guess may carry the factor of the solution it came from, which the seed
 uses when the guessed rows are bitwise its rows, as they are for an
 affine g whose pattern holds.
@@ -72,12 +81,11 @@ from .cones import (
     enumerate_box_patterns,
     normal_signs,
     pattern_admits,
+    pattern_codes,
     pattern_of,
 )
 from .errors import DimensionError, NonconvergenceError, QPInfeasibleError
-from .linalg import RowFactor, factor_rows
-
-_DEP_REL_TOL = 1e-18  # ||z||^2 below this times ||n||^2 counts as dependent
+from .linalg import DEP_REL_TOL, RowFactor, factor_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,8 +119,8 @@ class QPInstance:
                     f"guess has {len(pattern)} activities and multiplier {lam.shape}, "
                     f"box dimension is {self.box.dim}"
                 )
-            try:  # bytes() rejects entries that are not integers in range(256)
-                valid = max(bytes(pattern), default=0) <= Activity.FIXED
+            try:  # rejects entries that are not integers in range(256)
+                valid = max(pattern_codes(pattern), default=0) <= Activity.FIXED
             except (TypeError, ValueError):
                 valid = False
             if not valid:
@@ -150,14 +158,15 @@ def _finite_bounds(box):
     return np.column_stack([np.isfinite(box.upper), np.isfinite(box.lower)])
 
 
-def _rows(instance):
+def _rows(instance, finite):
     """Every finite bound as an upper-bound row normal . u <= offset.
 
-    Rows come in coordinate order, the upper bound of a coordinate before its
-    lower bound; ``sign`` is +1 for an upper and -1 for a lower row.
+    ``finite`` is ``_finite_bounds(instance.box)``.  Rows come in coordinate
+    order, the upper bound of a coordinate before its lower bound; ``sign``
+    is +1 for an upper and -1 for a lower row.
     """
     box = instance.box
-    coord, side = np.nonzero(_finite_bounds(box))
+    coord, side = np.nonzero(finite)
     upper = side == 0
     sign = np.where(upper, 1.0, -1.0)
     b = instance.b[coord]
@@ -187,7 +196,7 @@ def _equality_point(factor, targets, c):
     return u, -(r_inv @ (q.T @ (u + c)))
 
 
-def _seed(instance, normals, offsets):
+def _seed(instance, finite, normals, offsets):
     """A dual-feasible start from ``instance.guess``, or None.
 
     AT_LOWER and AT_UPPER in the guessed pattern name the lower and upper
@@ -195,25 +204,24 @@ def _seed(instance, normals, offsets):
     multiplier picks (none at 0).  Rows with a negative multiplier on their
     equality subproblem are dropped and the rest re-solved until every
     multiplier is nonnegative; that is a valid Goldfarb-Idnani start.  Rows
-    that fail the dependence floor give None (the caller starts cold).  A
-    pass uses the guess's factor when its rows are bitwise the guess's
-    factored rows (see :func:`_factor_of`).  Returns (active rows, their
-    factor, u, multipliers).
+    that fail the dependence floor (:attr:`ssnewton.linalg.RowFactor.dependent`)
+    give None (the caller starts cold).  A pass uses the guess's factor when
+    its rows are bitwise the guess's factored rows (see :func:`_factor_of`).
+    Returns (active row indices as an array, their factor, u, multipliers).
     """
     pattern, lam, held = instance.guess
-    fixed = np.frombuffer(bytes(pattern), np.int8) == int(Activity.FIXED)
-    side = np.where(fixed, np.sign(lam), normal_signs(pattern))  # +1 upper, -1 lower row
+    codes = pattern_codes(pattern)  # read once: normal_signs takes the bytes as they are
+    fixed = np.frombuffer(codes, np.int8) == int(Activity.FIXED)
+    side = np.where(fixed, np.sign(lam), normal_signs(codes))  # +1 upper, -1 lower row
     wanted = np.column_stack([side > 0, side < 0])
-    active = np.flatnonzero(wanted[_finite_bounds(instance.box)])  # row indices
+    active = np.flatnonzero(wanted[finite])  # row indices
     while len(active) <= instance.n:
-        rows = normals[active]
-        factor = _factor_of(rows, held)
-        nn = np.maximum(1.0, np.sum(rows * rows, axis=1))
-        if np.any(np.diag(factor.r) ** 2 <= _DEP_REL_TOL * nn):
+        factor = _factor_of(normals[active], held)
+        if factor.dependent:
             return None
         u, mults = _equality_point(factor, offsets[active], instance.c)
         if not np.any(mults < 0.0):
-            return list(active), factor, u, mults
+            return active, factor, u, mults
         active = active[mults >= 0.0]
     return None  # more rows than unknowns: dependent
 
@@ -226,12 +234,17 @@ def violated_guess(instance):
     a pinched coordinate, the one violated row); every other coordinate is
     INTERIOR.  The multipliers are zero.
     """
-    box = instance.box
-    d = instance.b - instance.jac @ instance.c
-    kinds = np.zeros(instance.s, np.int8)
+    return _violated_guess(instance.c, instance.b, instance.jac, instance.box)
+
+
+def _violated_guess(c, b, jac, box):
+    """:func:`violated_guess` from arrays already of the QP's shapes, so a
+    caller can seed the instance it builds (QPInstance checks them there)."""
+    d = b - jac @ c
+    kinds = np.zeros(box.dim, np.int8)
     kinds[d < box.lower] = Activity.AT_LOWER
     kinds[d > box.upper] = Activity.AT_UPPER
-    return pattern_of(kinds), np.zeros(instance.s)
+    return pattern_of(kinds), np.zeros(box.dim)
 
 
 def solve_qp(instance):
@@ -243,9 +256,10 @@ def solve_qp(instance):
     loop starts from the guess's rows (see the module docstring) and
     ``iterations`` counts only the steps taken from there.
     """
-    rows = _rows(instance)
+    finite = _finite_bounds(instance.box)
+    rows = _rows(instance, finite)
     if instance.guess is not None:
-        seed = _seed(instance, *rows[:2])
+        seed = _seed(instance, finite, *rows[:2])
         if seed is not None:
             try:
                 return _dual_active_set(instance, rows, seed)
@@ -260,12 +274,6 @@ def _dual_active_set(instance, rows, seed):
     abs_normals, abs_offsets = np.abs(normals), np.abs(offsets)
     n = instance.n
     cap = 100 * (n + instance.s)
-    # Q (columns) is an orthonormal basis of the active normals B = Q R,
-    # kept in active order with the inverse of R; the dependence test keeps
-    # the active rows independent, so at most min(n, rows) are active
-    size = min(n, len(offsets))
-    q_basis = np.zeros((n, size))
-    r_inv = np.zeros((size, size))
     inactive = np.ones(len(offsets), dtype=bool)
     if seed is None:
         u = -instance.c.copy()
@@ -274,9 +282,8 @@ def _dual_active_set(instance, rows, seed):
         factor = None  # RowFactor of the active rows, once the loop is done
     else:
         active, factor, u, mults = seed
-        k = len(active)
-        q_basis[:, :k], r_inv[:k, :k] = factor.q, factor.r_inv
         inactive[active] = False
+    q_basis = None  # the loop's factor buffers, made at the first violated row
     steps = 0
     while offsets.size:
         # rounding noise of the dot product grows with the size of u
@@ -285,6 +292,17 @@ def _dual_active_set(instance, rows, seed):
         worst = int(np.argmax(violation))  # ties keep the lowest index
         if not violation[worst] > 0.0:
             break
+        if q_basis is None:
+            # Q (columns) is an orthonormal basis of the active normals
+            # B = Q R, kept in active order with the inverse of R; the
+            # dependence test keeps the active rows independent, so at most
+            # min(n, rows) are active
+            size = min(n, len(offsets))
+            q_basis, r_inv = np.zeros((n, size)), np.zeros((size, size))
+            if factor is not None:
+                k = len(active)
+                q_basis[:, :k], r_inv[:k, :k] = factor.q, factor.r_inv
+            active = list(active)
         target = normals[worst]
         nn = max(1.0, float(target @ target))
         lam_target = 0.0  # grows across partial dual steps, lands in mults
@@ -305,7 +323,7 @@ def _dual_active_set(instance, rows, seed):
             rho = -(r_inv[:k, :k] @ (h + h2))
             znorm2 = float(z @ z)
             violation = float(target @ u - offsets[worst])
-            t_full = violation / znorm2 if znorm2 > _DEP_REL_TOL * nn else np.inf
+            t_full = violation / znorm2 if znorm2 > DEP_REL_TOL * nn else np.inf
             rho_floor = 1e-10 * max(1.0, float(np.max(np.abs(rho))) if k else 0.0)
             blocking = rho < -rho_floor
             ratios = np.full(k, np.inf)
@@ -348,24 +366,31 @@ def _dual_active_set(instance, rows, seed):
         factor = factor_rows(normals[active])
         u, mults = _equality_point(factor, offsets[active], instance.c)
 
-    on_bound = coords[active]
+    on_bound, on_sign = coords[active], signs[active]
     lam = np.zeros(instance.s)
-    np.add.at(lam, on_bound, signs[active] * mults)
+    np.add.at(lam, on_bound, on_sign * mults)
     # classify b + C u with the coordinate of each active row on its bound
     box = instance.box
     d = instance.b + instance.jac @ u
-    d[on_bound] = np.where(signs[active] > 0, box.upper[on_bound], box.lower[on_bound])
+    d[on_bound] = np.where(on_sign > 0, box.upper[on_bound], box.lower[on_bound])
     pattern = activity(np.clip(d, box.lower, box.upper), box)
     # the box multiplier is unique iff the Jacobian rows of the tight
     # coordinates are linearly independent; the internal U/L row pair of a
     # pinched coordinate does not count (their difference is unique).  The
     # tight rows are signed as W^T Jg, so the Newton step can use their
-    # factor as it is
+    # factor as it is.  When the active rows are the tight coordinates in
+    # order, with their signs, the active rows' factor is bitwise theirs
     signed = normal_signs(pattern)
     tight_coords = np.flatnonzero(signed)
-    jac_tight = instance.jac[tight_coords]
-    factor = _factor_of(signed[tight_coords, None] * jac_tight, factor)
+    reuse = (
+        factor is not None
+        and np.array_equal(on_bound, tight_coords)
+        and np.array_equal(on_sign, signed[tight_coords])
+    )
+    if not reuse:
+        factor = _factor_of(signed[tight_coords, None] * instance.jac[tight_coords], factor)
     if factor.deficiency is not None:
+        jac_tight = instance.jac[tight_coords]
         rhs = -(u + instance.c)
         mu, *_ = np.linalg.lstsq(jac_tight.T, rhs, rcond=None)
         correction, *_ = np.linalg.lstsq(jac_tight.T, rhs - jac_tight.T @ mu, rcond=None)

@@ -147,6 +147,19 @@ def test_avi_unsolvable_near_zero():
         assert solve_avi_enumerate(_ncp_avi(x)) is None
 
 
+def test_avi_rejects_a_nan_solution():
+    # an infinite M makes every pattern's solution NaN; a NaN residual is
+    # never within tolerance, so no pattern is accepted
+    inst = AVIInstance(
+        q=np.array([-0.5, -0.5]),
+        mat=np.full((2, 2), np.inf),
+        jac=np.ones((1, 2)),
+        g0=np.array([1.0]),
+        box=BoxSet.nonpositive(1),
+    )
+    assert solve_avi_enumerate(inst) is None
+
+
 def test_avi_monotone_instance():
     inst = AVIInstance(
         q=np.array([-1.0, -1.0]),

@@ -15,6 +15,8 @@ from ssnewton.cones import (
     exactness_radius,
     normal_cone_membership,
     normal_signs,
+    pattern_admits,
+    pattern_codes,
     pattern_summary,
     polyhedral_defect_scan,
     regular_coderivative_nd,
@@ -113,6 +115,24 @@ def test_each_code_reads_its_member_letter_cone_and_sign():
     assert lower.tolist() == [0.0, -np.inf, 0.0, -np.inf]
     assert upper.tolist() == [0.0, 0.0, np.inf, np.inf]
     assert normal_signs(pattern).tolist() == [0.0, -1.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint8])
+def test_an_array_of_codes_reads_as_its_tuple(dtype):
+    # an array is read by its entries, not its raw buffer (bytes() of an
+    # int64 array has 8 bytes per entry)
+    codes = [2, 0, 1, 3, 1]
+    array, members = np.array(codes, dtype=dtype), tuple(Activity(c) for c in codes)
+    lam = np.array([0.5, 0.0, -1.0, 3.0, 0.0])
+    for pattern in (tuple(codes), members, array):
+        assert pattern_codes(pattern) == bytes(codes)
+        assert pattern_summary(pattern) == "UILFL"
+        assert normal_signs(pattern).tolist() == [1.0, 0.0, -1.0, 1.0, -1.0]
+        assert np.array_equal(basis_for_pattern(pattern), basis_for_pattern(members))
+        assert pattern_admits(pattern, lam) and not pattern_admits(pattern, -lam)
+    for bad in (np.array([1, 4.5]), np.array([1, -1]), np.array([[1, 2]])):
+        with pytest.raises((TypeError, ValueError)):
+            pattern_codes(bad)
 
 
 def test_normal_cone_membership():

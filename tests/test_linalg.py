@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from ssnewton.errors import DimensionError, RankDeficiencyError, SingularMatrixError
 from ssnewton.linalg import (
     PIVOT_TOL,
+    RowFactor,
     _probes,
     factor_rows,
     nullspace_basis,
@@ -89,6 +90,72 @@ def test_row_factor_inverts_r_once_on_first_read(monkeypatch):
     assert len(inverted) == 1 and inverted[0] is factor.r
     assert np.allclose(r_inv @ factor.r, np.eye(2), atol=1e-15)
     assert factor.r_inv is r_inv and len(inverted) == 1
+
+
+def _counting_inv(monkeypatch):
+    inverted = []
+    inv = np.linalg.inv
+
+    def counted(a):
+        inverted.append(a)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    return inverted
+
+
+@pytest.mark.parametrize(
+    "diagonal",
+    [[-2.0, 0.5, 3.0, -1e-3, 7.25], [-0.3], [1e-200, -1e200]],
+    ids=["mixed-signs", "1x1", "wide-range"],
+)
+def test_r_inv_of_a_diagonal_r_is_lapacks_inverse_without_lapack(monkeypatch, diagonal):
+    # a diagonal R with no zero on it is inverted entrywise, to the array
+    # LAPACK returns for it, and np.linalg.inv is not called
+    r = np.diag(diagonal)
+    expected = np.linalg.inv(r)
+    inverted = _counting_inv(monkeypatch)
+    r_inv = RowFactor(r, np.eye(r.shape[0]), r).r_inv
+    assert np.array_equal(r_inv, expected) and inverted == []
+
+
+def test_r_inv_of_signed_unit_rows_takes_no_inversion(monkeypatch):
+    # the QP's rows of a bound per coordinate: their R is diagonal
+    rows = np.zeros((3, 5))
+    rows[[0, 1, 2], [4, 0, 2]] = [1.0, -1.0, -1.0]
+    factor = factor_rows(rows)
+    assert np.count_nonzero(factor.r) == 3
+    expected = np.linalg.inv(factor.r)
+    inverted = _counting_inv(monkeypatch)
+    assert np.array_equal(factor.r_inv, expected) and inverted == []
+
+
+def test_r_inv_of_any_other_r_is_one_lapack_inversion(monkeypatch):
+    rng = np.random.default_rng(5)
+    dense = np.triu(rng.standard_normal((4, 4))) + 4.0 * np.eye(4)
+    for r in (dense, np.array([[2.0, 1e-300], [0.0, -1.0]])):
+        expected = np.linalg.inv(r)
+        inverted = _counting_inv(monkeypatch)
+        assert np.array_equal(RowFactor(r, None, r).r_inv, expected)
+        assert len(inverted) == 1 and inverted[0] is r
+    # a zero on the diagonal keeps LAPACK's verdict, a singular matrix
+    inverted = _counting_inv(monkeypatch)
+    with pytest.raises(np.linalg.LinAlgError):
+        RowFactor(None, None, np.diag([1.0, 0.0])).r_inv
+    assert len(inverted) == 1
+
+
+def test_dependence_floor_is_read_once_per_factor(monkeypatch):
+    # diag(R)^2 <= 1e-18 max(1, ||row||^2) for some row; the verdict is
+    # cached on the factor, and more rows than columns are dependent
+    independent = factor_rows(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0]]))
+    dependent = factor_rows(np.array([[1.0, 2.0], [2.0, 4.0 + 1e-12]]))
+    assert independent.dependent is False and dependent.dependent is True
+    calls = []
+    monkeypatch.setattr(np, "diag", lambda a: calls.append(a) or np.diagonal(a))
+    assert dependent.dependent is True and independent.dependent is False
+    assert calls == []
+    assert factor_rows(np.ones((3, 2))).dependent is True
 
 
 def test_nullspace_basis_spans_the_svd_kernel():

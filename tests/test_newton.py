@@ -976,6 +976,47 @@ def test_an_overflowing_newton_system_warns_nothing(n, hg_entry, josephy_status)
     assert (ours.status, theirs.status) == (Status.EVALUATION_FAILED, josephy_status)
 
 
+def test_josephy_newton_ends_an_overflowing_subproblem_at_its_direction_step():
+    # Jf + Hg overflows to +inf: the subproblem matrix is rejected before the
+    # enumeration, which would otherwise accept a NaN solution
+    problem, x0 = _huge_problem(2, 1e308), np.full(2, 0.5)
+    report = josephy_newton(problem, x0)
+    assert report.status is Status.EVALUATION_FAILED
+    assert report.message == "direction step at iteration 0: huge: Jf + Hg overflows"
+    assert len(report.iterations) == 1 and report.iterations[0].step_norm == 0.0
+
+
+def test_trajectory_digest_script_runs_and_compares(tmp_path):
+    # the checked-in trajectory digest on 2 instances of each benchmark
+    # generator: one line per instance, a run compared with itself differs
+    # nowhere, and one changed bit of final_x is reported
+    script = Path(__file__).resolve().parent / "trajectory_digest.py"
+    out, edited = tmp_path / "digest.txt", tmp_path / "edited.txt"
+
+    def digest(*args):
+        return subprocess.run([sys.executable, str(script), *args],
+                              capture_output=True, text=True, timeout=120)
+
+    ran = digest("run", str(out), "--count", "2")
+    assert ran.returncode == 0, ran.stderr
+    lines = out.read_text().splitlines()
+    assert [line.split()[:2] for line in lines] == [
+        [name, str(i)]
+        for name in ("vi-dense", "obstacle-2d", "obstacle-pins", "nl-few-bounds")
+        for i in range(2)
+    ]
+    assert all(line.split()[2] == "CONVERGED" for line in lines)
+    same = digest("compare", str(out), str(out))
+    assert same.returncode == 0 and "8 instances, 0 differ" in same.stdout
+    head, last = lines[-1].rsplit(",", 1)
+    flipped = float.fromhex(last)
+    flipped = np.nextafter(flipped, np.inf).item()
+    edited.write_text("\n".join([*lines[:-1], f"{head},{flipped.hex()}"]) + "\n")
+    changed = digest("compare", str(out), str(edited))
+    assert changed.returncode == 1
+    assert "8 instances, 1 differ [('nl-few-bounds', '1')]" in changed.stdout
+
+
 def test_solve_reports_qp_update_cap_as_status():
     calls = []
 

@@ -18,6 +18,8 @@ from ssnewton.errors import (
     NonconvergenceError,
     QPInfeasibleError,
 )
+from ssnewton import qp as qp_module
+from ssnewton.linalg import factor_rows
 from ssnewton.qp import QPInstance, brute_force_qp, solve_qp, violated_guess
 
 NEG1 = BoxSet.nonpositive(1)
@@ -675,6 +677,74 @@ def test_carried_factor_changes_no_bit_of_the_answer(seed, near_dependent, chang
     assert hit.degenerate_multiplier == miss.degenerate_multiplier
     assert (hit.iterations, hit.warm) == (miss.iterations, miss.warm)
     assert np.array_equal(hit.u, miss.u) and np.array_equal(hit.lam, miss.lam)
+
+
+def _solve_counting_factors(inst):
+    """(solution, factor_rows calls, np.linalg.inv calls) of one solve_qp."""
+    with mock.patch.object(qp_module, "factor_rows", wraps=factor_rows) as factored, \
+            mock.patch.object(np.linalg, "inv", wraps=np.linalg.inv) as inverted:
+        sol = solve_qp(inst)
+    return sol, factored.call_count, inverted.call_count
+
+
+@pytest.mark.parametrize("rows", ["unit", "dense"])
+def test_a_warm_call_whose_guess_holds_factors_and_inverts_nothing(rows):
+    # the guess carries the previous solution's factor: the seed reuses it,
+    # with its R^-1, the loop takes no step, and the tight rows reuse it too
+    rng = np.random.default_rng(3)
+    if rows == "unit":  # an obstacle: u >= psi, separable
+        n = 8
+        first = QPInstance(c=rng.uniform(-2, 2, n), b=np.zeros(n), jac=np.eye(n),
+                           box=BoxSet(rng.uniform(-1, 1, n), np.full(n, np.inf)))
+    else:
+        first, *_ = _planted_qp(rng, near_dependent=False)
+    prev = solve_qp(first)
+    assert prev.factor.rows.shape[0] > 0
+    warm, factored, inverted = _solve_counting_factors(
+        dataclasses.replace(first, guess=(prev.active, prev.lam, prev.factor))
+    )
+    assert (warm.iterations, warm.warm) == (0, True)
+    assert (factored, inverted) == (0, 0)
+    assert warm.factor is prev.factor and warm.active == prev.active
+    assert np.allclose(warm.u, prev.u, rtol=0.0, atol=1e-12)
+
+
+def test_a_violated_row_seed_of_unit_rows_factors_once_and_inverts_nothing():
+    # for u >= psi the rows violated at u = -c are the answer: the seed's
+    # one QR has a diagonal R, so R^-1 takes no LAPACK inversion, and the
+    # tight rows are the active rows in order, so their factor is the seed's
+    rng = np.random.default_rng(4)
+    n = 12
+    inst = QPInstance(c=rng.uniform(-2, 2, n), b=np.zeros(n), jac=np.eye(n),
+                      box=BoxSet(rng.uniform(-1, 1, n), np.full(n, np.inf)))
+    sol, factored, inverted = _solve_counting_factors(
+        dataclasses.replace(inst, guess=violated_guess(inst))
+    )
+    assert (sol.iterations, sol.warm) == (0, True)
+    assert (factored, inverted) == (1, 0)
+    cold = solve_qp(inst)
+    assert sol.active == cold.active and np.array_equal(sol.u, cold.u)
+
+
+def test_a_dependent_guess_is_ignored_each_time_its_factor_is_reused():
+    # the guessed rows are bitwise the held factor's rows, which fail the
+    # dependence floor: the seed gives None (the caller starts cold) on
+    # every call, from the verdict cached on the factor, with no new QR
+    jac = np.array([[1.0, 2.0], [2.0, 4.0]])
+    inst = QPInstance(c=np.ones(2), b=np.zeros(2), jac=jac,
+                      box=BoxSet(np.full(2, -np.inf), np.full(2, -1.0)))
+    held = factor_rows(jac)  # both upper rows
+    seeded = dataclasses.replace(inst, guess=((Activity.AT_UPPER,) * 2, np.ones(2), held))
+    finite = qp_module._finite_bounds(inst.box)
+    normals, offsets, _, _ = qp_module._rows(seeded, finite)
+    with mock.patch.object(qp_module, "factor_rows", wraps=factor_rows) as factored:
+        for _ in range(2):
+            assert qp_module._seed(seeded, finite, normals, offsets) is None
+    assert factored.call_count == 0 and held.dependent
+    cold = solve_qp(inst)
+    for _ in range(2):
+        warm = solve_qp(seeded)
+        assert not warm.warm and np.array_equal(warm.u, cold.u)
 
 
 def test_qp_sweep_script_runs_and_compares(tmp_path):

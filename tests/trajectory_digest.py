@@ -1,0 +1,99 @@
+"""Trajectory digest: the first solves of every benchmark generator, bit for bit.
+
+    python3 tests/trajectory_digest.py run OUT [--count 60] [--src DIR]
+    python3 tests/trajectory_digest.py compare A B
+
+``run`` solves instances 0 .. count-1 of each generator in
+``perfbench/workloads.py``, drawn at seed 11 and solved from x0 = 0 with
+max_iter 20 and one BLAS thread, as ``perfbench/run.py`` solves them.  It
+writes one line per instance: the workload, the index, the status, the
+number of outer iterations, the branch string of every iteration, and the
+last iteration's multiplier and ``final_x`` as exact hex floats.  ``--src``
+imports ``ssnewton`` from another source tree (default: this checkout's
+``src``), so two versions can be run on the same instances; the generators
+always come from this checkout's ``perfbench``.
+
+``compare`` matches the lines of two such files by (workload, index),
+prints how many differ and the first of them, and exits 1 when any line
+differs or either file has an instance the other lacks.
+
+Not collected by pytest; ``test_newton.py`` runs it on a few instances.
+"""
+
+import os
+import sys
+
+# one BLAS thread, set before numpy is first imported
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+SEED = 11
+MAX_ITER = 20
+
+
+def _hex(values):
+    return ",".join(float(v).hex() for v in values)
+
+
+def digest(workload, i, report):
+    """The line of one solve (see the module docstring)."""
+    records = report.iterations
+    branches = "|".join(record.branch or "-" for record in records) or "-"
+    lam = (records[-1].lam if records else None) or ()
+    return (f"{workload} {i} {report.status.value} {len(report.iterations) - 1} "
+            f"{branches} {_hex(lam)} {_hex(report.final_x)}")
+
+
+def run(out, count):
+    import numpy as np
+    from workloads import WORKLOADS, instance
+
+    import ssnewton
+
+    with open(out, "w") as fh:
+        for name, workload in WORKLOADS.items():
+            for i in range(count):
+                problem = instance(workload, SEED, i).problem
+                report = ssnewton.solve(problem, np.zeros(workload.n), max_iter=MAX_ITER)
+                fh.write(digest(name, i, report) + "\n")
+
+
+def _read(path):
+    with open(path) as fh:
+        return {tuple(line.split()[:2]): line for line in fh}
+
+
+def compare(a, b):
+    old, new = _read(a), _read(b)
+    if old.keys() != new.keys():
+        print(f"different instances: {len(old.keys() ^ new.keys())} keys in only one file")
+        return 1
+    differ = [key for key, line in old.items() if new[key] != line]
+    print(f"{len(old)} instances, {len(differ)} differ {differ[:20]}")
+    return 1 if differ else 0
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="mode", required=True)
+    p_run = sub.add_parser("run")
+    p_run.add_argument("out")
+    p_run.add_argument("--count", type=int, default=60)
+    p_run.add_argument("--src", default=str(HERE.parent / "src"))
+    p_cmp = sub.add_parser("compare")
+    p_cmp.add_argument("a")
+    p_cmp.add_argument("b")
+    args = parser.parse_args(argv)
+    if args.mode == "compare":
+        return compare(args.a, args.b)
+    sys.path[:0] = [str(Path(args.src).resolve()), str(HERE.parent / "perfbench")]
+    run(args.out, args.count)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

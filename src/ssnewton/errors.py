@@ -60,8 +60,9 @@ class ProblemFormatError(SSNewtonError):
 class QPInfeasibleError(SSNewtonError):
     """The QP constraint system admits no feasible point.
 
-    ``constraint`` identifies the row whose dual step was unbounded (or None
-    when detected by enumeration).
+    ``constraint`` identifies the row whose dual step was unbounded, or the
+    zero row of Jg whose interval excludes b_i - (Jg c)_i (or None when
+    detected by enumeration).
     """
 
     def __init__(self, message, constraint=None):

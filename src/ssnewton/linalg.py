@@ -1,15 +1,18 @@
 """Small dense linear-algebra kernel.
 
 Everything here operates on plain ``numpy`` arrays at desk scale (a few
-hundred rows at most) and calls LAPACK for every factorization.  Orthonormal
-bases of the row space and of the null space of a wide matrix C come from
-one QR of C^T (:func:`factor_rows`, reduced; :func:`nullspace_basis`,
-complete), whose triangular factor also gives the one rank test,
-:func:`require_full_row_rank`.  A :class:`RowFactor` keeps C, Q, R, the
-rank verdict and, on first use, R^-1 together, so one factorization of a
-set of active rows serves every user of it (numpy has no triangular solve,
-so a triangular solve with R is a product with R^-1: the reciprocal
-diagonal when R is diagonal, as it is for signed unit rows, else one LAPACK
+hundred rows at most) and calls LAPACK for every factorization that has no
+closed form.  Orthonormal bases of the row space and of the null space of a
+wide matrix C come from one QR of C^T (:func:`factor_rows`, reduced;
+:func:`nullspace_basis`, complete), whose triangular factor also gives the
+one rank test, :func:`require_full_row_rank`.  Rows with disjoint supports
+(:func:`disjoint_row_norms2`) are exactly orthogonal, and :func:`factor_rows`
+gives them the reduced QR Q = C^T D^-1, R = D = diag(||C_i||) with no
+LAPACK call.  A :class:`RowFactor` keeps C, Q, R, the rank verdict and, on
+first use, R^-1 together, so one factorization of a set of active rows
+serves every user of it (numpy has no triangular solve, so a triangular
+solve with R is a product with R^-1: the reciprocal diagonal when R is
+diagonal, as it is for rows with disjoint supports, else one LAPACK
 inversion).  The factor also carries the QP's dependence floor, tested
 once per factor however often it is reused (:attr:`RowFactor.dependent`).
 The bases carry no sign convention: every caller uses them only through
@@ -30,6 +33,7 @@ RANK_TOL = 1e-10
 PIVOT_TOL = 1e-12
 DEP_REL_TOL = 1e-18  # ||z||^2 below this times ||n||^2 counts as dependent
 PROBES = 3
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 def _as_matrix(c):
@@ -108,12 +112,42 @@ class RowFactor:
         return bool(np.any(np.diag(self.r) ** 2 <= DEP_REL_TOL * nn))
 
 
+def disjoint_row_norms2(c):
+    """The squared row norms of C when its rows have disjoint supports, else None.
+
+    Rows have disjoint supports when each column of C has at most one
+    nonzero (an O(mn) test); they are then exactly orthogonal.  None also
+    when a nonzero row's squared norm under- or overflows the normal
+    floats, so that every formula built on these norms keeps full relative
+    precision; a zero row's is 0.
+    """
+    nonzero = c != 0.0
+    if nonzero.sum(axis=0).max(initial=0) > 1:
+        return None
+    norms2 = np.einsum("ij,ij->i", c, c)
+    normal = (norms2 >= _TINY) & (norms2 < np.inf)
+    if not normal.all() and not (normal | ~nonzero.any(axis=1)).all():
+        return None
+    return norms2
+
+
 def factor_rows(c):
-    """The :class:`RowFactor` of C, from one reduced LAPACK QR of C^T."""
+    """The :class:`RowFactor` of C.
+
+    Rows with disjoint supports and no zero row (see
+    :func:`disjoint_row_norms2`) have the reduced QR Q = C^T D^-1,
+    R = D = diag(||C_i||) in closed form; any other C takes one reduced
+    LAPACK QR of C^T.  Both go through the same rank test.
+    """
     m, n = c.shape
     if m > n:
         return RowFactor(c, None, None, _too_many_rows(m, n))
-    q, r = np.linalg.qr(c.T)
+    norms2 = disjoint_row_norms2(c)
+    if norms2 is not None and norms2.all():
+        norms = np.sqrt(norms2)
+        q, r = c.T / norms, np.diag(norms)
+    else:
+        q, r = np.linalg.qr(c.T)
     try:
         require_full_row_rank(c, np.diagonal(r))
     except RankDeficiencyError as exc:

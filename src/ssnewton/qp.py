@@ -1,10 +1,23 @@
 """Strictly convex box-constrained QP: min 0.5||u||^2 + c.u  s.t.  b + C u in D.
 
-The solver is a dual active-set method in the Goldfarb-Idnani mold,
-specialized to an identity Hessian.  Cold, it starts from the unconstrained
-minimum u = -c (always dual feasible), repeatedly adds the most violated
-constraint with full dual updates, and therefore needs no phase-1 point;
-an unbounded dual step doubles as an infeasibility certificate.
+Two solvers serve :func:`solve_qp`, chosen by the structure of C.  When
+its rows have disjoint supports (each column of C has at most one nonzero,
+as for g(x) = x and for coordinate constraints), the rows are exactly
+orthogonal and the QP separates by row: with e = b - C c and
+d = clip(e, lower, upper), row i's multiplier is (e_i - d_i) / ||C_i||^2
+and u = -c - C^T lam (:func:`_separable_qp`).  That is the step of the
+primal-dual active-set method of Hintermueller, Ito and Kunisch (SIAM J.
+Optim. 13, 2002) being exact: no loop, no QR and no inversion.  A zero
+row is infeasible exactly when e_i lies outside its interval, and that row
+is the certificate.  Coupled rows, and rows whose squared norms leave the
+normal floats, go to the second solver.
+
+The second solver (:func:`_active_set_qp`) is a dual active-set method in
+the Goldfarb-Idnani mold, specialized to an identity Hessian.  Cold, it
+starts from the unconstrained minimum u = -c (always dual feasible),
+repeatedly adds the most violated constraint with full dual updates, and
+therefore needs no phase-1 point; an unbounded dual step doubles as an
+infeasibility certificate.
 
 Every finite bound is one row of a stacked matrix of upper-bound rows
 (normal . u <= offset), built once per call, so the search for the most
@@ -22,23 +35,27 @@ coordinate of every active row placed on its bound.
 
 Every QR of active rows is a :class:`ssnewton.linalg.RowFactor` from
 :func:`ssnewton.linalg.factor_rows`, and an equality point applies its
-R^-1 as a product, so the QP makes no LU solve; for signed unit rows R is
-diagonal and R^-1 its reciprocal diagonal, so it makes no inversion
-either.  Where a factor is at hand whose rows are bitwise the rows wanted,
-it is used instead of a new one (:func:`_factor_of`).  The tight rows of
+R^-1 as a product, so the QP makes no LU solve; for rows with disjoint
+supports the factor has a closed form with R diagonal and R^-1 its
+reciprocal diagonal, so it makes no QR and no inversion either.  Where a
+factor is at hand whose rows are bitwise the rows wanted, it is used
+instead of a new one (:func:`_factor_of`).  The tight rows of
 the returned pattern, in coordinate order and signed by
 :func:`ssnewton.cones.normal_signs` as the columns of
 :func:`ssnewton.cones.basis_for_pattern` (-1 at a lower bound, +1 at an
-upper bound or fixed), are the solution's factor: the polish's or the
-seed's when its rows are those (known without comparing rows when the
+upper bound or fixed), are the solution's factor in both solvers: the
+guess's held factor when its rows are those (closed form), the polish's or
+the seed's when its rows are those (known without comparing rows when the
 active rows are the tight coordinates in order, with their signs), else a
 new one.  Its verdict from
 the one rank test, :func:`ssnewton.linalg.require_full_row_rank`, is
 ``degenerate_multiplier``, and the Newton step takes C, Q1 and its
 degeneracy verdict from the same factor, so the two cannot disagree.
 
-Warm start: an instance may carry a guess, the pattern and multiplier of
-a nearby QP's solution (in the Newton method, the previous iterate's).
+Warm start (the active-set solver; the closed form needs no start and
+reads only the guess's factor): an instance may carry a guess, the pattern
+and multiplier of a nearby QP's solution (in the Newton method, the
+previous iterate's).
 Goldfarb and Idnani allow the dual method to start from any independent
 active set whose equality subproblem has nonnegative multipliers, so the
 guessed rows are solved as in the polish, rows with negative multipliers
@@ -60,11 +77,10 @@ point is returned even where nearly dependent rows make the cold run raise.
 
 Where no nearby solution is at hand, :func:`violated_guess` supplies one:
 the rows violated at the cold start u = -c, with zero multipliers.  That
-is one step of the primal-dual active-set method of Hintermueller, Ito and
-Kunisch (SIAM J. Optim. 13, 2002), itself a semismooth Newton method, and
-once the seed drops its rows with negative multipliers it is a valid
-Goldfarb-Idnani start.  The Newton methods seed every QP that has no
-previous result this way; ``solve_qp`` without a guess still starts cold.
+is one step of the Hintermueller-Ito-Kunisch method, itself a semismooth
+Newton method (exact for disjoint rows, as above), and once the seed drops
+its rows with negative multipliers it is a valid Goldfarb-Idnani start.
+The Newton methods seed every QP that has no previous result this way; ``solve_qp`` without a guess still starts cold.
 
 ``brute_force_qp`` solves the same problem by enumerating every activity
 pattern and serves as the independent oracle in the test suite.
@@ -85,7 +101,7 @@ from .cones import (
     pattern_of,
 )
 from .errors import DimensionError, NonconvergenceError, QPInfeasibleError
-from .linalg import DEP_REL_TOL, RowFactor, factor_rows
+from .linalg import DEP_REL_TOL, RowFactor, disjoint_row_norms2, factor_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,8 +157,12 @@ class QPSolution:
     u: np.ndarray
     lam: np.ndarray
     active: tuple  # activity pattern of b + C u
+    # active-set steps taken (from the guess when warm); 0 for the closed form
+    # of disjoint rows, which takes no step
     iterations: int
-    warm: bool = False  # the active-set loop started from the instance's guess
+    # the active-set loop started from the instance's guess; always False for
+    # the closed form, which needs no start
+    warm: bool = False
     # RowFactor of the tight rows (see the module docstring); brute_force_qp
     # leaves it None
     factor: RowFactor = None
@@ -250,10 +270,61 @@ def _violated_guess(c, b, jac, box):
 def solve_qp(instance):
     """Global minimizer of the strictly convex QP, with box multiplier.
 
-    Raises :class:`QPInfeasibleError` when the constraints admit no point
-    (certified by an unbounded dual step) and :class:`NonconvergenceError`
-    past 100 (n + s) active-set updates.  With ``instance.guess`` set, the
-    loop starts from the guess's rows (see the module docstring) and
+    When every column of Jg has at most one nonzero, the QP separates by
+    row and :func:`_separable_qp` returns its closed form; any other Jg
+    goes to the dual active-set method, :func:`_active_set_qp` (see the
+    module docstring).  Raises :class:`QPInfeasibleError` when the
+    constraints admit no point and :class:`NonconvergenceError` past
+    100 (n + s) active-set updates.
+    """
+    solution = _separable_qp(instance)
+    return _active_set_qp(instance) if solution is None else solution
+
+
+def _separable_qp(instance):
+    """The QP of rows with disjoint supports, in closed form; None for other rows.
+
+    Such rows are exactly orthogonal, so the QP is one problem per row:
+    with e = b - Jg c and d = clip(e, lower, upper), row i's multiplier is
+    (e_i - d_i) / ||row_i||^2, u = -c - Jg^T lam and b + Jg u = d.  A zero
+    row has multiplier 0 when e_i lies in its interval and is infeasible
+    otherwise: that row is the certificate.  The pattern is
+    ``activity(d, box)``, ``iterations`` is 0 and ``warm`` False, and the
+    factor is the tight rows' (the guess's when its rows are those).  Rows
+    whose squared norms leave the normal floats give None (see
+    :func:`ssnewton.linalg.disjoint_row_norms2`).
+    """
+    c, jac, box = instance.c, instance.jac, instance.box
+    norms2 = disjoint_row_norms2(jac)
+    if norms2 is None:
+        return None
+    e = instance.b - jac @ c
+    d = np.clip(e, box.lower, box.upper)
+    gap = e - d
+    zero = norms2 == 0.0
+    cut = zero & (gap != 0.0)
+    if cut.any():
+        i = int(np.argmax(cut))
+        side = "U" if gap[i] > 0.0 else "L"
+        raise QPInfeasibleError(
+            f"constraint {side} on coordinate {i} cannot be met: its row of Jg is zero",
+            constraint=(i, side),
+        )
+    lam = np.divide(gap, norms2, out=np.zeros(instance.s), where=~zero)
+    u = -c - jac.T @ lam
+    pattern = activity(d, box)
+    signed = normal_signs(pattern)
+    tight = np.flatnonzero(signed)
+    held = None if instance.guess is None else instance.guess[2]
+    factor = _factor_of(signed[tight, None] * jac[tight], held)
+    return QPSolution(u=u, lam=lam, active=pattern, iterations=0, factor=factor)
+
+
+def _active_set_qp(instance):
+    """The dual active-set method (see the module docstring), for any Jg.
+
+    Infeasibility is certified by an unbounded dual step.  With
+    ``instance.guess`` set, the loop starts from the guess's rows and
     ``iterations`` counts only the steps taken from there.
     """
     finite = _finite_bounds(instance.box)

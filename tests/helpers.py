@@ -25,6 +25,11 @@ def counting_callbacks(problem, calls):
     return dataclasses.replace(problem, **{name: counted(name) for name in names})
 
 
+def has_disjoint_rows(jac):
+    """Every column of Jg has at most one nonzero: solve_qp's closed form."""
+    return bool(np.all(np.count_nonzero(jac, axis=0) <= 1))
+
+
 def random_box(rng, s):
     """Bounds drawn from {-1, 0, 1, +-inf}, lower <= upper."""
     lows = rng.choice([-1.0, 0.0, 1.0, -np.inf], s)

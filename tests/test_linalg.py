@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from unittest import mock
 
 from ssnewton.errors import DimensionError, RankDeficiencyError, SingularMatrixError
 from ssnewton.linalg import (
     PIVOT_TOL,
+    RANK_TOL,
     RowFactor,
     _probes,
     factor_rows,
@@ -156,6 +158,80 @@ def test_dependence_floor_is_read_once_per_factor(monkeypatch):
     assert dependent.dependent is True and independent.dependent is False
     assert calls == []
     assert factor_rows(np.ones((3, 2))).dependent is True
+
+
+def _disjoint_rows(rng, m, n):
+    """m rows with disjoint, nonempty supports in n >= m columns, entries
+    U(-2, 2) and each row scaled by 10^U(-3, 3)."""
+    owner = np.concatenate([np.arange(m), rng.integers(-1, m, n - m)])
+    rng.shuffle(owner)
+    c = np.zeros((m, n))
+    cols = np.flatnonzero(owner >= 0)
+    c[owner[cols], cols] = rng.uniform(-2, 2, cols.size)
+    return c * 10.0 ** rng.uniform(-3, 3, m)[:, None]
+
+
+def _assert_factor_matches_lapack(c):
+    """factor_rows(c) takes no np.linalg.qr call and agrees with LAPACK's
+    reduced QR of C^T: |Q| and |diag R| within a few ulps, Q Q^T to 1e-15,
+    the same rank and dependence verdicts.  Returns the factor."""
+    with mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as qr:
+        factor = factor_rows(c)
+    assert qr.call_count == 0
+    q, r = np.linalg.qr(c.T)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(np.abs(factor.q) - np.abs(q)) <= 4 * eps)
+    assert np.count_nonzero(factor.r - np.diag(np.diagonal(factor.r))) == 0
+    d, d_lapack = np.diagonal(factor.r), np.abs(np.diagonal(r))
+    assert np.all(np.abs(d - d_lapack) <= 4 * eps * d)
+    assert np.max(np.abs(factor.q @ factor.q.T - q @ q.T), initial=0.0) <= 1e-15
+    assert np.array_equal(factor.rows, c)
+    lapack = RowFactor(c, q, r)
+    try:
+        require_full_row_rank(c, np.diagonal(r))
+    except RankDeficiencyError as exc:
+        assert factor.deficiency is not None and factor.deficiency.index == exc.index
+    else:
+        assert factor.deficiency is None
+    assert factor.dependent == lapack.dependent
+    return factor
+
+
+def test_disjoint_rows_take_the_closed_form_qr_without_lapack():
+    # Q = C^T D^-1 and R = D = diag(||C_i||): LAPACK's factor up to signs
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        n = int(rng.integers(1, 30))
+        m = int(rng.integers(0, n + 1))
+        _assert_factor_matches_lapack(_disjoint_rows(rng, m, n))
+
+
+@pytest.mark.parametrize("ratio", [1.5, 1.0, 0.5], ids=["above", "at", "below"])
+def test_a_closed_form_row_near_the_rank_tolerance_gets_lapacks_verdict(ratio):
+    # the rank test reads diag(R) against RANK_TOL x max(1, max |C|): a row
+    # of norm just above it is independent, one at or below it is not
+    c = np.zeros((3, 5))
+    c[0, [0, 3]] = [2.0, -1.0]
+    c[1, 1] = ratio * RANK_TOL * 2.0
+    c[2, 4] = -0.5
+    factor = _assert_factor_matches_lapack(c)
+    assert (factor.deficiency is None) == (ratio > 1.0)
+    if ratio <= 1.0:
+        assert factor.deficiency.index == 1
+
+
+@pytest.mark.parametrize("tiny_row", [0.0, 1e-170], ids=["zero", "underflowing"])
+def test_a_zero_or_underflowing_row_keeps_the_lapack_qr(tiny_row):
+    # a zero row has no closed-form Q column, and a row whose squared norm
+    # underflows has no accurate D: both take LAPACK's factor as it is
+    c = np.zeros((3, 4))
+    c[0, 0], c[1, 2], c[2, 3] = 1.0, tiny_row, -2.0
+    with mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as qr:
+        factor = factor_rows(c)
+    assert qr.call_count == 1
+    q, r = np.linalg.qr(c.T)
+    assert np.array_equal(factor.q, q) and np.array_equal(factor.r, r)
+    assert factor.deficiency is not None and factor.deficiency.index == 1
 
 
 def test_nullspace_basis_spans_the_svd_kernel():

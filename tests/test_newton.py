@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import counting_callbacks, random_affine_problem
+from helpers import counting_callbacks, has_disjoint_rows, random_affine_problem
 from ssnewton import linalg, newton
 from ssnewton import qp as qp_module
 from ssnewton.baselines import josephy_newton
@@ -206,10 +206,11 @@ def test_newton_workspace_takes_no_qr_and_a_solve_one_qr_per_tight_row_set(monke
     assert ws.w.shape == (2, 1)
     assert factored == []
     # over a whole solve with an affine g, each distinct set of tight rows is
-    # factored exactly once: the next QP's seed and the Newton step reuse
-    # the QR, and no SVD is taken.  From this x0 the Kojima-Shindo run
-    # passes through three active sets in six QPs; the one other matrix
-    # factored is the first QP's violated-row seed, which is not its answer
+    # factored exactly once: the next QP and the Newton step reuse the
+    # factor, and no SVD is taken.  From this x0 the Kojima-Shindo run
+    # passes through three active sets in six QPs.  Its g(x) = x has
+    # disjoint rows, so every QP is the closed form, which factors only
+    # its tight rows, each set in closed form: no LAPACK QR at all
     problem = get_problem("kojima-shindo")
     tight_rows = []
     original_solve_qp = newton.solve_qp
@@ -221,20 +222,28 @@ def test_newton_workspace_takes_no_qr_and_a_solve_one_qr_per_tight_row_set(monke
 
     monkeypatch.setattr(newton, "solve_qp", recording)
     solve_stacks, inverted, factored_r = _recording_solve_and_inv(monkeypatch)
+    row_factors = []
+
+    def recording_factor_rows(c):
+        row_factors.append(linalg.factor_rows(c))
+        return row_factors[-1]
+
+    monkeypatch.setattr(qp_module, "factor_rows", recording_factor_rows)
     report = solve(problem, np.array([1.0, 0.5, 0.5, 0.5]))
     assert report.status is Status.CONVERGED
+    assert factored == factored_r == []  # no np.linalg.qr call
     distinct = {(rows.tobytes(), rows.shape) for rows in tight_rows}
-    keys = [(rows.tobytes(), rows.shape) for rows in factored]
+    keys = [(factor.rows.tobytes(), factor.rows.shape) for factor in row_factors]
     assert 1 < len(distinct) < len(tight_rows)  # some QPs repeat a row set
     assert len(set(keys)) == len(keys)  # no matrix is factored twice
-    assert distinct <= set(keys) and len(keys) == len(distinct) + 1
+    assert distinct == set(keys)
     # the QP applies R^-1 as a product, so its equality points make no LU
     # solve: every np.linalg.solve is the Newton step's solve_dense, one per
     # step, and each inversion is of the R of a factored row set, none twice
     assert not any(path == qp_module.__file__ for stack in solve_stacks for path, _ in stack)
     assert all((linalg.__file__, "solve_dense") in stack for stack in solve_stacks)
     assert len(solve_stacks) == len(report.iterations) - 1
-    assert all(any(a is r for r in factored_r) for a in inverted)
+    assert all(any(a is factor.r for factor in row_factors) for a in inverted)
     assert len({id(a) for a in inverted}) == len(inverted) <= len(keys)
 
 
@@ -342,14 +351,20 @@ def _nonlinear_g_problem():
 
 def test_carried_factor_misses_when_jg_changes_and_changes_nothing(monkeypatch):
     # with a nonlinear g the guessed rows of each QP differ from the rows
-    # the previous QP factored, so every seed takes its own QR; a run whose
-    # carried factors are stripped at the solve_qp seam takes as many QRs
-    # and the same path
+    # the previous QP factored, so every seed factors its own rows; a run
+    # whose carried factors are stripped at the solve_qp seam takes as many
+    # factorizations and the same path
     problem = _nonlinear_g_problem()
     original_solve_qp = newton.solve_qp
     runs = []
     for strip in (False, True):
-        factored = _recording_qr(monkeypatch)
+        factored = []
+
+        def recording_factor_rows(c, factored=factored):
+            factored.append(c)
+            return linalg.factor_rows(c)
+
+        monkeypatch.setattr(qp_module, "factor_rows", recording_factor_rows)
         qrs_per_call = []
 
         def recording(instance, strip=strip):
@@ -858,6 +873,32 @@ def test_solve_qp_infeasible_status():
     assert report.status is Status.QP_INFEASIBLE
 
 
+@pytest.mark.parametrize("g", [1e-9, 2e-10])
+def test_a_tiny_constraint_row_is_solved_not_called_infeasible(g):
+    # f(x) = x - 1 and g(x) = G x <= 0 from x0 = 0.3, G tiny: the solution
+    # is x = 0 with lam = 1/G.  The dual active-set floor called the row
+    # dependent and the first QP infeasible; the closed form solves it, and
+    # one Newton step lands on x = 0.  Checked against the KKT conditions.
+    # At G = 1e-10 the row's R equals the rank test's absolute tolerance
+    # RANK_TOL x max(1, max |C|), so that run still ends in
+    # SINGULAR_NEWTON_SYSTEM at the first Newton step
+    spec = AffineProblemSpec(
+        name="tiny-row",
+        m=np.eye(1),
+        q=np.array([-1.0]),
+        g_mat=np.array([[g]]),
+        h=np.zeros(1),
+        lower=np.array([-np.inf]),
+        upper=np.zeros(1),
+    )
+    report = solve(spec.build(), np.array([0.3]))
+    assert report.status is Status.CONVERGED
+    assert len(report.iterations) - 1 == 1
+    (x,), (lam,) = report.final_x, report.iterations[-1].lam
+    assert abs(x) <= 1e-15  # the solution x = 0, up to rounding
+    assert lam > 0.0 and abs((x - 1.0) + g * lam) <= 1e-15
+
+
 def test_solve_max_iter():
     report = solve(NCP, np.array([-0.1]), tol=1e-12, max_iter=1)
     assert report.status is Status.MAX_ITER
@@ -989,7 +1030,9 @@ def test_josephy_newton_ends_an_overflowing_subproblem_at_its_direction_step():
 def test_trajectory_digest_script_runs_and_compares(tmp_path):
     # the checked-in trajectory digest on 2 instances of each benchmark
     # generator: one line per instance, a run compared with itself differs
-    # nowhere, and one changed bit of final_x is reported
+    # nowhere, and one changed bit of final_x is reported.  With --rtol, a
+    # 1e-14 relative move of final_x passes (and fails without it), and a
+    # changed branch fails
     script = Path(__file__).resolve().parent / "trajectory_digest.py"
     out, edited = tmp_path / "digest.txt", tmp_path / "edited.txt"
 
@@ -1015,6 +1058,20 @@ def test_trajectory_digest_script_runs_and_compares(tmp_path):
     changed = digest("compare", str(out), str(edited))
     assert changed.returncode == 1
     assert "8 instances, 1 differ [('nl-few-bounds', '1')]" in changed.stdout
+    x = [float.fromhex(v) for v in lines[-1].split()[-1].split(",")]
+    moved = x[-1] + 1e-14 * max(1.0, max(abs(v) for v in x))
+    edited.write_text("\n".join([*lines[:-1], f"{head},{moved.hex()}"]) + "\n")
+    within = digest("compare", str(out), str(edited), "--rtol", "1e-12")
+    assert within.returncode == 0, within.stdout
+    assert "8 instances, 0 differ beyond rtol 1e-12 [], 1 moved within it" in within.stdout
+    exact = digest("compare", str(out), str(edited))
+    assert exact.returncode == 1 and "8 instances, 1 differ" in exact.stdout
+    fields = lines[0].split(" ")
+    fields[4] += "|II"
+    edited.write_text("\n".join([" ".join(fields), *lines[1:]]) + "\n")
+    branch = digest("compare", str(out), str(edited), "--rtol", "1e-12")
+    assert branch.returncode == 1
+    assert "8 instances, 1 differ beyond rtol 1e-12 [('vi-dense', '0')]" in branch.stdout
 
 
 def test_solve_reports_qp_update_cap_as_status():
@@ -1038,7 +1095,8 @@ def test_warm_started_solve_matches_cold_solve(monkeypatch):
     # solve seeds its first QP with the rows violated at u = -c and each
     # later QP with the previous iteration's active rows; a run whose QPs
     # drop the guess starts every QP cold and must take the same path, up
-    # to rounding
+    # to rounding.  A QP whose rows have disjoint supports takes the closed
+    # form, with no step and no seed, and records "closed"
     warm_flags = []
     original_solve_qp = newton.solve_qp
 
@@ -1047,7 +1105,11 @@ def test_warm_started_solve_matches_cold_solve(monkeypatch):
             if drop_guess:
                 instance = dataclasses.replace(instance, guess=None)
             sol = original_solve_qp(instance)
-            warm_flags.append(sol.warm)
+            if has_disjoint_rows(instance.jac):
+                assert (sol.iterations, sol.warm) == (0, False)
+                warm_flags.append("closed")
+            else:
+                warm_flags.append(sol.warm)
             return sol
 
         return record
@@ -1057,18 +1119,19 @@ def test_warm_started_solve_matches_cold_solve(monkeypatch):
     for _ in range(50):
         p = random_affine_problem(rng)
         cases.append((p, rng.uniform(-1, 1, p.n)))
-    seeded = first_warm = 0
+    seeded = first_warm = first_coupled = 0
     for problem, x0 in cases:
         warm_flags.clear()
         monkeypatch.setattr(newton, "solve_qp", recording(drop_guess=True))
         expected = solve(problem, x0)
-        assert not any(warm_flags)
+        assert True not in warm_flags
         warm_flags.clear()
         monkeypatch.setattr(newton, "solve_qp", recording(drop_guess=False))
         report = solve(problem, x0)
-        assert warm_flags[1:] == [True] * (len(warm_flags) - 1)
-        seeded += len(warm_flags) - 1
+        assert all(flag in (True, "closed") for flag in warm_flags[1:])
+        seeded += warm_flags[1:].count(True)
         first_warm += warm_flags[:1] == [True]
+        first_coupled += warm_flags[:1] != ["closed"]
         assert (report.status, len(report.iterations), report.message) == (
             expected.status, len(expected.iterations), expected.message
         )
@@ -1076,15 +1139,17 @@ def test_warm_started_solve_matches_cold_solve(monkeypatch):
         scale = max(1.0, float(np.max(np.abs(want))))
         assert np.max(np.abs(np.array(report.final_x) - want)) <= 1e-12 * scale
     assert seeded > 50
-    # the violated-row seed of every first QP is independent and kept
-    assert first_warm == len(cases)
+    # the violated-row seed of every first QP with coupled rows is
+    # independent and kept
+    assert first_warm == first_coupled > 20
 
 
 def test_first_qp_of_a_solve_is_seeded_and_takes_no_step(monkeypatch):
     # obstacle problem on a 1-d grid: f(x) = A x + 0.01 with A the 3-point
     # Laplacian, g(x) = x, D = [psi, inf).  At x0 = 0 the QP is separable,
-    # so the rows violated at u = -c are exactly its contact set: the seeded
-    # first call is an exact hit, where the cold call adds them one by one
+    # so the rows violated at u = -c are exactly its contact set: the
+    # active-set method's seeded first call is an exact hit, where its cold
+    # call adds them one by one.  solve_qp answers in closed form, no step
     n = 12
     h = 1.0 / (n + 1)
     lap = (2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) / h**2
@@ -1110,11 +1175,15 @@ def test_first_qp_of_a_solve_is_seeded_and_takes_no_step(monkeypatch):
     instance, first = calls[0]
     contact = np.flatnonzero(psi > -0.01)
     assert 0 < len(contact) < n
-    assert (first.iterations, first.warm) == (0, True)
-    cold = original_solve_qp(dataclasses.replace(instance, guess=None))
+    seeded = qp_module._active_set_qp(instance)
+    assert (seeded.iterations, seeded.warm) == (0, True)
+    cold = qp_module._active_set_qp(dataclasses.replace(instance, guess=None))
     assert (cold.iterations, cold.warm) == (len(contact), False)
-    assert first.active == cold.active
-    assert [j for j, a in enumerate(first.active) if a is Activity.AT_LOWER] == list(contact)
+    assert seeded.active == cold.active
+    assert [j for j, a in enumerate(seeded.active) if a is Activity.AT_LOWER] == list(contact)
+    assert (first.iterations, first.warm) == (0, False) and first.active == cold.active
+    for got, want in ((first.u, cold.u), (first.lam, cold.lam)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
 
 
 def test_solve_rejects_a_wrong_length_x0_before_any_callback():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_box, random_qp_instance
+from helpers import has_disjoint_rows, random_box, random_qp_instance
 from ssnewton.cones import Activity, BoxSet, normal_cone_membership, pattern_admits
 from ssnewton.errors import (
     CombinatorialBlowupError,
@@ -340,21 +340,27 @@ def _reference_path(inst):
 
 def test_active_set_path_matches_row_by_row_reference():
     # same verdicts, messages and step counts; u agrees up to rounding and
-    # the polish, which only the stacked solver applies
+    # the polish, which only the stacked solver applies.  Rows with
+    # disjoint supports (here s = 1) take the closed form in solve_qp
     rng = np.random.default_rng(5)
     instances = [random_qp_instance(rng) for _ in range(300)]
     instances += [_feasible_instance(rng) for _ in range(100)]
+    closed = 0
     for inst in instances:
         try:
             u_ref, steps_ref = _reference_path(inst)
         except QPInfeasibleError as exc:
             with pytest.raises(QPInfeasibleError, match=re.escape(str(exc))):
+                qp_module._active_set_qp(inst)
+            with pytest.raises(QPInfeasibleError):
                 solve_qp(inst)
             continue
-        sol = solve_qp(inst)
+        sol = qp_module._active_set_qp(inst)
         assert sol.iterations == steps_ref
         scale = 1.0 + float(np.max(np.abs(u_ref)))
         assert np.max(np.abs(sol.u - u_ref)) <= 1e-8 * scale
+        closed += _assert_closed_form_matches(inst, sol)
+    assert closed > 50
 
 
 def test_kkt_on_feasible_instances_with_dependent_rows():
@@ -484,6 +490,18 @@ def _assert_same_solution(warm, cold):
         assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
 
+def _assert_closed_form_matches(inst, reference):
+    """When ``inst``'s rows have disjoint supports, solve_qp answers it in
+    closed form, with no step and no seed, within 1e-12 of ``reference``
+    (an active-set solution); returns whether it did."""
+    if not has_disjoint_rows(inst.jac):
+        return False
+    closed = solve_qp(inst)
+    assert (closed.iterations, closed.warm) == (0, False)
+    _assert_same_solution(closed, reference)
+    return True
+
+
 def test_warm_start_matches_cold_start():
     # the solution of a strictly convex QP is unique, so any guess must give
     # the cold path's verdict, message, pattern, u and multiplier
@@ -518,13 +536,16 @@ def test_exact_guess_takes_no_step():
     # the lower row only
     inst = QPInstance(c=np.array([-1.0, 2.0, 3.0]), b=np.zeros(3), jac=np.eye(3),
                       box=BoxSet([-np.inf, -np.inf, 0.0], np.zeros(3)))
-    cold = solve_qp(inst)
+    cold = qp_module._active_set_qp(inst)
     assert cold.active == (Activity.AT_UPPER, Activity.INTERIOR, Activity.FIXED)
     assert cold.lam == pytest.approx([1.0, 0.0, -3.0], abs=1e-15)
-    warm = solve_qp(dataclasses.replace(inst, guess=(cold.active, cold.lam)))
+    guessed = dataclasses.replace(inst, guess=(cold.active, cold.lam))
+    warm = qp_module._active_set_qp(guessed)
     assert (cold.iterations, cold.warm) == (2, False)
     assert (warm.iterations, warm.warm) == (0, True)
     _assert_same_solution(warm, cold)
+    assert _assert_closed_form_matches(inst, cold)
+    assert _assert_closed_form_matches(guessed, warm)
 
 
 def test_warm_start_drops_rows_with_wrong_sign_multipliers():
@@ -533,10 +554,12 @@ def test_warm_start_drops_rows_with_wrong_sign_multipliers():
     inst = QPInstance(c=np.array([1.0, 1.0]), b=np.zeros(2), jac=np.eye(2),
                       box=BoxSet.nonpositive(2))
     guess = ((Activity.AT_UPPER, Activity.AT_UPPER), np.ones(2))
-    warm = solve_qp(dataclasses.replace(inst, guess=guess))
+    guessed = dataclasses.replace(inst, guess=guess)
+    warm = qp_module._active_set_qp(guessed)
     assert (warm.iterations, warm.warm) == (0, True)
-    _assert_same_solution(warm, solve_qp(inst))
+    _assert_same_solution(warm, qp_module._active_set_qp(inst))
     assert np.all(warm.u == -inst.c)
+    assert _assert_closed_form_matches(guessed, warm)
 
 
 def test_warm_start_continues_from_a_primal_infeasible_guess():
@@ -545,11 +568,13 @@ def test_warm_start_continues_from_a_primal_infeasible_guess():
     inst = QPInstance(c=np.array([-1.0, -1.0]), b=np.zeros(2), jac=np.eye(2),
                       box=BoxSet.nonpositive(2))
     guess = ((Activity.AT_UPPER, Activity.INTERIOR), np.array([1.0, 0.0]))
-    warm, cold = solve_qp(dataclasses.replace(inst, guess=guess)), solve_qp(inst)
+    guessed = dataclasses.replace(inst, guess=guess)
+    warm, cold = qp_module._active_set_qp(guessed), qp_module._active_set_qp(inst)
     assert (warm.iterations, cold.iterations) == (1, 2)
     assert warm.warm
     _assert_same_solution(warm, cold)
     _assert_same_solution(warm, brute_force_qp(inst))
+    assert _assert_closed_form_matches(guessed, warm)
 
 
 def _scaled_and_pinched(rng, inst):
@@ -632,14 +657,14 @@ def _planted_qp(rng, near_dependent):
     return inst, u0, jac[:m], lam
 
 
-def _solve_counting_qrs(inst):
-    """(solution or exception, number of np.linalg.qr calls)."""
-    with mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as qr:
+def _solve_counting_row_factors(inst):
+    """(solution or exception, number of factor_rows calls)."""
+    with mock.patch.object(qp_module, "factor_rows", wraps=factor_rows) as factored:
         try:
             result = solve_qp(inst)
         except (QPInfeasibleError, NonconvergenceError) as exc:
             result = exc
-    return result, qr.call_count
+    return result, factored.call_count
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -651,10 +676,11 @@ def _solve_counting_qrs(inst):
 def test_carried_factor_changes_no_bit_of_the_answer(seed, near_dependent, change):
     # a QP seeded with the previous solution's factor (the seed reuses its
     # Q, R and R^-1) returns exactly what it returns with the factor
-    # stripped from the guess (the seed takes its own QR, bitwise the same,
-    # and inverts its R).  The next QP keeps the rows and changes c: not at
-    # all, flipping the sign of some multipliers (the seed drops rows over
-    # one or more passes), or moving u0 by 10^U(-1, 1) (the loop steps)
+    # stripped from the guess (the seed factors the rows itself, bitwise
+    # the same, and inverts its R).  The next QP keeps the rows and changes
+    # c: not at all, flipping the sign of some multipliers (the seed drops
+    # rows over one or more passes), or moving u0 by 10^U(-1, 1) (the loop
+    # steps)
     rng = np.random.default_rng(seed)
     first, u0, tight, lam = _planted_qp(rng, near_dependent)
     prev = solve_qp(first)
@@ -666,10 +692,13 @@ def test_carried_factor_changes_no_bit_of_the_answer(seed, near_dependent, chang
     else:
         c = first.c
     guess = (prev.active, prev.lam, prev.factor)
-    hit, hit_qrs = _solve_counting_qrs(dataclasses.replace(first, c=c, guess=guess))
-    miss, miss_qrs = _solve_counting_qrs(dataclasses.replace(first, c=c, guess=guess[:2]))
-    # the guessed rows are the factored rows: the carried factor saves a QR
-    assert hit_qrs == miss_qrs - 1
+    hit, hit_factors = _solve_counting_row_factors(dataclasses.replace(first, c=c, guess=guess))
+    miss, miss_factors = _solve_counting_row_factors(
+        dataclasses.replace(first, c=c, guess=guess[:2])
+    )
+    # the guessed rows are the factored rows: the carried factor saves a
+    # factorization (a LAPACK QR, or the closed form of a single row)
+    assert hit_factors == miss_factors - 1
     if isinstance(miss, Exception):
         assert type(hit) is type(miss) and str(hit) == str(miss)
         return
@@ -679,18 +708,21 @@ def test_carried_factor_changes_no_bit_of_the_answer(seed, near_dependent, chang
     assert np.array_equal(hit.u, miss.u) and np.array_equal(hit.lam, miss.lam)
 
 
-def _solve_counting_factors(inst):
-    """(solution, factor_rows calls, np.linalg.inv calls) of one solve_qp."""
+def _solve_counting_factors(inst, solver=solve_qp):
+    """(solution, factor_rows calls, np.linalg.inv calls, np.linalg.qr calls)
+    of one call of ``solver``."""
     with mock.patch.object(qp_module, "factor_rows", wraps=factor_rows) as factored, \
-            mock.patch.object(np.linalg, "inv", wraps=np.linalg.inv) as inverted:
-        sol = solve_qp(inst)
-    return sol, factored.call_count, inverted.call_count
+            mock.patch.object(np.linalg, "inv", wraps=np.linalg.inv) as inverted, \
+            mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as qr:
+        sol = solver(inst)
+    return sol, factored.call_count, inverted.call_count, qr.call_count
 
 
 @pytest.mark.parametrize("rows", ["unit", "dense"])
 def test_a_warm_call_whose_guess_holds_factors_and_inverts_nothing(rows):
     # the guess carries the previous solution's factor: the seed reuses it,
-    # with its R^-1, the loop takes no step, and the tight rows reuse it too
+    # with its R^-1, the loop takes no step, and the tight rows reuse it
+    # too; on unit rows solve_qp's closed form reuses it as well
     rng = np.random.default_rng(3)
     if rows == "unit":  # an obstacle: u >= psi, separable
         n = 8
@@ -698,32 +730,39 @@ def test_a_warm_call_whose_guess_holds_factors_and_inverts_nothing(rows):
                            box=BoxSet(rng.uniform(-1, 1, n), np.full(n, np.inf)))
     else:
         first, *_ = _planted_qp(rng, near_dependent=False)
-    prev = solve_qp(first)
+    prev = qp_module._active_set_qp(first)
     assert prev.factor.rows.shape[0] > 0
-    warm, factored, inverted = _solve_counting_factors(
-        dataclasses.replace(first, guess=(prev.active, prev.lam, prev.factor))
-    )
+    guessed = dataclasses.replace(first, guess=(prev.active, prev.lam, prev.factor))
+    warm, factored, inverted, _ = _solve_counting_factors(guessed, qp_module._active_set_qp)
     assert (warm.iterations, warm.warm) == (0, True)
     assert (factored, inverted) == (0, 0)
     assert warm.factor is prev.factor and warm.active == prev.active
     assert np.allclose(warm.u, prev.u, rtol=0.0, atol=1e-12)
+    if rows == "unit":
+        closed, factored, inverted, qrs = _solve_counting_factors(guessed)
+        assert (factored, inverted, qrs) == (0, 0, 0) and closed.factor is prev.factor
+        assert _assert_closed_form_matches(guessed, warm)
 
 
 def test_a_violated_row_seed_of_unit_rows_factors_once_and_inverts_nothing():
     # for u >= psi the rows violated at u = -c are the answer: the seed's
-    # one QR has a diagonal R, so R^-1 takes no LAPACK inversion, and the
-    # tight rows are the active rows in order, so their factor is the seed's
+    # one factor is the closed form of unit rows (no LAPACK QR) with a
+    # diagonal R, so R^-1 takes no LAPACK inversion, and the tight rows are
+    # the active rows in order, so their factor is the seed's.  solve_qp's
+    # closed form factors the tight rows once, also without LAPACK
     rng = np.random.default_rng(4)
     n = 12
     inst = QPInstance(c=rng.uniform(-2, 2, n), b=np.zeros(n), jac=np.eye(n),
                       box=BoxSet(rng.uniform(-1, 1, n), np.full(n, np.inf)))
-    sol, factored, inverted = _solve_counting_factors(
-        dataclasses.replace(inst, guess=violated_guess(inst))
-    )
+    seeded = dataclasses.replace(inst, guess=violated_guess(inst))
+    sol, factored, inverted, qrs = _solve_counting_factors(seeded, qp_module._active_set_qp)
     assert (sol.iterations, sol.warm) == (0, True)
-    assert (factored, inverted) == (1, 0)
-    cold = solve_qp(inst)
+    assert (factored, inverted, qrs) == (1, 0, 0)
+    cold = qp_module._active_set_qp(inst)
     assert sol.active == cold.active and np.array_equal(sol.u, cold.u)
+    closed, factored, inverted, qrs = _solve_counting_factors(seeded)
+    assert (factored, inverted, qrs) == (1, 0, 0)
+    assert _assert_closed_form_matches(seeded, cold)
 
 
 def test_a_dependent_guess_is_ignored_each_time_its_factor_is_reused():
@@ -745,6 +784,133 @@ def test_a_dependent_guess_is_ignored_each_time_its_factor_is_reused():
     for _ in range(2):
         warm = solve_qp(seeded)
         assert not warm.warm and np.array_equal(warm.u, cold.u)
+
+
+def _disjoint_qp(rng, case, max_n, max_s, exponent):
+    """A QP whose rows have disjoint supports, row i of Jg, b and the
+    bounds scaled by 10^U(-exponent, exponent).
+
+    Each row owns at least one column and every other column belongs to one
+    row or to none; entries are +-U(0.5, 2), so row norms stay within the
+    stated scales.  ``case`` constructs what random draws give rarely or
+    never: "zero inside" and "zero outside" make row 0 zero with
+    e_0 = b_0 inside or outside its interval, "pinched" pins about half the
+    coordinates (FIXED), and "tie" puts a bound of every row exactly on e_i.
+    """
+    n = int(rng.integers(1, max_n + 1))
+    s = int(rng.integers(1, min(n, max_s) + 1))
+    owner = np.concatenate([np.arange(s), rng.integers(-1, s, n - s)])
+    rng.shuffle(owner)
+    jac = np.zeros((s, n))
+    cols = np.flatnonzero(owner >= 0)
+    jac[owner[cols], cols] = rng.choice([-1.0, 1.0], cols.size) * rng.uniform(0.5, 2, cols.size)
+    box = random_box(rng, s)
+    lo, hi = box.lower.copy(), box.upper.copy()
+    b = rng.uniform(-2, 2, s)
+    c = rng.uniform(-2, 2, n)
+    if case in ("zero inside", "zero outside"):
+        jac[0] = 0.0
+        lo[0], hi[0] = (b[0] - 1.0, np.inf) if case == "zero inside" else (b[0] + 1.0, b[0] + 2.0)
+    elif case == "pinched":
+        pinch = rng.random(s) < 0.5
+        lo[pinch] = hi[pinch] = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))[pinch]
+    sigma = 10.0 ** rng.uniform(-exponent, exponent, s)
+    jac, b, lo, hi = sigma[:, None] * jac, sigma * b, sigma * lo, sigma * hi
+    if case == "tie":
+        e = b - jac @ c  # the closed form's e, bit for bit
+        side = rng.integers(0, 3, s)
+        lo = np.where(side == 0, e, np.where(side == 1, -np.inf, e))
+        hi = np.where(side == 0, np.inf, np.where(side == 1, e, e + sigma))
+    return QPInstance(c=c, b=b, jac=jac, box=BoxSet(lo, hi))
+
+
+_CASES = st.sampled_from(["plain", "zero inside", "zero outside", "pinched", "tie"])
+
+
+def _assert_kkt(inst, sol):
+    """The KKT conditions of the QP, with tolerances relative to each row's
+    own scale: u + c + Jg^T lam = 0, d = b + Jg u in D, lam in N_D(d) and
+    lam in the normal cone of the returned pattern.  The tolerance on d
+    bounds the rounding of b + Jg (-c - Jg^T lam), whose terms may cancel."""
+    jac, lam, u = inst.jac, sol.lam, sol.u
+    size = np.abs(inst.c) + np.abs(jac.T) @ np.abs(lam)
+    assert np.all(np.abs(u + inst.c + jac.T @ lam) <= 1e-13 * size)
+    d = inst.b + jac @ u
+    tol = 1e-13 * (np.abs(inst.b) + np.abs(jac) @ size)
+    lo, hi = inst.box.lower, inst.box.upper
+    assert np.all((d >= lo - tol) & (d <= hi + tol))
+    assert np.all((lam <= 0.0) | (np.abs(d - hi) <= tol))
+    assert np.all((lam >= 0.0) | (np.abs(d - lo) <= tol))
+    assert pattern_admits(sol.active, lam, 0.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), case=_CASES)
+def test_separable_qp_matches_both_oracles(seed, case):
+    # rows scaled by 10^U(-3, 3): the closed form gives the brute-force
+    # oracle's answer (s <= 6) and the active-set method's (n <= 30), with
+    # the same verdict, pattern and degeneracy flag
+    rng = np.random.default_rng(seed)
+    small = _disjoint_qp(rng, case, 6, 6, 3.0)
+    large = _disjoint_qp(rng, case, 30, 30, 3.0)
+    for inst in (small, large):
+        assert has_disjoint_rows(inst.jac)
+        try:
+            sol = qp_module._separable_qp(inst)
+        except QPInfeasibleError as exc:
+            assert case == "zero outside" and exc.constraint == (0, "L")
+            with pytest.raises(QPInfeasibleError):
+                qp_module._active_set_qp(inst)
+            if inst is small:
+                with pytest.raises(QPInfeasibleError):
+                    brute_force_qp(inst)
+            continue
+        assert case != "zero outside"
+        assert (sol.iterations, sol.warm) == (0, False)
+        _assert_kkt(inst, sol)
+        _assert_same_solution(sol, qp_module._active_set_qp(inst))
+        if inst is small:
+            ref = brute_force_qp(inst)
+            scale = 1.0 + np.linalg.norm(ref.u)
+            assert np.max(np.abs(sol.u - ref.u)) <= 1e-8 * scale
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), case=_CASES)
+def test_separable_qp_meets_kkt_at_row_scales_from_1e_minus_8_to_1e8(seed, case):
+    # beyond the oracles' reach: the KKT conditions alone, each row at its
+    # own scale; only a zero row outside its interval is infeasible
+    inst = _disjoint_qp(np.random.default_rng(seed), case, 30, 30, 8.0)
+    e = inst.b - inst.jac @ inst.c
+    zero = ~inst.jac.any(axis=1)
+    outside = zero & ((e < inst.box.lower) | (e > inst.box.upper))
+    if outside.any():
+        i = int(np.argmax(outside))
+        side = "L" if e[i] < inst.box.lower[i] else "U"
+        with pytest.raises(QPInfeasibleError, match=f"constraint {side} on coordinate {i} "):
+            solve_qp(inst)
+        return
+    sol = solve_qp(inst)
+    assert (sol.iterations, sol.warm) == (0, False)
+    _assert_kkt(inst, sol)
+    assert np.all(sol.lam[zero] == 0.0)
+    if case == "tie":
+        assert np.all(sol.lam == 0.0) and np.all(sol.u == -inst.c)
+
+
+def test_a_tiny_row_gets_its_true_multiplier():
+    # c = -0.7, b = 3e-11, Jg = [[1e-10]], D = (-inf, 0]: u = -0.3 puts
+    # b + Jg u on the bound with lam = 1e10; the dual active-set floor
+    # called this row dependent and the QP infeasible.  Checked against the
+    # KKT conditions: brute_force_qp accepts the infeasible u = 0.7 within
+    # its absolute 1e-9 slack
+    inst = QPInstance(c=np.array([-0.7]), b=np.array([3e-11]), jac=np.array([[1e-10]]),
+                      box=BoxSet.nonpositive(1))
+    sol = solve_qp(inst)
+    assert sol.u == pytest.approx([-0.3], rel=1e-15)
+    assert sol.lam == pytest.approx([1e10], rel=1e-15)
+    assert sol.active == (Activity.AT_UPPER,)
+    _assert_kkt(inst, sol)
 
 
 def test_qp_sweep_script_runs_and_compares(tmp_path):

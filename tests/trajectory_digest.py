@@ -1,7 +1,7 @@
 """Trajectory digest: the first solves of every benchmark generator, bit for bit.
 
     python3 tests/trajectory_digest.py run OUT [--count 60] [--src DIR]
-    python3 tests/trajectory_digest.py compare A B
+    python3 tests/trajectory_digest.py compare A B [--rtol R]
 
 ``run`` solves instances 0 .. count-1 of each generator in
 ``perfbench/workloads.py``, drawn at seed 11 and solved from x0 = 0 with
@@ -15,7 +15,11 @@ always come from this checkout's ``perfbench``.
 
 ``compare`` matches the lines of two such files by (workload, index),
 prints how many differ and the first of them, and exits 1 when any line
-differs or either file has an instance the other lacks.
+differs or either file has an instance the other lacks.  With ``--rtol R``
+the status, the iteration count and the branches must still match exactly,
+but the multiplier and ``final_x`` may each move by R relative to
+max(1, max |before|), as ``tests/qp_sweep.py compare`` allows; it also
+prints how many lines moved within R and the largest move.
 
 Not collected by pytest; ``test_newton.py`` runs it on a few instances.
 """
@@ -67,14 +71,39 @@ def _read(path):
         return {tuple(line.split()[:2]): line for line in fh}
 
 
-def compare(a, b):
+def _move(before, after):
+    """The relative move of the multiplier and final_x between two lines
+    (see the module docstring), or None when anything else differs."""
+    old, new = before.rstrip("\n").split(" "), after.rstrip("\n").split(" ")
+    if old[:5] != new[:5]:
+        return None
+    move = 0.0
+    for field_old, field_new in zip(old[5:], new[5:]):
+        was = [float.fromhex(v) for v in field_old.split(",") if v]
+        now = [float.fromhex(v) for v in field_new.split(",") if v]
+        if len(was) != len(now):
+            return None
+        if was:
+            scale = max(1.0, max(abs(v) for v in was))
+            move = max(move, max(abs(p - q) for p, q in zip(was, now)) / scale)
+    return move
+
+
+def compare(a, b, rtol=None):
     old, new = _read(a), _read(b)
     if old.keys() != new.keys():
         print(f"different instances: {len(old.keys() ^ new.keys())} keys in only one file")
         return 1
     differ = [key for key, line in old.items() if new[key] != line]
-    print(f"{len(old)} instances, {len(differ)} differ {differ[:20]}")
-    return 1 if differ else 0
+    if rtol is None:
+        print(f"{len(old)} instances, {len(differ)} differ {differ[:20]}")
+        return 1 if differ else 0
+    moves = {key: _move(old[key], new[key]) for key in differ}
+    beyond = [key for key, move in moves.items() if move is None or move > rtol]
+    largest = max((move for move in moves.values() if move is not None), default=0.0)
+    print(f"{len(old)} instances, {len(beyond)} differ beyond rtol {rtol:g} {beyond[:20]}, "
+          f"{len(differ) - len(beyond)} moved within it, largest move {largest:.3g}")
+    return 1 if beyond else 0
 
 
 def main(argv=None):
@@ -87,9 +116,10 @@ def main(argv=None):
     p_cmp = sub.add_parser("compare")
     p_cmp.add_argument("a")
     p_cmp.add_argument("b")
+    p_cmp.add_argument("--rtol", type=float, default=None)
     args = parser.parse_args(argv)
     if args.mode == "compare":
-        return compare(args.a, args.b)
+        return compare(args.a, args.b, args.rtol)
     sys.path[:0] = [str(Path(args.src).resolve()), str(HERE.parent / "perfbench")]
     run(args.out, args.count)
     return 0

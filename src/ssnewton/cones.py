@@ -114,7 +114,7 @@ def activity(d, box, tol=ACTIVITY_TOL):
     if d.shape != (box.dim,):
         raise DimensionError(f"point has shape {d.shape}, box dimension is {box.dim}")
     lo, hi = box.lower, box.upper
-    outside = (d < lo - tol) | (d > hi + tol)
+    outside = ~((d >= lo - tol) & (d <= hi + tol))  # NaN is outside
     if outside.any():
         i = int(np.argmax(outside))
         raise InfeasiblePointError(
@@ -148,9 +148,9 @@ def _polar(cone):
 
 
 def _contains(cone, x, tol):
-    """Per coordinate, whether x lies in the interval widened by tol."""
+    """Per coordinate, whether x lies in the interval widened by tol (NaN never does)."""
     lower, upper = cone
-    return ~((x < lower - tol) | (x > upper + tol))
+    return (x >= lower - tol) & (x <= upper + tol)
 
 
 def pattern_admits(pattern, lam, tol=ACTIVITY_TOL):

@@ -8,18 +8,23 @@ wide matrix C come from one QR of C^T (:func:`factor_rows`, reduced;
 one rank test, :func:`require_full_row_rank`.  Rows with disjoint supports
 (:func:`disjoint_row_norms2`) are exactly orthogonal, and :func:`factor_rows`
 gives them the reduced QR Q = C^T D^-1, R = D = diag(||C_i||) with no
-LAPACK call.  A :class:`RowFactor` keeps C, Q, R, the rank verdict and, on
-first use, R^-1 together, so one factorization of a set of active rows
-serves every user of it (numpy has no triangular solve, so a triangular
-solve with R is a product with R^-1: the reciprocal diagonal when R is
-diagonal, as it is for rows with disjoint supports, else one LAPACK
-inversion).  The factor also carries the QP's dependence floor, tested
-once per factor however often it is reused (:attr:`RowFactor.dependent`).
-The bases carry no sign convention: every caller uses them only through
-quantities that do not change when they are rotated.  Square systems are
-solved by :func:`solve_dense` in one LAPACK LU call, which also certifies
-their regularity from a few fixed probe columns solved next to the
-right-hand side (:func:`_solve_regular`).
+LAPACK call; a caller that has already tested the supports and holds the
+squared norms builds that factor from them (:func:`_disjoint_factor`), so
+the test runs once.  A :class:`RowFactor` keeps C, Q, R, the rank verdict
+and, on first use, R^-1 and the row norms of C together, so one
+factorization of a set of active rows serves every user of it (numpy has
+no triangular solve, so a triangular solve with R is a product with R^-1:
+the reciprocal diagonal when R is diagonal, as it is for rows with
+disjoint supports, else one LAPACK inversion).  The factor also carries
+the QP's dependence floor, tested once per factor however often it is
+reused (:attr:`RowFactor.dependent`).  The bases carry no sign convention:
+every caller uses them only through quantities that do not change when
+they are rotated.  Square systems are solved by :func:`solve_dense` in one
+LAPACK LU call, which also certifies their regularity from a few fixed
+probe columns solved next to the right-hand side (:func:`_solve_regular`).
+Every matrix is checked for finite entries by the max and min of its
+entries that its scale needs anyway (a NaN makes both NaN), not by a
+separate ``isfinite`` pass.
 """
 
 import functools
@@ -36,13 +41,20 @@ PROBES = 3
 _TINY = np.finfo(float).tiny  # the smallest normal float
 
 
+def _max_abs(a):
+    """max |A| from max and min of A, with no |A| copy; NaN when A has a NaN."""
+    return float(max(a.max(), -a.min()))
+
+
 def _as_matrix(c):
+    """C as a 2-d float array with finite entries, and max |C| (0 when empty)."""
     c = np.asarray(c, dtype=float)
     if c.ndim != 2:
         raise DimensionError(f"expected a 2-d array, got ndim={c.ndim}")
-    if c.size and not np.isfinite(c).all():
+    top = _max_abs(c) if c.size else 0.0
+    if not top < np.inf:
         raise DimensionError("matrix entries must be finite")
-    return c
+    return c, top
 
 
 def require_full_row_rank(c, diag):
@@ -99,6 +111,11 @@ class RowFactor:
         return np.linalg.inv(self.r)
 
     @functools.cached_property
+    def row_norms(self):
+        """np.linalg.norm(C, axis=1), computed on first read."""
+        return np.linalg.norm(self.rows, axis=1)
+
+    @functools.cached_property
     def dependent(self):
         """Some row fails the dependence floor, read once per factor.
 
@@ -131,28 +148,41 @@ def disjoint_row_norms2(c):
     return norms2
 
 
+def _ranked(c, q, r):
+    """The :class:`RowFactor` of C^T = Q R with its verdict from the rank test."""
+    try:
+        require_full_row_rank(c, np.diagonal(r))
+    except RankDeficiencyError as exc:
+        return RowFactor(c, q, r, exc.with_traceback(None))
+    return RowFactor(c, q, r)
+
+
+def _disjoint_factor(c, norms2):
+    """The closed-form :class:`RowFactor` of rows with disjoint supports.
+
+    ``norms2`` is :func:`disjoint_row_norms2` of C, with no zero entry:
+    Q = C^T D^-1 and R = D = diag(sqrt(norms2)).
+    """
+    norms = np.sqrt(norms2)
+    return _ranked(c, c.T / norms, np.diag(norms))
+
+
 def factor_rows(c):
     """The :class:`RowFactor` of C.
 
     Rows with disjoint supports and no zero row (see
     :func:`disjoint_row_norms2`) have the reduced QR Q = C^T D^-1,
-    R = D = diag(||C_i||) in closed form; any other C takes one reduced
-    LAPACK QR of C^T.  Both go through the same rank test.
+    R = D = diag(||C_i||) in closed form (:func:`_disjoint_factor`); any
+    other C takes one reduced LAPACK QR of C^T.  Both go through the same
+    rank test.
     """
     m, n = c.shape
     if m > n:
         return RowFactor(c, None, None, _too_many_rows(m, n))
     norms2 = disjoint_row_norms2(c)
     if norms2 is not None and norms2.all():
-        norms = np.sqrt(norms2)
-        q, r = c.T / norms, np.diag(norms)
-    else:
-        q, r = np.linalg.qr(c.T)
-    try:
-        require_full_row_rank(c, np.diagonal(r))
-    except RankDeficiencyError as exc:
-        return RowFactor(c, q, r, exc.with_traceback(None))
-    return RowFactor(c, q, r)
+        return _disjoint_factor(c, norms2)
+    return _ranked(c, *np.linalg.qr(c.T))
 
 
 def nullspace_basis(c):
@@ -165,7 +195,7 @@ def nullspace_basis(c):
     more rows than columns (index n) or dependent rows (see
     :func:`require_full_row_rank`).
     """
-    c = _as_matrix(c)
+    c, _ = _as_matrix(c)
     m, n = c.shape
     if m > n:
         raise _too_many_rows(m, n)
@@ -182,25 +212,32 @@ def _probes(n):
     return probes
 
 
-def _solve_regular(a, rhs, error, what):
+@functools.lru_cache(maxsize=None)
+def _probe_norms(n):
+    """The norms of the columns of :func:`_probes` (n), read-only."""
+    norms = np.linalg.norm(_probes(n), axis=0)
+    norms.flags.writeable = False
+    return norms
+
+
+def _solve_regular(a, rhs, error, what, top):
     """LAPACK solve of A X = rhs behind a relative regularity check.
 
-    Raises ``error`` when sigma_min(A) is shown to be at most 1e-12 x
-    max(1, max |A|).  The PROBES fixed pseudo-random columns p_i of
-    :func:`_probes` are solved in the same LAPACK call as rhs, and each
-    ||p_i|| / ||A^{-1} p_i|| is an upper bound on sigma_min; the check uses
-    their minimum, so a "singular" verdict is never false.  An exactly zero
-    pivot reads as bound 0.  The probe columns do not change the solution
-    columns of rhs.  max |A| is read from max and min of A, with no |A| copy.
+    ``top`` is max |A|.  Raises ``error`` when sigma_min(A) is shown to be
+    at most 1e-12 x max(1, max |A|).  The PROBES fixed pseudo-random
+    columns p_i of :func:`_probes` are solved in the same LAPACK call as
+    rhs, and each ||p_i|| / ||A^{-1} p_i|| is an upper bound on sigma_min;
+    the check uses their minimum, so a "singular" verdict is never false.
+    An exactly zero pivot reads as bound 0.  The probe columns do not change
+    the solution columns of rhs.
     """
     n = a.shape[0]
-    tol = PIVOT_TOL * max(1.0, float(max(a.max(), -a.min())))
-    probes = _probes(n)
+    tol = PIVOT_TOL * max(1.0, top)
     try:
-        sol = np.linalg.solve(a, np.column_stack([rhs, probes]))
+        sol = np.linalg.solve(a, np.column_stack([rhs, _probes(n)]))
     except np.linalg.LinAlgError:
         sol = np.full((n, PROBES), np.inf)  # exactly zero pivot
-    ratios = np.linalg.norm(probes, axis=0) / np.linalg.norm(sol[:, -PROBES:], axis=0)
+    ratios = _probe_norms(n) / np.linalg.norm(sol[:, -PROBES:], axis=0)
     # a NaN ratio makes the minimum NaN, which then counts as singular
     bound = float(np.min(ratios))
     if not bound > tol:
@@ -214,9 +251,11 @@ def solve_dense(a, rhs):
     ``rhs`` is a vector or a matrix with one right-hand side per column.
     Raises :class:`SingularMatrixError` when any of the probes that
     :func:`_solve_regular` solves in the same LAPACK call shows
-    sigma_min(A) at most 1e-12 x matrix scale.
+    sigma_min(A) at most 1e-12 x matrix scale, and
+    :class:`DimensionError` when A is not a square matrix of finite entries
+    or rhs does not match it.
     """
-    a = _as_matrix(a)
+    a, top = _as_matrix(a)
     rhs = np.asarray(rhs, dtype=float)
     n = a.shape[0]
     if a.shape[1] != n:
@@ -225,22 +264,23 @@ def solve_dense(a, rhs):
         raise DimensionError(f"rhs has shape {rhs.shape}, expected ({n},) or ({n}, k)")
     if n == 0:
         return np.zeros(rhs.shape)
-    return _solve_regular(a, rhs, SingularMatrixError, "matrix is singular")
+    return _solve_regular(a, rhs, SingularMatrixError, "matrix is singular", top)
 
 
 def pseudo_inverse_full_row_rank(c):
     """Moore-Penrose inverse C^T (C C^T)^{-1} of a full-row-rank matrix."""
-    c = _as_matrix(c)
+    c, _ = _as_matrix(c)
     m, n = c.shape
     if m == 0:
         return np.zeros((n, 0))
     gram = c @ c.T
-    return _solve_regular(gram, c, RankDeficiencyError, "matrix does not have full row rank").T
+    what = "matrix does not have full row rank"
+    return _solve_regular(gram, c, RankDeficiencyError, what, _max_abs(gram)).T
 
 
 def smallest_singular_value(c):
     """Smallest singular value of C; +inf for an empty matrix by convention."""
-    c = _as_matrix(c)
+    c, _ = _as_matrix(c)
     if 0 in c.shape:
         return np.inf
     return float(np.linalg.svd(c, compute_uv=False)[-1])

@@ -13,7 +13,13 @@ and alpha = max(1, max |JL|).  C and its QR are the QP's: the QP's
 :class:`ssnewton.linalg.RowFactor` of its tight rows holds both, its
 rank verdict serves both the QP's degeneracy flag and the step's, and the
 next QP's seed reuses it while the rows stay the same, so one active set
-costs one factorization.  The outer loop,
+costs one factorization.  W is not formed on the solve path: W^T y is the
+tight entries of y times their signs, and D is the factor's cached row
+norms.  Each value is checked once per iteration: f, g and Jg for
+finiteness by the QP instance, Jf and Hg through the max and min of JL
+that alpha needs, and M through the max and min of its pivot tolerance;
+only a failed check reads the values again, to name the callback and its
+first bad entry.  The outer loop,
 :func:`drive`, is shared with the baselines: each method supplies only how
 to measure an iterate and how to step from it.
 
@@ -23,11 +29,12 @@ are redundant for solving -- the n x n system is algebraically equivalent --
 and serve as cross-check oracles for it.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import basis_for_pattern, pattern_summary
+from .cones import basis_for_pattern, normal_signs, pattern_summary
 from .errors import (
     DegeneracyError,
     DimensionError,
@@ -40,7 +47,7 @@ from .errors import (
     UnsolvableSubproblemError,
 )
 from .linalg import RowFactor, nullspace_basis, pseudo_inverse_full_row_rank, solve_dense
-from .problems import eval_f, eval_g, eval_jg, lagrangian_jacobian
+from .problems import _check_reads, _lagrangian_jacobian_and_max, _read, lagrangian_jacobian
 from .qp import QPInstance, _violated_guess, solve_qp
 from .reports import IterationRecord, SolveReport, Status
 
@@ -82,8 +89,7 @@ class ApproxResult:
 
 @dataclass(frozen=True, eq=False)
 class NewtonWorkspace:
-    w: np.ndarray  # basis of span N_D(d_hat), one signed unit per active coord
-    q1: np.ndarray  # orthonormal basis of range((w^T Jg)^T)
+    q1: np.ndarray  # orthonormal basis of range(C^T), C = W^T Jg the tight rows
     reduced_matrix: np.ndarray
     reduced_rhs: np.ndarray
 
@@ -97,16 +103,27 @@ def approximation_step(problem, x, guess=None):
     unconstrained minimum (:func:`violated_guess`).  The guess's factor goes
     with it, so the seed reuses that QR when the guessed rows have not
     changed.  The QP's solution does not depend on the seed.
+
+    f, g and Jg are checked once: each shape as its callback returns, and
+    their finiteness by :class:`QPInstance`.  When it rejects them, they
+    are read again in that order by the checks of ``eval_f``, ``eval_g``
+    and ``eval_jg``, so the error names the callback and its first
+    non-finite entry as those do.
     """
     x = np.asarray(x, dtype=float)
-    c = eval_f(problem, x)
-    b = eval_g(problem, x)
-    jac = eval_jg(problem, x)
+    reads = _read(problem, ("f", "g", "jg"), x)
+    c, b, jac = (value for value, _, _ in reads)
     if guess is None:
-        seed = _violated_guess(c, b, jac, problem.box)
+        with np.errstate(over="ignore", invalid="ignore"):  # used only if QPInstance accepts
+            seed = _violated_guess(c, b, jac, problem.box)
     else:
         seed = (guess.pattern, guess.lam_hat, guess.factor)
-    qp = solve_qp(QPInstance(c=c, b=b, jac=jac, box=problem.box, guess=seed))
+    try:
+        instance = QPInstance(c=c, b=b, jac=jac, box=problem.box, guess=seed)
+    except DimensionError:
+        _check_reads(reads)
+        raise
+    qp = solve_qp(instance)
     d_hat = b + jac @ qp.u
     p_star = c + jac.T @ qp.lam
     return ApproxResult(
@@ -120,6 +137,17 @@ def approximation_step(problem, x, guess=None):
         jac_g=jac,
         factor=qp.factor,
     )
+
+
+def _norm(v):
+    """np.linalg.norm of a vector, bit for bit and without its overhead.
+
+    Like it, this is the BLAS dot product of a contiguous copy: BLAS sums a
+    strided vector, such as a column of :func:`solve_dense`'s solution, in
+    another order.
+    """
+    v = v.ravel()
+    return math.sqrt(v @ v)
 
 
 def _degeneracy(exc):
@@ -153,26 +181,30 @@ def newton_workspace(problem, approx, out=None):
     rounding in the projection of JL does not swamp a small C row.  C and
     Q1 (``approx.q1``) come from the QP's factor: no QR is taken here, and
     a :class:`DegeneracyError` is raised exactly when the QP set
-    ``degenerate_multiplier``.  alpha is read from max and min of JL (no
-    |JL| copy); a JL that overflowed to +-inf raises
-    :class:`EvaluationError`.  JL is summed into ``out`` when one is given
-    (see :func:`lagrangian_jacobian`), and M overwrites JL in that array
-    with the operations of the out-of-place expression, in the same order.
+    ``degenerate_multiplier``.  alpha is read from the max and min of JL
+    that also check Jf and Hg for finiteness (no |JL| copy); a JL that
+    overflowed to +-inf raises :class:`EvaluationError`.  D comes from the
+    factor (:attr:`ssnewton.linalg.RowFactor.row_norms`), and W^T y_g is
+    read from the signs of the pattern, with no dense W.  JL is summed into
+    ``out`` when one is given (see :func:`lagrangian_jacobian`), and M
+    overwrites JL in that array with the operations of the out-of-place
+    expression, in the same order.
     """
     n = problem.n
-    jac_l = lagrangian_jacobian(problem, approx.x_hat, approx.lam_hat, out)
-    w = basis_for_pattern(approx.pattern)
+    jac_l, top = _lagrangian_jacobian_and_max(problem, approx.x_hat, approx.lam_hat, out)
     c = approx.factor.rows
     q1 = approx.q1
-    alpha = max(1.0, float(max(jac_l.max(), -jac_l.min())))
+    alpha = max(1.0, top)
     if alpha == np.inf:  # a sum of finite arrays overflows to +-inf, never NaN
         raise EvaluationError(f"{problem.name}: Jf + Hg overflows")
-    scale = alpha / np.linalg.norm(c, axis=1)
-    y_p = approx.y_hat[:n]
+    scale = alpha / approx.factor.row_norms
+    signs = normal_signs(approx.pattern)
+    tight = np.flatnonzero(signs)
+    y_p, y_g = approx.y_hat[:n], approx.y_hat[n:]
     with np.errstate(over="ignore", invalid="ignore"):  # newton_step checks M
         matrix = np.subtract(jac_l, q1 @ (q1.T @ jac_l - scale[:, None] * c), out=jac_l)
-    rhs = q1 @ (q1.T @ y_p - scale * (w.T @ approx.y_hat[n:])) - y_p
-    return NewtonWorkspace(w=w, q1=q1, reduced_matrix=matrix, reduced_rhs=rhs)
+    rhs = q1 @ (q1.T @ y_p - scale * (signs[tight] * y_g[tight])) - y_p
+    return NewtonWorkspace(q1=q1, reduced_matrix=matrix, reduced_rhs=rhs)
 
 
 def newton_step(workspace):
@@ -311,7 +343,7 @@ def drive(x0, n, measure, direction, tol, max_iter):
                 IterationRecord(k, tuple(x.tolist()), residual, 0.0, lam, branch)
             )
             break
-        step_norm = float(np.linalg.norm(step))
+        step_norm = _norm(step)
         rate = step_norm / prev_step**2 if prev_step > 0 else None
         records.append(
             IterationRecord(
@@ -352,7 +384,7 @@ def solve(problem, x0, tol=1e-10, max_iter=50, approximation=approximation_step)
     def measure(x):
         nonlocal previous
         approx = previous = approximation(problem, x, previous)
-        residual = float(np.linalg.norm(approx.u_hat))
+        residual = _norm(approx.u_hat)
         return residual, approx.lam_hat, pattern_summary(approx.pattern), approx
 
     def direction(approx, k):

@@ -28,7 +28,7 @@ from .errors import (
     ProblemFormatError,
     RankDeficiencyError,
 )
-from .linalg import nullspace_basis, smallest_singular_value
+from .linalg import _max_abs, nullspace_basis, smallest_singular_value
 
 HESSIAN_SYMMETRY_TOL = 1e-10
 REGULARITY_TOL = 1e-10
@@ -74,6 +74,33 @@ def _checked(value, shape, label):
     return value
 
 
+def _check_reads(reads):
+    """Pass each (value, shape, label) of :func:`_read` through :func:`_checked`, in order."""
+    for value, shape, label in reads:
+        _checked(value, shape, label)
+
+
+def _read(problem, names, x, lam=None):
+    """The named callbacks' values at x, as (value, shape, label) triples in call order.
+
+    Each value's shape is checked as it returns; finiteness is left to the
+    caller, which hands the triples to :func:`_check_reads` on finding a
+    non-finite value.  A wrong shape raises the error that ``eval_*`` would
+    have raised reading the same values: an earlier value's non-finite
+    entry comes first.
+    """
+    n, s = problem.n, problem.s
+    shapes = {"f": (n,), "jf": (n, n), "g": (s,), "jg": (s, n), "hg": (n, n)}
+    reads = []
+    for name in names:
+        args = (x, lam) if name == "hg" else (x,)
+        value = np.asarray(getattr(problem, name)(*args), dtype=float)
+        reads.append((value, shapes[name], f"{problem.name}: {name}"))
+        if value.shape != shapes[name]:
+            _check_reads(reads)
+    return reads
+
+
 def eval_f(problem, x):
     return _checked(problem.f(x), (problem.n,), f"{problem.name}: f")
 
@@ -96,12 +123,17 @@ def eval_hg(problem, x, lam):
     Exact test first, then the relative test only when that one fails.
     """
     h = _checked(problem.hg(x, lam), (problem.n, problem.n), f"{problem.name}: hg")
+    _require_symmetric(problem, h)
+    return h
+
+
+def _require_symmetric(problem, h):
+    """Raise unless the finite Hg ``h`` passes :func:`eval_hg`'s symmetry test."""
     if not np.array_equal(h, h.T):  # an empty Hg is exactly symmetric
         asym = float(np.max(np.abs(h - h.T)))
         # the scale is read only when the absolute test fails
         if asym > HESSIAN_SYMMETRY_TOL and asym > HESSIAN_SYMMETRY_TOL * np.max(np.abs(h)):
             raise EvaluationError(f"{problem.name}: hg is not symmetric")
-    return h
 
 
 @dataclass(frozen=True)
@@ -115,12 +147,35 @@ def lagrangian_jacobian(problem, x, lam, out=None):
 
     The sum goes to ``out``, an n x n float array, when one is given (a
     solve refills one array at every step); the callbacks' arrays are never
-    written into.  An overflowing sum is +-inf, with no RuntimeWarning
+    written into.  Jf and Hg are checked as :func:`eval_jf` and
+    :func:`eval_hg` check them, with the same errors in the same order.  An
+    overflowing sum of finite terms is +-inf, with no RuntimeWarning
     (:func:`ssnewton.newton.newton_workspace` raises on it).
     """
-    jac_f, hess_g = eval_jf(problem, x), eval_hg(problem, x, lam)
-    with np.errstate(over="ignore"):  # finite + finite is never NaN
-        return np.add(jac_f, hess_g, out=out)
+    return _lagrangian_jacobian_and_max(problem, x, lam, out)[0]
+
+
+def _lagrangian_jacobian_and_max(problem, x, lam, out=None):
+    """:func:`lagrangian_jacobian` and its max |entry| (0 when n = 0).
+
+    The terms are added first and checked through their sum: its max and
+    min, which max |JL| needs anyway, are NaN or +-inf when a term is not
+    finite (NaN propagates through both), and a finite sum has finite
+    terms.  Only a sum that is not finite sends Jf and Hg through
+    :func:`_checked`, so a non-finite term is named as ``eval_jf`` and
+    ``eval_hg`` name it, and a sum of finite terms that overflowed comes
+    back as it is.  Hg's symmetry is tested once both terms are known to be
+    finite.
+    """
+    reads = _read(problem, ("jf", "hg"), x, lam)
+    (jac_f, _, _), (hess_g, _, _) = reads
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is checked below
+        jac_l = np.add(jac_f, hess_g, out=out)
+    top = _max_abs(jac_l) if jac_l.size else 0.0
+    if not top < np.inf:
+        _check_reads(reads)
+    _require_symmetric(problem, hess_g)
+    return jac_l, top
 
 
 def lagrangian(problem, x, lam):

@@ -101,7 +101,7 @@ from .cones import (
     pattern_of,
 )
 from .errors import DimensionError, NonconvergenceError, QPInfeasibleError
-from .linalg import DEP_REL_TOL, RowFactor, disjoint_row_norms2, factor_rows
+from .linalg import DEP_REL_TOL, RowFactor, _disjoint_factor, disjoint_row_norms2, factor_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,10 +194,17 @@ def _rows(instance, finite):
     return sign[:, None] * instance.jac[coord], offset, coord, sign
 
 
-def _factor_of(rows, held):
-    """``held`` when its rows are bitwise ``rows``, else the factor of ``rows``."""
+def _factor_of(rows, held, norms2=None):
+    """``held`` when its rows are bitwise ``rows``, else the factor of ``rows``.
+
+    ``norms2``, when given, is :func:`ssnewton.linalg.disjoint_row_norms2`
+    of ``rows``, already read: with no zero row it gives the closed-form
+    factor without testing the supports again.
+    """
     if held is not None and np.array_equal(held.rows, rows):
         return held
+    if norms2 is not None and norms2.all():
+        return _disjoint_factor(rows, norms2)
     return factor_rows(rows)
 
 
@@ -290,8 +297,9 @@ def _separable_qp(instance):
     row has multiplier 0 when e_i lies in its interval and is infeasible
     otherwise: that row is the certificate.  The pattern is
     ``activity(d, box)``, ``iterations`` is 0 and ``warm`` False, and the
-    factor is the tight rows' (the guess's when its rows are those).  Rows
-    whose squared norms leave the normal floats give None (see
+    factor is the tight rows' (the guess's when its rows are those), built
+    from the squared norms already read, so the supports are tested once.
+    Rows whose squared norms leave the normal floats give None (see
     :func:`ssnewton.linalg.disjoint_row_norms2`).
     """
     c, jac, box = instance.c, instance.jac, instance.box
@@ -316,7 +324,11 @@ def _separable_qp(instance):
     signed = normal_signs(pattern)
     tight = np.flatnonzero(signed)
     held = None if instance.guess is None else instance.guess[2]
-    factor = _factor_of(signed[tight, None] * jac[tight], held)
+    # einsum sums a row in an order that follows the array's layout, so
+    # Jg's squared norms are the tight rows' (a C-ordered copy) only when
+    # Jg is C-ordered too; otherwise factor_rows reads them again
+    known = norms2[tight] if jac.flags.c_contiguous else None
+    factor = _factor_of(signed[tight, None] * jac[tight], held, known)
     return QPSolution(u=u, lam=lam, active=pattern, iterations=0, factor=factor)
 
 

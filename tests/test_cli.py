@@ -259,3 +259,15 @@ def test_check_command_with_lambda0(capsys):
 def test_check_infeasible_point(capsys):
     assert main(["check", "--problem", "ncp-paper", "--x0", "1"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_check_rejects_a_nan_multiplier(capsys):
+    # a NaN multiplier lies in no normal cone, so the check exits 1 and
+    # prints no verdict
+    argv = ["check", "--problem", "kojima-shindo", "--x0", "1,0,3,0"]
+    assert main(argv) == 0
+    assert "second-order overall: PASS" in capsys.readouterr().out
+    assert main([*argv, "--lambda0", "nan,0,0,0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: multiplier is not in the normal cone at g(x)\n"

@@ -285,3 +285,56 @@ def test_polyhedral_exactness_spot():
     assert polyhedral_defect_scan(np.zeros(1), np.zeros(1), NEG) == 0.0
     box = BoxSet([-1.0, 0.0], [1.0, 0.0])
     assert polyhedral_defect_scan(np.array([1.0, 0.0]), np.array([0.0, -2.0]), box) == 0.0
+
+
+NAN = np.nan
+BOX2 = BoxSet([0.0, 0.0], [2.0, 2.0])
+ORTHANT2 = BoxSet([0.0, 0.0], [np.inf, np.inf])
+
+
+def test_a_nan_coordinate_is_outside_every_box():
+    # a NaN compares false both ways, so it must fail the inside test, not
+    # pass the outside one
+    for box in (BOX2, ORTHANT2, BoxSet([-np.inf, -np.inf], [np.inf, np.inf])):
+        with pytest.raises(InfeasiblePointError) as info:
+            activity([NAN, 1.0], box)
+        assert info.value.coord == 0
+        with pytest.raises(InfeasiblePointError):
+            span_normal_basis([1.0, NAN], box)
+        assert not box.contains([NAN, 1.0])
+
+
+@pytest.mark.parametrize(
+    "pattern", [(Activity.INTERIOR,), (Activity.AT_LOWER,), (Activity.AT_UPPER,), (Activity.FIXED,)]
+)
+def test_a_nan_multiplier_is_in_no_normal_cone(pattern):
+    # even the line of a fixed coordinate holds no NaN
+    assert pattern_admits(pattern, [0.0])
+    assert not pattern_admits(pattern, [NAN])
+    assert not pattern_admits(pattern, [NAN], tol=np.inf)
+
+
+def test_nan_is_rejected_by_every_cone_test():
+    d, lam = np.array([0.0, 1.0]), np.array([-1.0, 0.0])  # coordinate 0 at its lower bound
+    assert normal_cone_membership(d, lam, ORTHANT2)
+    assert not normal_cone_membership(d, [NAN, 0.0], ORTHANT2)
+    assert not normal_cone_membership(d, [-1.0, NAN], ORTHANT2)
+    with pytest.raises(InfeasiblePointError):
+        normal_cone_membership([NAN, 1.0], lam, ORTHANT2)
+    assert critical_cone_membership([0.0, 0.5], d, lam, ORTHANT2)
+    assert not critical_cone_membership([0.0, NAN], d, lam, ORTHANT2)
+    with pytest.raises(InvalidMultiplierError):
+        critical_cone_membership([0.0, 0.5], d, [NAN, 0.0], ORTHANT2)
+    with pytest.raises(InvalidMultiplierError):
+        enumerate_face_index_sets(d, [NAN, 0.0], ORTHANT2)
+    assert regular_coderivative_nd(d, lam, [0.0, 0.5], [1.0, 0.0], ORTHANT2)
+    assert not regular_coderivative_nd(d, lam, [0.0, NAN], [1.0, 0.0], ORTHANT2)
+    assert not regular_coderivative_nd(d, lam, [0.0, 0.5], [NAN, 0.0], ORTHANT2)
+    with pytest.raises(InvalidElementError, match="direction component 1"):
+        semismooth_star_defect((d, lam), (d, lam), ([0.0, NAN], [1.0, 0.0]), ORTHANT2)
+    with pytest.raises(InvalidElementError, match="output component 0"):
+        semismooth_star_defect((d, lam), (d, lam), ([0.0, 0.0], [NAN, 0.0]), ORTHANT2)
+    with pytest.raises(InvalidMultiplierError):
+        polyhedral_defect_scan(d, [NAN, 0.0], ORTHANT2)
+    with pytest.raises(InfeasiblePointError):
+        polyhedral_defect_scan([NAN, 1.0], lam, ORTHANT2)

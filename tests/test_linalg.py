@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from ssnewton.linalg import (
     PIVOT_TOL,
     RANK_TOL,
     RowFactor,
+    _probe_norms,
     _probes,
     factor_rows,
     nullspace_basis,
@@ -355,6 +358,54 @@ def test_solve_dense_makes_one_lapack_call_and_no_qr(monkeypatch):
     pseudo_inverse_full_row_rank(np.array([[1.0, 2.0, 0.0]]))
     # each call carries the right-hand sides and the three probes
     assert calls == [(3, 4), (3, 4), (1, 6)]
+
+
+def test_solve_dense_checks_finiteness_by_its_scale_and_reads_probe_norms_once():
+    # the max and min that give the pivot tolerance also reject a non-finite
+    # A, so solve_dense makes no np.isfinite call; the probe columns' norms
+    # are computed once per n, so a solve takes one np.linalg.norm call,
+    # for the solved probes
+    rng = np.random.default_rng(5)
+    n = 7
+    a = rng.standard_normal((n, n)) + n * np.eye(n)
+    solve_dense(a, np.ones(n))  # the first solve of size n may compute them
+    with mock.patch.object(np, "isfinite", wraps=np.isfinite) as finite, \
+            mock.patch.object(np.linalg, "norm", wraps=np.linalg.norm) as norm:
+        for _ in range(3):
+            solve_dense(a, np.ones(n))
+    assert (finite.call_count, norm.call_count) == (0, 3)
+    norms = _probe_norms(n)
+    assert np.array_equal(norms, np.linalg.norm(_probes(n), axis=0))
+    assert _probe_norms(n) is norms and not norms.flags.writeable
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 3), (3, 2)], ids=["square", "wide", "tall"])
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_solve_dense_names_non_finite_entries_before_the_shape(shape, entry):
+    # a non-finite entry is reported as such, also in a matrix that is not
+    # square, and no RuntimeWarning escapes
+    a = np.ones(shape)
+    a[1, 1] = entry
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DimensionError, match=r"^matrix entries must be finite$"):
+            solve_dense(a, np.ones(3))
+        for check in (nullspace_basis, pseudo_inverse_full_row_rank, smallest_singular_value):
+            with pytest.raises(DimensionError, match=r"^matrix entries must be finite$"):
+                check(a)
+    assert [str(w.message) for w in caught] == []
+    with pytest.raises(DimensionError, match=r"^matrix must be square, got \(2, 3\)$"):
+        solve_dense(np.ones((2, 3)), np.ones(2))
+
+
+def test_row_norms_are_read_once_per_factor():
+    # the Newton workspace's D; computed on first read, as np.linalg.norm does
+    for rows in (np.array([[3.0, 4.0, 0.0], [0.0, 0.0, -2.0]]), np.array([[1.0, 2.0], [3.0, 1.0]])):
+        factor = factor_rows(rows)
+        with mock.patch.object(np.linalg, "norm", wraps=np.linalg.norm) as norm:
+            first, second = factor.row_norms, factor.row_norms
+        assert norm.call_count == 1 and first is second
+        assert np.array_equal(first, np.linalg.norm(rows, axis=1))
 
 
 def test_pseudo_inverse_examples():

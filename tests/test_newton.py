@@ -103,8 +103,9 @@ def test_approximation_step_invariants():
 
 
 def test_workspace_interior_branch():
-    ws = newton_workspace(NCP, approximation_step(NCP, np.array([-0.1])))
-    assert ws.w.shape == (1, 0)
+    ap = approximation_step(NCP, np.array([-0.1]))
+    ws = newton_workspace(NCP, ap)
+    assert basis_for_pattern(ap.pattern).shape == (1, 0)
     assert ws.q1.shape == (1, 0)
     assert np.allclose(ws.reduced_matrix, [[-0.8]], atol=1e-15)
     assert np.allclose(ws.reduced_rhs, [-0.09], atol=1e-15)
@@ -116,7 +117,7 @@ def test_workspace_active_branch():
     # border alpha D^{-1} C alone, with alpha = max(1, |JL|) = 1.025
     ap = approximation_step(NCP, np.array([0.0125]))
     ws = newton_workspace(NCP, ap)
-    assert np.allclose(ws.w, [[1.0]])
+    assert np.allclose(basis_for_pattern(ap.pattern), [[1.0]])
     assert np.allclose(np.abs(ws.q1), [[1.0]])
     assert np.allclose(ws.reduced_matrix, [[1.025]], atol=1e-15)
     assert np.allclose(ws.reduced_rhs, [-1.025 * 0.0125], atol=1e-15)
@@ -129,7 +130,7 @@ def test_workspace_both_bounds_active():
     assert ap.pattern == (Activity.AT_UPPER, Activity.AT_UPPER)
     assert np.all(ap.lam_hat > 0)
     ws = newton_workspace(BOXVI, ap)
-    assert np.allclose(ws.w, np.eye(2))
+    assert np.allclose(basis_for_pattern(ap.pattern), np.eye(2))
     assert np.max(np.abs(ws.q1.T @ ws.q1 - np.eye(2))) <= 1e-15
     assert np.max(np.abs(ws.q1 @ ws.q1.T - np.eye(2))) <= 1e-15
     assert np.allclose(ws.reduced_matrix, np.eye(2), atol=1e-15)
@@ -203,7 +204,7 @@ def test_newton_workspace_takes_no_qr_and_a_solve_one_qr_per_tight_row_set(monke
     factored = _recording_qr(monkeypatch)
     monkeypatch.setattr(newton, "nullspace_basis", forbidden)
     ws = newton_workspace(p, ap)
-    assert ws.w.shape == (2, 1)
+    assert ws.q1.shape == (2, 1)
     assert factored == []
     # over a whole solve with an affine g, each distinct set of tight rows is
     # factored exactly once: the next QP and the Newton step reuse the
@@ -228,7 +229,13 @@ def test_newton_workspace_takes_no_qr_and_a_solve_one_qr_per_tight_row_set(monke
         row_factors.append(linalg.factor_rows(c))
         return row_factors[-1]
 
+    def recording_disjoint_factor(c, norms2):
+        row_factors.append(linalg._disjoint_factor(c, norms2))
+        return row_factors[-1]
+
+    # the closed form builds its factors from the norms it holds
     monkeypatch.setattr(qp_module, "factor_rows", recording_factor_rows)
+    monkeypatch.setattr(qp_module, "_disjoint_factor", recording_disjoint_factor)
     report = solve(problem, np.array([1.0, 0.5, 0.5, 0.5]))
     assert report.status is Status.CONVERGED
     assert factored == factored_r == []  # no np.linalg.qr call
@@ -488,7 +495,8 @@ def test_workspace_orthogonality_invariants():
         x = rng.uniform(-0.5, 0.5, p.n)
         ap = approximation_step(p, x)
         ws = newton_workspace(p, ap)
-        c = ws.w.T @ p.jg(x)
+        w = basis_for_pattern(ap.pattern)
+        c = w.T @ p.jg(x)
         m = c.shape[0]
         active += m > 0
         assert ws.q1.shape == (p.n, m)
@@ -505,7 +513,7 @@ def test_workspace_orthogonality_invariants():
         assert np.max(np.abs(u.T @ ws.reduced_matrix - want)) <= 1e-14 * alpha
         y_p, y_g = ap.y_hat[: p.n], ap.y_hat[p.n :]
         want_rhs = np.concatenate(
-            [-(z.T @ y_p), -alpha * (ws.w.T @ y_g) / np.linalg.norm(c, axis=1)]
+            [-(z.T @ y_p), -alpha * (w.T @ y_g) / np.linalg.norm(c, axis=1)]
         )
         size = 1.0 + np.max(np.abs(ap.y_hat))
         assert np.max(np.abs(u.T @ ws.reduced_rhs - want_rhs)) <= 1e-14 * alpha * size
@@ -1025,6 +1033,169 @@ def test_josephy_newton_ends_an_overflowing_subproblem_at_its_direction_step():
     assert report.status is Status.EVALUATION_FAILED
     assert report.message == "direction step at iteration 0: huge: Jf + Hg overflows"
     assert len(report.iterations) == 1 and report.iterations[0].step_norm == 0.0
+
+
+X0 = np.array([0.3, 0.3])  # box-vi-2d converges from here in one step
+
+
+def _poisoned(problem, name, entry, value, iteration):
+    """``problem`` whose callback ``name`` puts ``value`` at ``entry`` at
+    iteration 0 (x = X0) or at every later one (x != X0); an entry of None
+    makes the callback return one value too many instead."""
+    fn = getattr(problem, name)
+
+    def poisoned(*args):
+        out = np.array(fn(*args), dtype=float)
+        if np.array_equal(args[0], X0) == (iteration == 0):
+            if entry is None:
+                return np.append(out, 0.0)
+            out[entry] = value
+        return out
+
+    return dataclasses.replace(problem, **{name: poisoned})
+
+
+def _solve_recording_warnings(problem, x0):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = solve(problem, x0)
+    assert [str(w.message) for w in caught] == []
+    return report
+
+
+def _huge_asymmetric():
+    """Jf = 1e308 everywhere and an asymmetric Hg: the sum overflows."""
+    return dataclasses.replace(
+        _huge_problem(2, 0.0), hg=lambda x, lam: np.array([[1e308, 1e308], [0.0, 1e308]])
+    )
+
+
+@pytest.mark.parametrize(
+    "faults, where, message",
+    [
+        # f, g and Jg: checked once, by QPInstance, then named by the callback
+        ([("f", (1,), np.nan)], 0, "approximation step at iteration 0: box-vi-2d: f is "
+         "non-finite at entry (1,)"),
+        ([("f", (0,), np.inf)], 1, "approximation step at iteration 1: box-vi-2d: f is "
+         "non-finite at entry (0,)"),
+        ([("g", (1,), -np.inf)], 0, "approximation step at iteration 0: box-vi-2d: g is "
+         "non-finite at entry (1,)"),
+        ([("g", (0,), np.nan)], 1, "approximation step at iteration 1: box-vi-2d: g is "
+         "non-finite at entry (0,)"),
+        ([("jg", (0, 1), np.nan)], 0, "approximation step at iteration 0: box-vi-2d: jg is "
+         "non-finite at entry (0, 1)"),
+        ([("jg", (1, 0), np.inf)], 1, "approximation step at iteration 1: box-vi-2d: jg is "
+         "non-finite at entry (1, 0)"),
+        # an earlier callback's non-finite value comes before a later one's
+        # fault, and a wrong shape before anything later
+        ([("g", (0,), np.nan), ("f", (1,), np.inf)], 0, "approximation step at iteration 0: "
+         "box-vi-2d: f is non-finite at entry (1,)"),
+        ([("f", (0,), np.nan), ("g", None, None)], 0, "approximation step at iteration 0: "
+         "box-vi-2d: f is non-finite at entry (0,)"),
+        ([("g", (1,), np.nan), ("jg", None, None)], 1, "approximation step at iteration 1: "
+         "box-vi-2d: g is non-finite at entry (1,)"),
+        ([("f", None, None), ("g", (0,), np.nan)], 0, "approximation step at iteration 0: "
+         "box-vi-2d: f returned shape (3,), expected (2,)"),
+        # Jf and Hg: checked through their sum, then named as eval_jf and
+        # eval_hg name them
+        ([("jf", (0, 1), np.nan)], 0, "direction step at iteration 0: box-vi-2d: jf is "
+         "non-finite at entry (0, 1)"),
+        ([("hg", (1, 0), np.inf)], 0, "direction step at iteration 0: box-vi-2d: hg is "
+         "non-finite at entry (1, 0)"),
+        ([("hg", (1, 1), np.nan), ("jf", (1, 1), np.inf)], 0, "direction step at iteration "
+         "0: box-vi-2d: jf is non-finite at entry (1, 1)"),
+        ([("hg", (0, 0), -np.inf), ("jf", (0, 0), np.inf)], 0, "direction step at iteration "
+         "0: box-vi-2d: jf is non-finite at entry (0, 0)"),
+        ([("jf", (1, 0), np.nan), ("hg", None, None)], 0, "direction step at iteration 0: "
+         "box-vi-2d: jf is non-finite at entry (1, 0)"),
+    ],
+    ids=["f-0", "f-1", "g-0", "g-1", "jg-0", "jg-1", "g-and-f", "f-and-g-shape",
+         "g-and-jg-shape-1", "f-shape-and-g", "jf", "hg", "hg-and-jf", "jf-plus-hg-nan",
+         "jf-and-hg-shape"],
+)
+def test_a_non_finite_callback_value_keeps_its_status_and_message(faults, where, message):
+    problem = BOXVI
+    for name, entry, value in faults:
+        problem = _poisoned(problem, name, entry, value, where)
+    report = _solve_recording_warnings(problem, X0)
+    assert report.status is Status.EVALUATION_FAILED
+    assert report.message == message
+    # a failed direction step leaves a zero-step record of its iterate
+    assert len(report.iterations) == where + message.startswith("direction")
+
+
+@pytest.mark.parametrize(
+    "problem, x0, message",
+    [
+        # Hg's symmetry is tested before the overflow of Jf + Hg is reported
+        (_huge_asymmetric(), np.full(2, 0.5), "huge: hg is not symmetric"),
+        (_huge_problem(2, 1e308), np.full(2, 0.5), "huge: Jf + Hg overflows"),
+        # a finite JL whose projection overflows gives a non-finite Newton matrix
+        (_huge_problem(4, 0.0), np.full(4, 0.5),
+         "Newton system overflows: matrix entries must be finite"),
+    ],
+    ids=["asymmetric", "overflow", "newton-matrix"],
+)
+def test_an_overflowing_direction_step_keeps_its_status_and_message(problem, x0, message):
+    report = _solve_recording_warnings(problem, x0)
+    assert report.status is Status.EVALUATION_FAILED
+    assert report.message == f"direction step at iteration 0: {message}"
+
+
+def test_the_newton_workspace_builds_no_normal_basis():
+    # W^T y_g is read from the pattern's signs, so no dense W is built on
+    # the solve path; W itself still gives the same C as the factor
+    problem = get_problem("kojima-shindo")
+    with mock.patch.object(newton, "basis_for_pattern", wraps=basis_for_pattern) as basis:
+        report = solve(problem, np.array([1.0, 0.5, 0.5, 0.5]))
+        ap = approximation_step(BOXVI, X0)
+        ws = newton_workspace(BOXVI, ap)
+    assert report.status is Status.CONVERGED and len(report.iterations) > 2
+    assert basis.call_count == 0
+    w = basis_for_pattern(ap.pattern)
+    assert np.array_equal(w.T @ ap.jac_g, ap.factor.rows)
+    y_g = ap.y_hat[BOXVI.n :]
+    signs = np.diagonal(w)  # both coordinates are at their upper bound
+    assert np.array_equal(w.T @ y_g, signs * y_g) and ws.q1.shape == (2, 2)
+
+
+def test_residuals_and_step_norms_are_np_linalg_norm_bit_for_bit(monkeypatch):
+    # the report's ||u_hat|| and ||s|| are computed as np.linalg.norm
+    # computes them, also for a step that is a strided column of
+    # solve_dense's solution (BLAS sums a strided vector in another order)
+    steps, approximations = [], []
+
+    def recording_step(workspace):
+        steps.append(newton_step(workspace))
+        return steps[-1]
+
+    def recording_approximation(problem, x, guess):
+        approximations.append(approximation_step(problem, x, guess))
+        return approximations[-1]
+
+    monkeypatch.setattr(newton, "newton_step", recording_step)
+    rng = np.random.default_rng(12)
+    strided = 0
+    for _ in range(20):
+        n, s = int(rng.integers(20, 60)), int(rng.integers(1, 10))
+        a = rng.standard_normal((n, n))
+        spec = AffineProblemSpec(
+            name="monotone", m=a @ a.T / n + np.eye(n), q=rng.standard_normal(n),
+            g_mat=rng.standard_normal((s, n)), h=rng.standard_normal(s),
+            lower=-np.ones(s), upper=np.ones(s),
+        )
+        steps.clear()
+        approximations.clear()
+        report = solve(spec.build(), np.zeros(n), approximation=recording_approximation)
+        records = report.iterations
+        strided += sum(not step.flags.c_contiguous for step in steps)
+        assert [r.step_norm for r in records[: len(steps)]] == [
+            float(np.linalg.norm(step)) for step in steps
+        ]
+        assert [r.residual for r in records] == [
+            float(np.linalg.norm(ap.u_hat)) for ap in approximations
+        ]
+    assert strided > 20
 
 
 def test_trajectory_digest_script_runs_and_compares(tmp_path):

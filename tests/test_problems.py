@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import re
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -70,6 +72,46 @@ def test_nonfinite_entry_is_named_by_plain_indices():
     bad = dataclasses.replace(NCP, jf=lambda x: np.array([[np.inf]]))
     with pytest.raises(EvaluationError, match=r"^ncp-paper: jf is non-finite at entry \(0, 0\)$"):
         lagrangian(bad, np.zeros(1), np.zeros(1))
+
+
+def _jf_hg(jf, hg):
+    return dataclasses.replace(get_problem("box-vi-2d"), jf=lambda x: jf, hg=lambda x, lam: hg)
+
+
+@pytest.mark.parametrize(
+    "jf, hg, message",
+    [
+        ([[1.0, np.nan], [0.0, 1.0]], np.full((2, 2), np.inf), "jf is non-finite at entry (0, 1)"),
+        ([[np.inf, 0.0], [0.0, 1.0]], [[-np.inf, 0.0], [0.0, 1.0]],
+         "jf is non-finite at entry (0, 0)"),
+        (np.eye(2), [[0.0, 0.0], [np.nan, 0.0]], "hg is non-finite at entry (1, 0)"),
+        ([[1.0, np.nan], [0.0, 1.0]], np.zeros((3, 3)), "jf is non-finite at entry (0, 1)"),
+        (np.eye(3), np.zeros((2, 2)), "jf returned shape (3, 3), expected (2, 2)"),
+        (np.eye(2), [[0.0, 1.0], [0.0, 0.0]], "hg is not symmetric"),
+        (np.full((2, 2), 1e308), [[1e308, 1e308], [0.0, 1e308]], "hg is not symmetric"),
+    ],
+    ids=["jf-then-hg", "jf-of-a-nan-sum", "hg", "jf-then-hg-shape", "jf-shape", "asymmetric",
+         "asymmetric-overflow"],
+)
+def test_lagrangian_jacobian_names_a_bad_term_as_eval_jf_and_eval_hg_do(jf, hg, message):
+    # the terms are checked through their sum; a bad term is still named,
+    # Jf first, then Hg, then Hg's symmetry, and no RuntimeWarning escapes
+    problem = _jf_hg(np.array(jf), np.array(hg))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(EvaluationError, match=f"^box-vi-2d: {re.escape(message)}$"):
+            problems.lagrangian_jacobian(problem, np.zeros(2), np.zeros(2))
+    assert [str(w.message) for w in caught] == []
+
+
+def test_lagrangian_jacobian_returns_an_overflowing_sum_of_finite_terms():
+    problem = _jf_hg(np.full((2, 2), 1e308), np.full((2, 2), 1e308))
+    out = np.empty((2, 2))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        jac_l = problems.lagrangian_jacobian(problem, np.zeros(2), np.zeros(2), out)
+    assert jac_l is out and np.array_equal(jac_l, np.full((2, 2), np.inf))
+    assert [str(w.message) for w in caught] == []
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e6])

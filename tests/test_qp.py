@@ -18,8 +18,9 @@ from ssnewton.errors import (
     NonconvergenceError,
     QPInfeasibleError,
 )
+from ssnewton import linalg
 from ssnewton import qp as qp_module
-from ssnewton.linalg import factor_rows
+from ssnewton.linalg import _disjoint_factor, factor_rows
 from ssnewton.qp import QPInstance, brute_force_qp, solve_qp, violated_guess
 
 NEG1 = BoxSet.nonpositive(1)
@@ -657,14 +658,24 @@ def _planted_qp(rng, near_dependent):
     return inst, u0, jac[:m], lam
 
 
+def _counting_row_factors():
+    """Mocks counting the QP's factorizations: its factor_rows calls and the
+    closed-form factors it builds from squared norms it holds."""
+    return (
+        mock.patch.object(qp_module, "factor_rows", wraps=factor_rows),
+        mock.patch.object(qp_module, "_disjoint_factor", wraps=_disjoint_factor),
+    )
+
+
 def _solve_counting_row_factors(inst):
-    """(solution or exception, number of factor_rows calls)."""
-    with mock.patch.object(qp_module, "factor_rows", wraps=factor_rows) as factored:
+    """(solution or exception, number of factorizations)."""
+    counters = _counting_row_factors()
+    with counters[0] as factored, counters[1] as disjoint:
         try:
             result = solve_qp(inst)
         except (QPInfeasibleError, NonconvergenceError) as exc:
             result = exc
-    return result, factored.call_count
+    return result, factored.call_count + disjoint.call_count
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -709,13 +720,14 @@ def test_carried_factor_changes_no_bit_of_the_answer(seed, near_dependent, chang
 
 
 def _solve_counting_factors(inst, solver=solve_qp):
-    """(solution, factor_rows calls, np.linalg.inv calls, np.linalg.qr calls)
+    """(solution, factorizations, np.linalg.inv calls, np.linalg.qr calls)
     of one call of ``solver``."""
-    with mock.patch.object(qp_module, "factor_rows", wraps=factor_rows) as factored, \
+    counters = _counting_row_factors()
+    with counters[0] as factored, counters[1] as disjoint, \
             mock.patch.object(np.linalg, "inv", wraps=np.linalg.inv) as inverted, \
             mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as qr:
         sol = solver(inst)
-    return sol, factored.call_count, inverted.call_count, qr.call_count
+    return sol, factored.call_count + disjoint.call_count, inverted.call_count, qr.call_count
 
 
 @pytest.mark.parametrize("rows", ["unit", "dense"])
@@ -784,6 +796,40 @@ def test_a_dependent_guess_is_ignored_each_time_its_factor_is_reused():
     for _ in range(2):
         warm = solve_qp(seeded)
         assert not warm.warm and np.array_equal(warm.u, cold.u)
+
+
+def test_a_closed_form_qp_tests_the_supports_of_its_rows_once():
+    # the tight rows' closed-form factor is built from the squared norms the
+    # support test returned, so a QP with a new tight set (no guess) runs
+    # one disjoint-row test and factors once, with no LAPACK QR
+    rng = np.random.default_rng(6)
+    n = 10
+    inst = QPInstance(c=rng.uniform(-2, 2, n), b=np.zeros(n), jac=np.eye(n),
+                      box=BoxSet(rng.uniform(-1, 1, n), np.full(n, np.inf)))
+    with mock.patch.object(qp_module, "disjoint_row_norms2",
+                           wraps=linalg.disjoint_row_norms2) as in_qp, \
+            mock.patch.object(linalg, "disjoint_row_norms2",
+                              wraps=linalg.disjoint_row_norms2) as in_linalg:
+        sol, factored, inverted, qrs = _solve_counting_factors(inst)
+    assert sol.factor.rows.shape[0] > 0  # some rows are tight
+    assert (in_qp.call_count, in_linalg.call_count) == (1, 0)
+    assert (factored, inverted, qrs) == (1, 0, 0)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_the_closed_form_factor_is_factor_rows_bit_for_bit_in_any_layout(order):
+    # einsum sums a row of Jg in an order that follows its layout: from a
+    # C-ordered Jg the squared norms the closed form holds are the tight
+    # rows' own; any other layout has the tight rows factored afresh.
+    # Either way the factor is bitwise factor_rows' of the tight rows
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        inst = _disjoint_qp(rng, "plain", max_n=30, max_s=8, exponent=3)
+        inst = dataclasses.replace(inst, jac=np.asarray(inst.jac, order=order))
+        sol = solve_qp(inst)
+        ref = factor_rows(sol.factor.rows)
+        assert np.array_equal(sol.factor.q, ref.q) and np.array_equal(sol.factor.r, ref.r)
+        assert (sol.factor.deficiency is None) == (ref.deficiency is None)
 
 
 def _disjoint_qp(rng, case, max_n, max_s, exponent):

@@ -94,8 +94,9 @@ class BoxSet:
         return cls(np.full(s, -np.inf), np.zeros(s))
 
     def contains(self, d, tol=ACTIVITY_TOL):
+        """Whether every coordinate of d is finite and within tol of its interval."""
         d = np.asarray(d, dtype=float)
-        return bool(np.all(d >= self.lower - tol) and np.all(d <= self.upper + tol))
+        return bool(np.all(_contains((self.lower, self.upper), d, tol)))
 
 
 def activity(d, box, tol=ACTIVITY_TOL):
@@ -108,23 +109,27 @@ def activity(d, box, tol=ACTIVITY_TOL):
     oracles and the checkers all read their patterns from it.
 
     Returns a tuple of :class:`Activity`.  Raises
-    :class:`InfeasiblePointError` when d leaves the box by more than tol.
+    :class:`InfeasiblePointError` when d leaves the box by more than tol or
+    is not finite (no box holds an infinite point, even an unbounded one).
     """
     d = np.asarray(d, dtype=float)
     if d.shape != (box.dim,):
         raise DimensionError(f"point has shape {d.shape}, box dimension is {box.dim}")
     lo, hi = box.lower, box.upper
-    outside = ~((d >= lo - tol) & (d <= hi + tol))  # NaN is outside
-    if outside.any():
-        i = int(np.argmax(outside))
+    inside = np.isfinite(d)
+    inside &= d >= lo - tol
+    inside &= d <= hi + tol
+    if np.count_nonzero(inside) < inside.size:
+        i = int(np.argmin(inside))
         raise InfeasiblePointError(
             f"coordinate {i}: {d[i]!r} outside [{lo[i]}, {hi[i]}] beyond tol", coord=i
         )
     gap_lo, gap_hi = np.abs(d - lo), np.abs(d - hi)  # +inf at an infinite bound
-    # later writes take precedence: fixed over lower over upper
+    # later writes take precedence: fixed over lower (within tol and nearer
+    # than the upper bound) over upper
     kinds = np.zeros(box.dim, np.int8)
     kinds[gap_hi <= tol] = Activity.AT_UPPER
-    kinds[(gap_lo <= tol) & (gap_lo <= gap_hi)] = Activity.AT_LOWER
+    kinds[gap_lo <= np.minimum(gap_hi, tol)] = Activity.AT_LOWER
     kinds[lo == hi] = Activity.FIXED
     return pattern_of(kinds)
 
@@ -148,9 +153,13 @@ def _polar(cone):
 
 
 def _contains(cone, x, tol):
-    """Per coordinate, whether x lies in the interval widened by tol (NaN never does)."""
+    """Per coordinate, whether x lies in the interval widened by tol (NaN and
+    +-inf never do, even in an unbounded interval)."""
     lower, upper = cone
-    return (x >= lower - tol) & (x <= upper + tol)
+    inside = np.isfinite(x)
+    inside &= x >= lower - tol
+    inside &= x <= upper + tol
+    return inside
 
 
 def pattern_admits(pattern, lam, tol=ACTIVITY_TOL):

@@ -10,8 +10,11 @@ one rank test, :func:`require_full_row_rank`.  Rows with disjoint supports
 gives them the reduced QR Q = C^T D^-1, R = D = diag(||C_i||) with no
 LAPACK call; a caller that has already tested the supports and holds the
 squared norms builds that factor from them (:func:`_disjoint_factor`), so
-the test runs once.  A :class:`RowFactor` keeps C, Q, R, the rank verdict
-and, on first use, R^-1 and the row norms of C together, so one
+the test runs once; the squared norms are summed in a fixed order, so they
+do not depend on C's memory layout, and their square roots are that
+factor's row norms.  A :class:`RowFactor` keeps C, Q, R, the rank verdict
+and, on first use, R^-1 and (unless the closed form holds them) the row
+norms of C together, so one
 factorization of a set of active rows serves every user of it (numpy has
 no triangular solve, so a triangular solve with R is a product with R^-1:
 the reciprocal diagonal when R is diagonal, as it is for rows with
@@ -21,7 +24,8 @@ reused (:attr:`RowFactor.dependent`).  The bases carry no sign convention:
 every caller uses them only through quantities that do not change when
 they are rotated.  Square systems are solved by :func:`solve_dense` in one
 LAPACK LU call, which also certifies their regularity from a few fixed
-probe columns solved next to the right-hand side (:func:`_solve_regular`).
+probe columns solved next to the right-hand side (:func:`_solve_regular`);
+their norms are summed as ``np.linalg.norm`` sums them, with no call of it.
 Every matrix is checked for finite entries by the max and min of its
 entries that its scale needs anyway (a NaN makes both NaN), not by a
 separate ``isfinite`` pass.
@@ -65,8 +69,8 @@ def require_full_row_rank(c, diag):
     magnitude, and the error's index is the first smallest one.
     """
     diag = np.abs(diag)
-    tol = RANK_TOL * max(1.0, float(np.max(np.abs(c))) if c.size else 0.0)
-    if diag.size and not np.min(diag) > tol:
+    tol = RANK_TOL * max(1.0, _max_abs(c) if c.size else 0.0)
+    if diag.size and not diag.min() > tol:
         bad = int(np.argmin(diag))
         raise RankDeficiencyError(
             f"matrix is rank deficient (diagonal {bad} of the triangular "
@@ -112,7 +116,8 @@ class RowFactor:
 
     @functools.cached_property
     def row_norms(self):
-        """np.linalg.norm(C, axis=1), computed on first read."""
+        """np.linalg.norm(C, axis=1), computed on first read; the closed form
+        of :func:`_disjoint_factor` holds it from the start."""
         return np.linalg.norm(self.rows, axis=1)
 
     @functools.cached_property
@@ -133,15 +138,19 @@ def disjoint_row_norms2(c):
     """The squared row norms of C when its rows have disjoint supports, else None.
 
     Rows have disjoint supports when each column of C has at most one
-    nonzero (an O(mn) test); they are then exactly orthogonal.  None also
-    when a nonzero row's squared norm under- or overflows the normal
-    floats, so that every formula built on these norms keeps full relative
-    precision; a zero row's is 0.
+    nonzero (an O(mn) test: C has as many nonzeros as nonzero columns);
+    they are then exactly orthogonal.  None also when a nonzero row's
+    squared norm under- or overflows the normal floats, so that every
+    formula built on these norms keeps full relative precision; a zero
+    row's is 0.  Each row's squares are summed by one ``np.add.reduce``
+    over a C-ordered array of them, as ``np.linalg.norm(C, axis=1)`` sums
+    them for a C-ordered C, so the sums do not depend on C's layout and
+    each is bitwise that of the same row in any other C-ordered matrix.
     """
     nonzero = c != 0.0
-    if nonzero.sum(axis=0).max(initial=0) > 1:
+    if np.count_nonzero(nonzero) != np.count_nonzero(np.logical_or.reduce(nonzero, axis=0)):
         return None
-    norms2 = np.einsum("ij,ij->i", c, c)
+    norms2 = np.add.reduce(np.multiply(c, c, order="C"), axis=1)
     normal = (norms2 >= _TINY) & (norms2 < np.inf)
     if not normal.all() and not (normal | ~nonzero.any(axis=1)).all():
         return None
@@ -161,10 +170,14 @@ def _disjoint_factor(c, norms2):
     """The closed-form :class:`RowFactor` of rows with disjoint supports.
 
     ``norms2`` is :func:`disjoint_row_norms2` of C, with no zero entry:
-    Q = C^T D^-1 and R = D = diag(sqrt(norms2)).
+    Q = C^T D^-1 and R = D = diag(sqrt(norms2)).  Those square roots are
+    also the factor's :attr:`RowFactor.row_norms`, so C's rows are not read
+    again for them.
     """
     norms = np.sqrt(norms2)
-    return _ranked(c, c.T / norms, np.diag(norms))
+    factor = _ranked(c, c.T / norms, np.diag(norms))
+    factor.__dict__["row_norms"] = norms  # the cached_property's slot
+    return factor
 
 
 def factor_rows(c):
@@ -212,10 +225,15 @@ def _probes(n):
     return probes
 
 
+def _column_norms(a):
+    """np.linalg.norm(A, axis=0) bit for bit, without its overhead."""
+    return np.sqrt(np.add.reduce(a * a, axis=0))
+
+
 @functools.lru_cache(maxsize=None)
 def _probe_norms(n):
     """The norms of the columns of :func:`_probes` (n), read-only."""
-    norms = np.linalg.norm(_probes(n), axis=0)
+    norms = _column_norms(_probes(n))
     norms.flags.writeable = False
     return norms
 
@@ -229,17 +247,17 @@ def _solve_regular(a, rhs, error, what, top):
     rhs, and each ||p_i|| / ||A^{-1} p_i|| is an upper bound on sigma_min;
     the check uses their minimum, so a "singular" verdict is never false.
     An exactly zero pivot reads as bound 0.  The probe columns do not change
-    the solution columns of rhs.
+    the solution columns of rhs.  ``n``, the size of A, is positive.
     """
     n = a.shape[0]
     tol = PIVOT_TOL * max(1.0, top)
     try:
-        sol = np.linalg.solve(a, np.column_stack([rhs, _probes(n)]))
+        sol = np.linalg.solve(a, np.concatenate((rhs.reshape(n, -1), _probes(n)), axis=1))
     except np.linalg.LinAlgError:
         sol = np.full((n, PROBES), np.inf)  # exactly zero pivot
-    ratios = _probe_norms(n) / np.linalg.norm(sol[:, -PROBES:], axis=0)
+    ratios = _probe_norms(n) / _column_norms(sol[:, -PROBES:])
     # a NaN ratio makes the minimum NaN, which then counts as singular
-    bound = float(np.min(ratios))
+    bound = float(ratios.min())
     if not bound > tol:
         raise error(f"{what}: sigma_min <= {bound:.3e}, tolerance {tol:.3e}")
     return sol[:, :-PROBES].reshape(rhs.shape)

@@ -15,7 +15,9 @@ rank verdict serves both the QP's degeneracy flag and the step's, and the
 next QP's seed reuses it while the rows stay the same, so one active set
 costs one factorization.  W is not formed on the solve path: W^T y is the
 tight entries of y times their signs, and D is the factor's cached row
-norms.  Each value is checked once per iteration: f, g and Jg for
+norms; the tight entries and their signs are the QP's
+(``QPSolution.tight``), so no pattern is read again.  Each value is
+checked once per iteration: f, g and Jg for
 finiteness by the QP instance, Jf and Hg through the max and min of JL
 that alpha needs, and M through the max and min of its pivot tolerance;
 only a failed check reads the values again, to name the callback and its
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import basis_for_pattern, normal_signs, pattern_summary
+from .cones import basis_for_pattern, pattern_summary
 from .errors import (
     DegeneracyError,
     DimensionError,
@@ -61,6 +63,8 @@ class ApproxResult:
     ``pattern`` is the exact activity pattern reported by the QP solver,
     ``jac_g`` the Jg(x) the QP was built from and ``factor`` the QP's
     active rows C = W^T Jg with their reduced QR (``QPSolution.factor``).
+    ``tight`` and ``tight_signs`` are the QP's tight coordinates and their
+    normal signs, so W^T y = tight_signs * y[tight].
     """
 
     x_hat: np.ndarray
@@ -72,6 +76,8 @@ class ApproxResult:
     pattern: tuple
     jac_g: np.ndarray
     factor: RowFactor
+    tight: np.ndarray
+    tight_signs: np.ndarray
 
     @property
     def q1(self):
@@ -136,6 +142,8 @@ def approximation_step(problem, x, guess=None):
         pattern=qp.active,
         jac_g=jac,
         factor=qp.factor,
+        tight=qp.tight,
+        tight_signs=qp.tight_signs,
     )
 
 
@@ -185,7 +193,8 @@ def newton_workspace(problem, approx, out=None):
     that also check Jf and Hg for finiteness (no |JL| copy); a JL that
     overflowed to +-inf raises :class:`EvaluationError`.  D comes from the
     factor (:attr:`ssnewton.linalg.RowFactor.row_norms`), and W^T y_g is
-    read from the signs of the pattern, with no dense W.  JL is summed into
+    read from the QP's tight indices and signs (``approx.tight``,
+    ``approx.tight_signs``), with no dense W.  JL is summed into
     ``out`` when one is given (see :func:`lagrangian_jacobian`), and M
     overwrites JL in that array with the operations of the out-of-place
     expression, in the same order.
@@ -198,12 +207,10 @@ def newton_workspace(problem, approx, out=None):
     if alpha == np.inf:  # a sum of finite arrays overflows to +-inf, never NaN
         raise EvaluationError(f"{problem.name}: Jf + Hg overflows")
     scale = alpha / approx.factor.row_norms
-    signs = normal_signs(approx.pattern)
-    tight = np.flatnonzero(signs)
     y_p, y_g = approx.y_hat[:n], approx.y_hat[n:]
     with np.errstate(over="ignore", invalid="ignore"):  # newton_step checks M
         matrix = np.subtract(jac_l, q1 @ (q1.T @ jac_l - scale[:, None] * c), out=jac_l)
-    rhs = q1 @ (q1.T @ y_p - scale * (signs[tight] * y_g[tight])) - y_p
+    rhs = q1 @ (q1.T @ y_p - scale * (approx.tight_signs * y_g[approx.tight])) - y_p
     return NewtonWorkspace(q1=q1, reduced_matrix=matrix, reduced_rhs=rhs)
 
 

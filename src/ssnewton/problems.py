@@ -5,6 +5,7 @@ described by callbacks for f, g, their Jacobians and the multiplier-weighted
 Hessian of g, plus the box.  Affine instances can be loaded from JSON.
 """
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Callable
@@ -52,6 +53,12 @@ class GEProblem:
     hg: Callable  # (x, lam) -> Hessian of <lam, g> at x
     box: BoxSet
 
+    @functools.cached_property
+    def _shapes(self):
+        """Each callback's output shape by name, built on first read (:func:`_read`)."""
+        n, s = self.n, self.s
+        return {"f": (n,), "jf": (n, n), "g": (s,), "jg": (s, n), "hg": (n, n)}
+
     def self_check(self, x=None, lam=None):
         """Evaluate every callback once and verify shapes, finiteness, symmetry."""
         x = np.zeros(self.n) if x is None else np.asarray(x, dtype=float)
@@ -87,14 +94,14 @@ def _read(problem, names, x, lam=None):
     caller, which hands the triples to :func:`_check_reads` on finding a
     non-finite value.  A wrong shape raises the error that ``eval_*`` would
     have raised reading the same values: an earlier value's non-finite
-    entry comes first.
+    entry comes first.  Values are C-ordered (a copy when a callback's is
+    not), so no product of them depends on the callback's layout.
     """
-    n, s = problem.n, problem.s
-    shapes = {"f": (n,), "jf": (n, n), "g": (s,), "jg": (s, n), "hg": (n, n)}
+    shapes = problem._shapes
     reads = []
     for name in names:
         args = (x, lam) if name == "hg" else (x,)
-        value = np.asarray(getattr(problem, name)(*args), dtype=float)
+        value = np.asarray(getattr(problem, name)(*args), dtype=float, order="C")
         reads.append((value, shapes[name], f"{problem.name}: {name}"))
         if value.shape != shapes[name]:
             _check_reads(reads)
@@ -128,8 +135,12 @@ def eval_hg(problem, x, lam):
 
 
 def _require_symmetric(problem, h):
-    """Raise unless the finite Hg ``h`` passes :func:`eval_hg`'s symmetry test."""
-    if not np.array_equal(h, h.T):  # an empty Hg is exactly symmetric
+    """Raise unless the finite Hg ``h`` passes :func:`eval_hg`'s symmetry test.
+
+    An all-zero Hg, as of an affine g, passes on one ``any`` pass, with no
+    transposed compare.
+    """
+    if h.any() and not np.array_equal(h, h.T):  # an empty Hg is exactly symmetric
         asym = float(np.max(np.abs(h - h.T)))
         # the scale is read only when the absolute test fails
         if asym > HESSIAN_SYMMETRY_TOL and asym > HESSIAN_SYMMETRY_TOL * np.max(np.abs(h)):

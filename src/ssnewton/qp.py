@@ -50,7 +50,10 @@ active rows are the tight coordinates in order, with their signs), else a
 new one.  Its verdict from
 the one rank test, :func:`ssnewton.linalg.require_full_row_rank`, is
 ``degenerate_multiplier``, and the Newton step takes C, Q1 and its
-degeneracy verdict from the same factor, so the two cannot disagree.
+degeneracy verdict from the same factor, so the two cannot disagree; it
+takes the tight coordinates and their signs from the solution too
+(``QPSolution.tight``, ``tight_signs``).  ``QPInstance`` holds Jg
+C-ordered, so no product with it depends on the layout it came in.
 
 Warm start (the active-set solver; the closed form needs no start and
 reads only the guess's factor): an instance may carry a guess, the pattern
@@ -118,7 +121,7 @@ class QPInstance:
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
         b = np.asarray(self.b, dtype=float)
-        jac = np.asarray(self.jac, dtype=float)
+        jac = np.asarray(self.jac, dtype=float, order="C")  # so no product depends on its layout
         if jac.shape != (b.shape[0], c.shape[0]) or b.shape[0] != self.box.dim:
             raise DimensionError(
                 f"inconsistent QP shapes: c {c.shape}, b {b.shape}, jac {jac.shape}"
@@ -129,7 +132,9 @@ class QPInstance:
             object.__setattr__(self, label, arr)
         if self.guess is not None:
             pattern, lam, factor = (*self.guess, None)[:3]
-            pattern, lam = tuple(pattern), np.asarray(lam, dtype=float)
+            if type(pattern) is not tuple:
+                pattern = tuple(pattern)
+            lam = np.asarray(lam, dtype=float)
             if len(pattern) != self.box.dim or lam.shape != (self.box.dim,):
                 raise DimensionError(
                     f"guess has {len(pattern)} activities and multiplier {lam.shape}, "
@@ -164,8 +169,12 @@ class QPSolution:
     # the closed form, which needs no start
     warm: bool = False
     # RowFactor of the tight rows (see the module docstring); brute_force_qp
-    # leaves it None
+    # leaves it None, and the two fields below with it
     factor: RowFactor = None
+    # the coordinates of the tight rows, ascending, and their normal signs
+    # (normal_signs of ``active`` there), by which the factor's rows are signed
+    tight: np.ndarray = None
+    tight_signs: np.ndarray = None
 
     @property
     def degenerate_multiplier(self):
@@ -307,29 +316,31 @@ def _separable_qp(instance):
     if norms2 is None:
         return None
     e = instance.b - jac @ c
-    d = np.clip(e, box.lower, box.upper)
+    d = np.minimum(np.maximum(e, box.lower), box.upper)
     gap = e - d
     zero = norms2 == 0.0
-    cut = zero & (gap != 0.0)
-    if cut.any():
-        i = int(np.argmax(cut))
-        side = "U" if gap[i] > 0.0 else "L"
-        raise QPInfeasibleError(
-            f"constraint {side} on coordinate {i} cannot be met: its row of Jg is zero",
-            constraint=(i, side),
-        )
-    lam = np.divide(gap, norms2, out=np.zeros(instance.s), where=~zero)
+    if zero.any():
+        cut = zero & (gap != 0.0)
+        if cut.any():
+            i = int(np.argmax(cut))
+            side = "U" if gap[i] > 0.0 else "L"
+            raise QPInfeasibleError(
+                f"constraint {side} on coordinate {i} cannot be met: its row of Jg is zero",
+                constraint=(i, side),
+            )
+        lam = np.divide(gap, norms2, out=np.zeros(instance.s), where=~zero)
+    else:
+        lam = gap / norms2
     u = -c - jac.T @ lam
     pattern = activity(d, box)
     signed = normal_signs(pattern)
     tight = np.flatnonzero(signed)
+    signs = signed[tight]
     held = None if instance.guess is None else instance.guess[2]
-    # einsum sums a row in an order that follows the array's layout, so
-    # Jg's squared norms are the tight rows' (a C-ordered copy) only when
-    # Jg is C-ordered too; otherwise factor_rows reads them again
-    known = norms2[tight] if jac.flags.c_contiguous else None
-    factor = _factor_of(signed[tight, None] * jac[tight], held, known)
-    return QPSolution(u=u, lam=lam, active=pattern, iterations=0, factor=factor)
+    # a tight row's squared norm is bitwise Jg's (see disjoint_row_norms2)
+    factor = _factor_of(signs[:, None] * jac[tight], held, norms2[tight])
+    return QPSolution(u=u, lam=lam, active=pattern, iterations=0, factor=factor,
+                      tight=tight, tight_signs=signs)
 
 
 def _active_set_qp(instance):
@@ -465,13 +476,14 @@ def _dual_active_set(instance, rows, seed):
     # order, with their signs, the active rows' factor is bitwise theirs
     signed = normal_signs(pattern)
     tight_coords = np.flatnonzero(signed)
+    tight_signs = signed[tight_coords]
     reuse = (
         factor is not None
         and np.array_equal(on_bound, tight_coords)
-        and np.array_equal(on_sign, signed[tight_coords])
+        and np.array_equal(on_sign, tight_signs)
     )
     if not reuse:
-        factor = _factor_of(signed[tight_coords, None] * instance.jac[tight_coords], factor)
+        factor = _factor_of(tight_signs[:, None] * instance.jac[tight_coords], factor)
     if factor.deficiency is not None:
         jac_tight = instance.jac[tight_coords]
         rhs = -(u + instance.c)
@@ -494,6 +506,8 @@ def _dual_active_set(instance, rows, seed):
         iterations=steps,
         warm=seed is not None,
         factor=factor,
+        tight=tight_coords,
+        tight_signs=tight_signs,
     )
 
 

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -292,26 +293,36 @@ BOX2 = BoxSet([0.0, 0.0], [2.0, 2.0])
 ORTHANT2 = BoxSet([0.0, 0.0], [np.inf, np.inf])
 
 
+NON_FINITE = (NAN, np.inf, -np.inf)
+
+
 def test_a_nan_coordinate_is_outside_every_box():
     # a NaN compares false both ways, so it must fail the inside test, not
-    # pass the outside one
-    for box in (BOX2, ORTHANT2, BoxSet([-np.inf, -np.inf], [np.inf, np.inf])):
-        with pytest.raises(InfeasiblePointError) as info:
-            activity([NAN, 1.0], box)
-        assert info.value.coord == 0
-        with pytest.raises(InfeasiblePointError):
-            span_normal_basis([1.0, NAN], box)
-        assert not box.contains([NAN, 1.0])
+    # pass the outside one; an infinite coordinate is outside even an
+    # unbounded interval, with no RuntimeWarning from inf - inf
+    boxes = (BOX2, ORTHANT2, BoxSet.nonpositive(2), BoxSet([-np.inf, -np.inf], [np.inf, np.inf]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for box in boxes:
+            for value in NON_FINITE:
+                with pytest.raises(InfeasiblePointError) as info:
+                    activity([value, 1.0 if box is not boxes[2] else -1.0], box)
+                assert info.value.coord == 0
+                with pytest.raises(InfeasiblePointError):
+                    span_normal_basis([0.0, value], box)
+                assert not box.contains([value, 0.0])
+    assert [str(w.message) for w in caught] == []
 
 
 @pytest.mark.parametrize(
     "pattern", [(Activity.INTERIOR,), (Activity.AT_LOWER,), (Activity.AT_UPPER,), (Activity.FIXED,)]
 )
 def test_a_nan_multiplier_is_in_no_normal_cone(pattern):
-    # even the line of a fixed coordinate holds no NaN
+    # even the line of a fixed coordinate holds no NaN and no infinity
     assert pattern_admits(pattern, [0.0])
-    assert not pattern_admits(pattern, [NAN])
-    assert not pattern_admits(pattern, [NAN], tol=np.inf)
+    for value in NON_FINITE:
+        assert not pattern_admits(pattern, [value])
+        assert not pattern_admits(pattern, [value], tol=np.inf)
 
 
 def test_nan_is_rejected_by_every_cone_test():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from unittest import mock
 
+from ssnewton import linalg
 from ssnewton.errors import DimensionError, RankDeficiencyError, SingularMatrixError
 from ssnewton.linalg import (
     PIVOT_TOL,
@@ -363,20 +364,23 @@ def test_solve_dense_makes_one_lapack_call_and_no_qr(monkeypatch):
 def test_solve_dense_checks_finiteness_by_its_scale_and_reads_probe_norms_once():
     # the max and min that give the pivot tolerance also reject a non-finite
     # A, so solve_dense makes no np.isfinite call; the probe columns' norms
-    # are computed once per n, so a solve takes one np.linalg.norm call,
-    # for the solved probes
+    # are computed once per n, so a solve takes the column norms of the
+    # solved probes only, bitwise np.linalg.norm's but with no call of it
     rng = np.random.default_rng(5)
     n = 7
     a = rng.standard_normal((n, n)) + n * np.eye(n)
     solve_dense(a, np.ones(n))  # the first solve of size n may compute them
     with mock.patch.object(np, "isfinite", wraps=np.isfinite) as finite, \
-            mock.patch.object(np.linalg, "norm", wraps=np.linalg.norm) as norm:
+            mock.patch.object(np.linalg, "norm", wraps=np.linalg.norm) as norm, \
+            mock.patch.object(linalg, "_column_norms", wraps=linalg._column_norms) as columns:
         for _ in range(3):
             solve_dense(a, np.ones(n))
-    assert (finite.call_count, norm.call_count) == (0, 3)
+    assert (finite.call_count, norm.call_count, columns.call_count) == (0, 0, 3)
     norms = _probe_norms(n)
     assert np.array_equal(norms, np.linalg.norm(_probes(n), axis=0))
     assert _probe_norms(n) is norms and not norms.flags.writeable
+    solved = np.linalg.solve(a, np.column_stack([np.ones(n), _probes(n)]))[:, 1:]
+    assert linalg._column_norms(solved).tobytes() == np.linalg.norm(solved, axis=0).tobytes()
 
 
 @pytest.mark.parametrize("shape", [(3, 3), (2, 3), (3, 2)], ids=["square", "wide", "tall"])
@@ -399,12 +403,16 @@ def test_solve_dense_names_non_finite_entries_before_the_shape(shape, entry):
 
 
 def test_row_norms_are_read_once_per_factor():
-    # the Newton workspace's D; computed on first read, as np.linalg.norm does
-    for rows in (np.array([[3.0, 4.0, 0.0], [0.0, 0.0, -2.0]]), np.array([[1.0, 2.0], [3.0, 1.0]])):
+    # the Newton workspace's D, bitwise np.linalg.norm's: the closed form of
+    # disjoint rows holds it from its squared norms (no norm call), and a
+    # LAPACK-factored C computes it on first read, once
+    cases = ((np.array([[3.0, 4.0, 0.0], [0.0, 0.0, -2.0]]), 0),
+             (np.array([[1.0, 2.0], [3.0, 1.0]]), 1))
+    for rows, calls in cases:
         factor = factor_rows(rows)
         with mock.patch.object(np.linalg, "norm", wraps=np.linalg.norm) as norm:
             first, second = factor.row_norms, factor.row_norms
-        assert norm.call_count == 1 and first is second
+        assert norm.call_count == calls and first is second
         assert np.array_equal(first, np.linalg.norm(rows, axis=1))
 
 

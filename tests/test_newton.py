@@ -1159,6 +1159,80 @@ def test_the_newton_workspace_builds_no_normal_basis():
     assert np.array_equal(w.T @ y_g, signs * y_g) and ws.q1.shape == (2, 2)
 
 
+def _small_obstacle(k=4):
+    """The obstacle problem on a k x k grid: f(x) = A x + x^3 + 1 with A the
+    5-point Laplacian, g(x) = x and D = [psi, +inf), a zero Hg; from x0 = 0
+    the membrane leaves the obstacle at the corners (k = 4)."""
+    n = k * k
+    h = 1.0 / (k + 1)
+    tri = (2 * np.eye(k) - np.eye(k, k=1) - np.eye(k, k=-1)) / h**2
+    lap = np.kron(tri, np.eye(k)) + np.kron(np.eye(k), tri)
+    t = h * np.arange(1, k + 1)
+    px, py = np.meshgrid(t, t, indexing="ij")
+    psi = 0.05 - 0.5 * ((px.ravel() - 0.5) ** 2 + (py.ravel() - 0.5) ** 2)
+    return GEProblem(
+        name="obstacle-4x4", n=n, s=n,
+        f=lambda x: lap @ x + x**3 + 1.0, jf=lambda x: lap + np.diag(3.0 * x**2),
+        g=lambda x: x.copy(), jg=lambda x: np.eye(n),
+        hg=lambda x, lam: np.zeros((n, n)),
+        box=BoxSet(psi, np.full(n, np.inf)),
+    )
+
+
+def test_an_obstacle_solve_rederives_nothing_and_calls_no_numpy_wrapper():
+    # one support test and one normal_signs per QP call, the workspace
+    # taking the QP's tight indices and signs; no np.clip, np.linalg.norm or
+    # np.column_stack anywhere; the zero Hg passes its symmetry test with no
+    # transposed compare
+    problem = _small_obstacle()
+    phases = []  # the phase of each counted call, in order
+    counted = ("clip", "column_stack", "array_equal", "flatnonzero")
+
+    def recorder(name, fn):
+        def recorded(*args, **kwargs):
+            phases.append((name, current[-1] if current else None))
+            return fn(*args, **kwargs)
+        return recorded
+
+    current = []
+
+    def phase(name, fn):
+        def entered(*args, **kwargs):
+            current.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                current.pop()
+        return entered
+
+    signs = recorder("normal_signs", qp_module.normal_signs)
+    disjoint = recorder("disjoint_row_norms2", qp_module.disjoint_row_norms2)
+    with mock.patch.object(np.linalg, "norm", recorder("norm", np.linalg.norm)), \
+            mock.patch.multiple(np, **{name: recorder(name, getattr(np, name)) for name in counted}), \
+            mock.patch.object(qp_module, "normal_signs", signs), \
+            mock.patch("ssnewton.cones.normal_signs", signs), \
+            mock.patch.object(qp_module, "disjoint_row_norms2", disjoint), \
+            mock.patch.object(linalg, "disjoint_row_norms2", disjoint), \
+            mock.patch.object(newton, "solve_qp", phase("qp", newton.solve_qp)), \
+            mock.patch.object(newton, "newton_workspace", phase("workspace", newton.newton_workspace)):
+        report = solve(problem, np.zeros(problem.n))
+    assert report.status is Status.CONVERGED
+    qp_calls = len(report.iterations)
+    steps = qp_calls - 1
+    assert steps >= 2 and all(0 < record.branch.count("L") < problem.s
+                              for record in report.iterations[1:])
+    calls = Counter(phases)
+    assert not any(name in ("norm", "clip", "column_stack") for name, _ in phases)
+    assert calls[("disjoint_row_norms2", "qp")] == qp_calls
+    assert calls[("normal_signs", "qp")] == qp_calls
+    assert not any(where == "workspace" for _, where in phases)
+    assert sum(n for (name, _), n in calls.items() if name in ("normal_signs", "disjoint_row_norms2")) \
+        == 2 * qp_calls
+    # the held factor's compare in each seeded QP call is the only array_equal
+    assert calls[("array_equal", "qp")] == steps
+    assert sum(n for (name, _), n in calls.items() if name == "array_equal") == steps
+
+
 def test_residuals_and_step_norms_are_np_linalg_norm_bit_for_bit(monkeypatch):
     # the report's ||u_hat|| and ||s|| are computed as np.linalg.norm
     # computes them, also for a step that is a strided column of

@@ -816,20 +816,55 @@ def test_a_closed_form_qp_tests_the_supports_of_its_rows_once():
     assert (factored, inverted, qrs) == (1, 0, 0)
 
 
-@pytest.mark.parametrize("order", ["C", "F"])
-def test_the_closed_form_factor_is_factor_rows_bit_for_bit_in_any_layout(order):
-    # einsum sums a row of Jg in an order that follows its layout: from a
-    # C-ordered Jg the squared norms the closed form holds are the tight
-    # rows' own; any other layout has the tight rows factored afresh.
-    # Either way the factor is bitwise factor_rows' of the tight rows
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        inst = _disjoint_qp(rng, "plain", max_n=30, max_s=8, exponent=3)
-        inst = dataclasses.replace(inst, jac=np.asarray(inst.jac, order=order))
-        sol = solve_qp(inst)
-        ref = factor_rows(sol.factor.rows)
-        assert np.array_equal(sol.factor.q, ref.q) and np.array_equal(sol.factor.r, ref.r)
-        assert (sol.factor.deficiency is None) == (ref.deficiency is None)
+def _bits(*arrays):
+    """The bytes of each array, so -0.0 and 0.0 (or two NaNs) compare as they are."""
+    return [np.asarray(a, dtype=float).tobytes() for a in arrays]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_a_closed_form_answer_does_not_depend_on_the_layout_of_jg(seed):
+    # rows with disjoint supports and several nonzeros each: their squared
+    # norms, e = b - Jg c and b + Jg u all sum a row, so a QP or a solve
+    # must give the same bits from a C- and an F-ordered Jg; the factor is
+    # factor_rows' of its rows bit for bit, and its row norms are
+    # np.linalg.norm's
+    from ssnewton import solve
+    from ssnewton.problems import GEProblem
+    from ssnewton.reports import report_to_json
+
+    rng = np.random.default_rng(seed)
+    inst = _disjoint_qp(rng, "plain", max_n=30, max_s=8, exponent=3)
+    norms2 = [linalg.disjoint_row_norms2(np.asarray(inst.jac, order=o)) for o in "CF"]
+    assert _bits(norms2[0]) == _bits(norms2[1])
+    answers = []
+    for order in "CF":
+        try:
+            sol = solve_qp(dataclasses.replace(inst, jac=np.asarray(inst.jac, order=order)))
+        except QPInfeasibleError as exc:
+            answers.append(str(exc))
+            continue
+        f = sol.factor
+        answers.append((sol.active, sol.degenerate_multiplier,
+                        _bits(sol.u, sol.lam, f.rows, f.q, f.r, f.row_norms)))
+        ref = factor_rows(f.rows)
+        assert _bits(f.q, f.r) == _bits(ref.q, ref.r)
+        assert _bits(f.row_norms) == _bits(np.linalg.norm(f.rows, axis=1))
+    assert answers[0] == answers[1]
+
+    n, s = inst.n, inst.s
+    a = rng.uniform(-1, 1, (n, n))
+    m, q = a @ a.T / n + np.eye(n), rng.uniform(-2, 2, n)
+    g_mat, h = inst.jac, inst.b
+    reports = []
+    for jac in (g_mat, np.asfortranarray(g_mat)):
+        problem = GEProblem(
+            name="disjoint-rows", n=n, s=s, f=lambda x: m @ x + q, jf=lambda x: m,
+            g=lambda x: g_mat @ x + h, jg=lambda x, jac=jac: jac,
+            hg=lambda x, lam: np.zeros((n, n)), box=inst.box,
+        )
+        reports.append(report_to_json(solve(problem, np.zeros(n), max_iter=10)))
+    assert reports[0] == reports[1]
 
 
 def _disjoint_qp(rng, case, max_n, max_s, exponent):

@@ -816,6 +816,21 @@ def test_a_closed_form_qp_tests_the_supports_of_its_rows_once():
     assert (factored, inverted, qrs) == (1, 0, 0)
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_the_closed_form_factor_is_factor_rows_bit_for_bit_in_any_layout(order):
+    # QPInstance holds Jg C-ordered, so the squared norms the closed form
+    # holds are the tight rows' own whatever the layout Jg came in; the
+    # factor is bitwise factor_rows' of the tight rows
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        inst = _disjoint_qp(rng, "plain", max_n=30, max_s=8, exponent=3)
+        inst = dataclasses.replace(inst, jac=np.asarray(inst.jac, order=order))
+        sol = solve_qp(inst)
+        ref = factor_rows(sol.factor.rows)
+        assert np.array_equal(sol.factor.q, ref.q) and np.array_equal(sol.factor.r, ref.r)
+        assert (sol.factor.deficiency is None) == (ref.deficiency is None)
+
+
 def _bits(*arrays):
     """The bytes of each array, so -0.0 and 0.0 (or two NaNs) compare as they are."""
     return [np.asarray(a, dtype=float).tobytes() for a in arrays]

@@ -106,7 +106,9 @@ def activity(d, box, tol=ACTIVITY_TOL):
     within tol of a finite bound is at that bound, and within tol of both
     bounds of a narrow interval it is at the nearer one (the lower on a tie).
     This is the only classifier of points against a box: the QP solver, the
-    oracles and the checkers all read their patterns from it.
+    oracles and the checkers all read their patterns from it, or from its
+    step after the inside test, :func:`_classify`, where d is known to lie
+    in the box.
 
     Returns a tuple of :class:`Activity`.  Raises
     :class:`InfeasiblePointError` when d leaves the box by more than tol or
@@ -124,6 +126,13 @@ def activity(d, box, tol=ACTIVITY_TOL):
         raise InfeasiblePointError(
             f"coordinate {i}: {d[i]!r} outside [{lo[i]}, {hi[i]}] beyond tol", coord=i
         )
+    return _classify(d, box, tol)
+
+
+def _classify(d, box, tol=ACTIVITY_TOL):
+    """:func:`activity` of a finite d of the box's shape known to lie in the
+    box, as a clipped finite point does: the same pattern, with no inside test."""
+    lo, hi = box.lower, box.upper
     gap_lo, gap_hi = np.abs(d - lo), np.abs(d - hi)  # +inf at an infinite bound
     # later writes take precedence: fixed over lower (within tol and nearer
     # than the upper bound) over upper

@@ -50,7 +50,8 @@ class CombinatorialBlowupError(SSNewtonError):
 
 
 class EvaluationError(SSNewtonError):
-    """A problem callback returned non-finite or mis-shaped output."""
+    """A problem callback returned non-finite or mis-shaped output, or
+    finite output whose use in a step overflows."""
 
 
 class ProblemFormatError(SSNewtonError):

@@ -121,6 +121,26 @@ class RowFactor:
         return np.linalg.norm(self.rows, axis=1)
 
     @functools.cached_property
+    def coordinates(self):
+        """(columns, entries, free) when every row of C has exactly one
+        nonzero, in distinct columns, else None; read once per factor.
+
+        Row i's nonzero is C[i, columns[i]] = entries[i], and ``free`` is
+        every other column, ascending.  True of no rows (m = 0).
+        """
+        c = self.rows
+        m, n = c.shape
+        nonzero = c != 0.0
+        columns = np.argmax(nonzero, axis=1)  # each row's first nonzero
+        entries = c[np.arange(m), columns]
+        free = np.ones(n, dtype=bool)
+        free[columns] = False
+        # m nonzeros, none in a zero row, and m columns taken: one per row
+        if np.count_nonzero(nonzero) != m or not entries.all() or np.count_nonzero(free) != n - m:
+            return None
+        return columns, entries, np.flatnonzero(free)
+
+    @functools.cached_property
     def dependent(self):
         """Some row fails the dependence floor, read once per factor.
 

@@ -6,7 +6,20 @@ inclusion and delivers a multiplier, then (2) a Newton step solving one
 n x n linear system.  With W a basis of the normal-cone span at the
 predicted point, C = W^T Jg its active rows and Z an orthonormal basis of
 ker C, that system is [Z^T JL; C] s = [-Z^T y_p; -W^T y_g] up to a scaling
-of each C row.  It is assembled without Z: Q1 from the reduced QR
+of each C row.
+
+When every row of C has exactly one nonzero, C[i, t_i], in distinct
+columns T = {t_i} (coordinate rows, as for g(x) = x in the NCP and obstacle
+class), Z = I[:, F] is known exactly, F being the other columns, and the
+system splits: s_T = -(W^T y_g)_i / C[i, t_i] and
+JL[F, F] s_F = -y_p[F] - JL[F, T] s_T.  JL[F, F] is the block
+:func:`ssnewton.problems.check_second_order` and :func:`closed_form_inverse`
+take as the regularity object; the step solves it with
+:func:`ssnewton.linalg.solve_dense`, whose probes certify it, and makes no
+LAPACK call when F is empty.  Any other C is solved in the bordered form
+below.
+
+The bordered system is assembled without Z: Q1 from the reduced QR
 C^T = Q1 R projects JL onto range(C^T) and replaces that part by the
 row-equilibrated border alpha D^{-1} C, where D holds the row norms of C
 and alpha = max(1, max |JL|).  C and its QR are the QP's: the QP's
@@ -96,8 +109,14 @@ class ApproxResult:
 @dataclass(frozen=True, eq=False)
 class NewtonWorkspace:
     q1: np.ndarray  # orthonormal basis of range(C^T), C = W^T Jg the tight rows
-    reduced_matrix: np.ndarray
+    reduced_matrix: np.ndarray  # M (n x n), or JL[F, F] on coordinate rows
     reduced_rhs: np.ndarray
+    jac_l: np.ndarray  # the n x n array JL was summed into (and M written over)
+    # on coordinate rows, the free columns F, the tight rows' columns T and
+    # s_T; None for the bordered system
+    free: np.ndarray = None
+    columns: np.ndarray = None
+    column_step: np.ndarray = None
 
 
 def approximation_step(problem, x, guess=None):
@@ -176,54 +195,80 @@ def _geometry(problem, approx):
 
 
 def newton_workspace(problem, approx, out=None):
-    """The n x n Newton system M s = rhs at the output of the approximation step.
+    """The Newton system at the output of the approximation step.
 
     With C = W^T Jg, C^T = Q1 R, D = diag(||C_i||) and
-    alpha = max(1, max |JL|):
+    alpha = max(1, max |JL|), the bordered system is M s = rhs with
     M = JL - Q1 (Q1^T JL - alpha D^{-1} C) and
     rhs = Q1 (Q1^T y_p - alpha D^{-1} W^T y_g) - y_p.
     For U = [Z Q1], U^T M = [Z^T JL; alpha D^{-1} C] and
     U^T rhs = [-Z^T y_p; -alpha D^{-1} W^T y_g]: the reduced system with
     each C row rescaled, so the step is the same.  Its singular values do
     not depend on the row scale of C, and the border is scaled to JL, so
-    rounding in the projection of JL does not swamp a small C row.  C and
-    Q1 (``approx.q1``) come from the QP's factor: no QR is taken here, and
-    a :class:`DegeneracyError` is raised exactly when the QP set
+    rounding in the projection of JL does not swamp a small C row.  When
+    every row of C has one nonzero
+    (:attr:`ssnewton.linalg.RowFactor.coordinates`), the workspace holds
+    the free-coordinate system of the module docstring instead: JL[F, F],
+    its rhs and s_T, with no n x n product.  C and Q1 (``approx.q1``) come
+    from the QP's factor: no QR is taken here, and a
+    :class:`DegeneracyError` is raised exactly when the QP set
     ``degenerate_multiplier``.  alpha is read from the max and min of JL
     that also check Jf and Hg for finiteness (no |JL| copy); a JL that
-    overflowed to +-inf raises :class:`EvaluationError`.  D comes from the
+    overflowed to +-inf raises :class:`EvaluationError`.  Both verdicts
+    come before either system is formed.  D comes from the
     factor (:attr:`ssnewton.linalg.RowFactor.row_norms`), and W^T y_g is
     read from the QP's tight indices and signs (``approx.tight``,
     ``approx.tight_signs``), with no dense W.  JL is summed into
     ``out`` when one is given (see :func:`lagrangian_jacobian`), and M
     overwrites JL in that array with the operations of the out-of-place
-    expression, in the same order.
+    expression, in the same order; JL[F, F] is a copy, gathered rows first.
     """
     n = problem.n
     jac_l, top = _lagrangian_jacobian_and_max(problem, approx.x_hat, approx.lam_hat, out)
-    c = approx.factor.rows
     q1 = approx.q1
     alpha = max(1.0, top)
     if alpha == np.inf:  # a sum of finite arrays overflows to +-inf, never NaN
         raise EvaluationError(f"{problem.name}: Jf + Hg overflows")
-    scale = alpha / approx.factor.row_norms
     y_p, y_g = approx.y_hat[:n], approx.y_hat[n:]
+    w_y = approx.tight_signs * y_g[approx.tight]  # W^T y_g
+    coordinates = approx.factor.coordinates
+    if coordinates is not None:
+        columns, entries, free = coordinates
+        rows = matrix = jac_l  # no row is tight: JL[F, F] is JL
+        if free.size < n:
+            rows = jac_l[free]
+            matrix = rows[:, free]
+        with np.errstate(over="ignore", invalid="ignore"):  # the step is the caller's to check
+            shift = w_y / entries  # -s_T
+            rhs = rows[:, columns] @ shift - y_p[free]
+        return NewtonWorkspace(q1=q1, reduced_matrix=matrix, reduced_rhs=rhs, jac_l=jac_l,
+                               free=free, columns=columns, column_step=-shift)
+    c, scale = approx.factor.rows, alpha / approx.factor.row_norms
     with np.errstate(over="ignore", invalid="ignore"):  # newton_step checks M
         matrix = np.subtract(jac_l, q1 @ (q1.T @ jac_l - scale[:, None] * c), out=jac_l)
-    rhs = q1 @ (q1.T @ y_p - scale * (approx.tight_signs * y_g[approx.tight])) - y_p
-    return NewtonWorkspace(q1=q1, reduced_matrix=matrix, reduced_rhs=rhs)
+    rhs = q1 @ (q1.T @ y_p - scale * w_y) - y_p
+    return NewtonWorkspace(q1=q1, reduced_matrix=matrix, reduced_rhs=rhs, jac_l=jac_l)
 
 
 def newton_step(workspace):
     """Direction s solving the Newton system; raises on a singular system.
 
-    A non-finite M, which projecting a finite JL near the float range can
+    On coordinate rows s_T is known and JL[F, F] s_F = rhs is solved, with
+    no LAPACK call when F is empty; the two are scattered into one s.  A
+    non-finite M, which projecting a finite JL near the float range can
     give, raises :class:`EvaluationError`.
     """
-    try:
-        return solve_dense(workspace.reduced_matrix, workspace.reduced_rhs)
-    except DimensionError as exc:  # the workspace's shapes agree by construction
-        raise EvaluationError(f"Newton system overflows: {exc}") from exc
+    free = workspace.free
+    if free is None:
+        try:
+            return solve_dense(workspace.reduced_matrix, workspace.reduced_rhs)
+        except DimensionError as exc:  # the workspace's shapes agree by construction
+            raise EvaluationError(f"Newton system overflows: {exc}") from exc
+    step = np.empty(workspace.jac_l.shape[0])
+    step[workspace.columns] = workspace.column_step
+    if free.size:  # JL[F, F] is a block of a checked JL: finite and square
+        step[free] = solve_dense(workspace.reduced_matrix, workspace.reduced_rhs)
+    return step
 
 
 def assemble_full_ab(problem, approx):
@@ -381,12 +426,13 @@ def solve(problem, x0, tol=1e-10, max_iter=50, approximation=approximation_step)
     (see :func:`approximation_step`).  An x0 that is not of shape (n,)
     raises :class:`DimensionError` before any callback runs, and a tol or
     max_iter out of its domain raises :class:`InvalidOptionError` there.
-    Each step refills the previous step's M with JL and then M
-    (:func:`newton_workspace`), so a solve keeps one n x n array for both:
-    freeing and regrowing one per step made glibc trim the heap and fault
-    it back in at every step.  Callback arrays are never written into.
+    Each step refills the previous step's n x n array with JL, and the
+    bordered system's M overwrites it (:func:`newton_workspace`), so a
+    solve keeps one such array: freeing and regrowing one per step made
+    glibc trim the heap and fault it back in at every step.  Callback
+    arrays are never written into.
     """
-    previous = matrix = None
+    previous = jac_l = None
 
     def measure(x):
         nonlocal previous
@@ -395,9 +441,9 @@ def solve(problem, x0, tol=1e-10, max_iter=50, approximation=approximation_step)
         return residual, approx.lam_hat, pattern_summary(approx.pattern), approx
 
     def direction(approx, k):
-        nonlocal matrix
-        workspace = newton_workspace(problem, approx, matrix)
-        matrix = workspace.reduced_matrix
+        nonlocal jac_l
+        workspace = newton_workspace(problem, approx, jac_l)
+        jac_l = workspace.jac_l
         return newton_step(workspace)
 
     return drive(x0, problem.n, measure, direction, tol, max_iter)

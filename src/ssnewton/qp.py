@@ -96,6 +96,7 @@ import numpy as np
 from .cones import (
     Activity,
     BoxSet,
+    _classify,
     activity,
     enumerate_box_patterns,
     normal_signs,
@@ -103,7 +104,7 @@ from .cones import (
     pattern_codes,
     pattern_of,
 )
-from .errors import DimensionError, NonconvergenceError, QPInfeasibleError
+from .errors import DimensionError, EvaluationError, NonconvergenceError, QPInfeasibleError
 from .linalg import DEP_REL_TOL, RowFactor, _disjoint_factor, disjoint_row_norms2, factor_rows
 
 
@@ -291,31 +292,47 @@ def solve_qp(instance):
     goes to the dual active-set method, :func:`_active_set_qp` (see the
     module docstring).  Raises :class:`QPInfeasibleError` when the
     constraints admit no point and :class:`NonconvergenceError` past
-    100 (n + s) active-set updates.
+    100 (n + s) active-set updates.  Finite c, b and Jg can still give an
+    e = b - Jg c, the constraint value at the unconstrained minimum, that
+    overflows; that raises :class:`EvaluationError` naming the first such
+    row, before either solver runs, and no RuntimeWarning.
     """
-    solution = _separable_qp(instance)
+    solution = _separable_qp(instance, _offset(instance))
     return _active_set_qp(instance) if solution is None else solution
 
 
-def _separable_qp(instance):
+def _offset(instance):
+    """e = b - Jg c, checked finite: :func:`solve_qp`'s overflow test."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        e = instance.b - instance.jac @ instance.c
+    finite = np.isfinite(e)
+    if not finite.all():
+        raise EvaluationError(
+            f"the QP's offset b - Jg c overflows at row {int(np.argmin(finite))}"
+        )
+    return e
+
+
+def _separable_qp(instance, e):
     """The QP of rows with disjoint supports, in closed form; None for other rows.
 
     Such rows are exactly orthogonal, so the QP is one problem per row:
-    with e = b - Jg c and d = clip(e, lower, upper), row i's multiplier is
-    (e_i - d_i) / ||row_i||^2, u = -c - Jg^T lam and b + Jg u = d.  A zero
-    row has multiplier 0 when e_i lies in its interval and is infeasible
-    otherwise: that row is the certificate.  The pattern is
-    ``activity(d, box)``, ``iterations`` is 0 and ``warm`` False, and the
-    factor is the tight rows' (the guess's when its rows are those), built
-    from the squared norms already read, so the supports are tested once.
-    Rows whose squared norms leave the normal floats give None (see
-    :func:`ssnewton.linalg.disjoint_row_norms2`).
+    with e = b - Jg c (:func:`_offset`) and d = clip(e, lower, upper), row
+    i's multiplier is (e_i - d_i) / ||row_i||^2, u = -c - Jg^T lam and
+    b + Jg u = d.  A zero row has multiplier 0 when e_i lies in its
+    interval and is infeasible otherwise: that row is the certificate.  The
+    pattern is ``activity(d, box)``, read without its inside test, which a
+    finite point clipped to the box cannot fail
+    (:func:`ssnewton.cones._classify`); ``iterations`` is 0 and ``warm``
+    False, and the factor is the tight rows' (the guess's when its rows are
+    those), built from the squared norms already read, so the supports are
+    tested once.  Rows whose squared norms leave the normal floats give
+    None (see :func:`ssnewton.linalg.disjoint_row_norms2`).
     """
     c, jac, box = instance.c, instance.jac, instance.box
     norms2 = disjoint_row_norms2(jac)
     if norms2 is None:
         return None
-    e = instance.b - jac @ c
     d = np.minimum(np.maximum(e, box.lower), box.upper)
     gap = e - d
     zero = norms2 == 0.0
@@ -332,7 +349,7 @@ def _separable_qp(instance):
     else:
         lam = gap / norms2
     u = -c - jac.T @ lam
-    pattern = activity(d, box)
+    pattern = _classify(d, box)
     signed = normal_signs(pattern)
     tight = np.flatnonzero(signed)
     signs = signed[tight]

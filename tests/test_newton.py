@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import counting_callbacks, has_disjoint_rows, random_affine_problem
+from helpers import counting_callbacks, has_disjoint_rows, random_affine_problem, random_box
 from ssnewton import linalg, newton
 from ssnewton import qp as qp_module
 from ssnewton.baselines import josephy_newton
@@ -125,7 +125,8 @@ def test_workspace_active_branch():
 
 
 def test_workspace_both_bounds_active():
-    # C = I and JL = I: Q1 is orthogonal and M = alpha D^{-1} C = I
+    # C = I: Q1 is orthogonal, every column is a tight row's, so no column
+    # is free and there is no matrix to solve: s = -(W^T y_g) / C[i, i]
     ap = approximation_step(BOXVI, np.array([0.3, 0.3]))
     assert ap.pattern == (Activity.AT_UPPER, Activity.AT_UPPER)
     assert np.all(ap.lam_hat > 0)
@@ -133,8 +134,10 @@ def test_workspace_both_bounds_active():
     assert np.allclose(basis_for_pattern(ap.pattern), np.eye(2))
     assert np.max(np.abs(ws.q1.T @ ws.q1 - np.eye(2))) <= 1e-15
     assert np.max(np.abs(ws.q1 @ ws.q1.T - np.eye(2))) <= 1e-15
-    assert np.allclose(ws.reduced_matrix, np.eye(2), atol=1e-15)
+    assert ws.free.size == 0 and ws.reduced_matrix.shape == (0, 0)
+    assert np.array_equal(ws.columns, [0, 1]) and ws.jac_l.shape == (2, 2)
     step = newton_step(ws)
+    assert np.array_equal(step, ws.column_step)
     assert np.allclose(step, ap.d_hat - BOXVI.g(ap.x_hat), atol=1e-12)
 
 
@@ -447,22 +450,24 @@ def test_a_solve_refills_one_matrix_and_writes_no_callback_array(monkeypatch):
         hg=lambda x, lam: np.zeros((n, n)),
         box=BoxSet(np.full(rows.size, -0.05), np.full(rows.size, np.inf)),
     )
-    matrices = []
+    buffers = []
 
     def recording(workspace):
-        matrices.append(workspace.reduced_matrix)
+        buffers.append(workspace.jac_l)
+        assert workspace.free is not None  # the pins are coordinate rows
+        assert not np.shares_memory(workspace.reduced_matrix, workspace.jac_l)
         return newton_step(workspace)
 
     monkeypatch.setattr(newton, "newton_step", recording)
     report = solve(membrane, np.zeros(n))
     assert report.status is Status.CONVERGED
-    assert len(matrices) >= 3 and all(m.shape == (n, n) for m in matrices)
-    assert all(np.shares_memory(m, matrices[0]) for m in matrices[1:])
+    assert len(buffers) >= 3 and all(m.shape == (n, n) for m in buffers)
+    assert all(np.shares_memory(m, buffers[0]) for m in buffers[1:])
     monkeypatch.undo()
 
     # without out, each call returns an array of its own
     ap = approximation_step(membrane, np.zeros(n))
-    first, second = (newton_workspace(membrane, ap).reduced_matrix for _ in range(2))
+    first, second = (newton_workspace(membrane, ap).jac_l for _ in range(2))
     assert not np.shares_memory(first, second)
     assert np.array_equal(first, second)
 
@@ -479,17 +484,32 @@ def test_a_solve_refills_one_matrix_and_writes_no_callback_array(monkeypatch):
     stored = spec.m.tobytes()
     problem = spec.build()
     assert problem.jf(np.zeros(3)) is spec.m
+    matrices, bordered = [], []
+
+    def recording_bordered(workspace):
+        matrices.append(workspace.reduced_matrix)
+        bordered.append(workspace.free is None)
+        return newton_step(workspace)
+
+    monkeypatch.setattr(newton, "newton_step", recording_bordered)
     report = solve(problem, np.array([1.0, -1.0, 1.0]))
     assert report.status is Status.CONVERGED and len(report.iterations) >= 2
     assert spec.m.tobytes() == stored
+    # a tight coupled row takes the bordered form, whose M overwrites JL in
+    # the one buffer (as JL[F, F] = JL is that buffer when no row is tight)
+    assert any(bordered) and all(np.shares_memory(m, matrices[0]) for m in matrices)
 
 
 def test_workspace_orthogonality_invariants():
-    # Q1 is an orthonormal basis of range(C^T), C = W^T Jg, and with Z from
-    # nullspace_basis, [Z Q1]^T M = [Z^T JL; alpha D^{-1} C] and
-    # [Z Q1]^T rhs = [-Z^T y_p; -alpha D^{-1} W^T y_g]
+    # Q1 is an orthonormal basis of range(C^T), C = W^T Jg.  With Z from
+    # nullspace_basis, the bordered system has [Z Q1]^T M =
+    # [Z^T JL; alpha D^{-1} C] and [Z Q1]^T rhs = [-Z^T y_p; -alpha D^{-1} W^T y_g].
+    # Coordinate rows (here n = 1, or no tight row) have Z = I[:, F]: the
+    # workspace holds JL[F, F] exactly, s_T solves C s = -W^T y_g and the
+    # rhs is -y_p[F] - JL[F, T] s_T
     rng = np.random.default_rng(1)
     active = 0
+    forms = Counter()
     for _ in range(50):
         p = random_affine_problem(rng, max_n=5, max_s=3)
         x = rng.uniform(-0.5, 0.5, p.n)
@@ -505,19 +525,35 @@ def test_workspace_orthogonality_invariants():
             np.abs(c), initial=1.0
         )
         jac_l = lagrangian_jacobian(p, x, ap.lam_hat)
+        y_p, y_g = ap.y_hat[: p.n], ap.y_hat[p.n :]
+        size = 1.0 + np.max(np.abs(ap.y_hat))
+        forms[ws.free is None, m > 0] += 1
+        if ws.free is not None:
+            t, f = ws.columns, ws.free
+            assert np.array_equal(np.sort(np.concatenate([t, f])), np.arange(p.n))
+            assert np.array_equal(ws.reduced_matrix, jac_l[np.ix_(f, f)])
+            s_t = np.zeros(p.n)
+            s_t[t] = ws.column_step
+            assert np.max(np.abs(c @ s_t + w.T @ y_g), initial=0.0) <= 1e-15 * size
+            want_rhs = -y_p[f] - jac_l[np.ix_(f, t)] @ ws.column_step
+            scale = 1.0 + np.max(np.abs(jac_l)) * np.max(np.abs(s_t))
+            assert np.max(np.abs(ws.reduced_rhs - want_rhs), initial=0.0) <= 1e-14 * scale * size
+            continue
         alpha = max(1.0, np.max(np.abs(jac_l)))
         border = alpha * c / np.linalg.norm(c, axis=1)[:, None]
         z = nullspace_basis(c)
         u = np.hstack([z, ws.q1])
         want = np.vstack([z.T @ jac_l, border])
         assert np.max(np.abs(u.T @ ws.reduced_matrix - want)) <= 1e-14 * alpha
-        y_p, y_g = ap.y_hat[: p.n], ap.y_hat[p.n :]
         want_rhs = np.concatenate(
             [-(z.T @ y_p), -alpha * (w.T @ y_g) / np.linalg.norm(c, axis=1)]
         )
-        size = 1.0 + np.max(np.abs(ap.y_hat))
         assert np.max(np.abs(u.T @ ws.reduced_rhs - want_rhs)) <= 1e-14 * alpha * size
     assert 10 <= active < 50
+    # the bordered form on tight coupled rows, the free-coordinate one with
+    # and without tight rows
+    assert forms[True, True] and forms[False, True] and forms[False, False]
+    assert not forms[True, False]
 
 
 def _scaled_problem(rng, near_dependent):
@@ -639,9 +675,11 @@ def test_newton_step_and_its_verdict_do_not_depend_on_the_row_scale(seed, near_s
     step, scaled_step = steps
     assert (step is None) == (scaled_step is None)
     if step is not None:
-        # 1e-12 relative, loosened by the conditioning once it passes 100:
-        # the two systems differ by rounding in forming them
-        rel = max(1e-12, 1e-14 * np.linalg.cond(ws.reduced_matrix))
+        # 1e-12 relative, loosened by the conditioning of the solved matrix
+        # once it passes 100 (none is solved when no column is free): the
+        # two systems differ by rounding in forming them
+        solved = ws.reduced_matrix
+        rel = max(1e-12, 1e-14 * np.linalg.cond(solved)) if solved.size else 1e-12
         assert np.max(np.abs(scaled_step - step)) <= rel * np.max(np.abs(step))
 
 
@@ -1035,6 +1073,41 @@ def test_josephy_newton_ends_an_overflowing_subproblem_at_its_direction_step():
     assert len(report.iterations) == 1 and report.iterations[0].step_norm == 0.0
 
 
+def _overflowing_offset(jac, bounded):
+    """f = 1e308 everywhere and g(x) = Jg x with Jg of entries 10: finite
+    values whose QP offset b - Jg c overflows at x0 = 0."""
+    s, n = jac.shape
+    return GEProblem(
+        name="offset", n=n, s=s,
+        f=lambda x: np.full(n, 1e308), jf=lambda x: np.zeros((n, n)),
+        g=lambda x: jac @ x, jg=lambda x: jac, hg=lambda x, lam: np.zeros((n, n)),
+        box=BoxSet(np.full(s, -1.0), np.ones(s)) if bounded else BoxSet(
+            np.full(s, -np.inf), np.full(s, np.inf)),
+    )
+
+
+@pytest.mark.parametrize("bounded", [False, True], ids=["unbounded", "bounded"])
+@pytest.mark.parametrize(
+    "jac", [np.array([[10.0]]), np.array([[10.0, 10.0], [10.0, -10.0]])],
+    ids=["closed-form", "active-set"],
+)
+def test_an_overflowing_qp_offset_ends_evaluation_failed(jac, bounded):
+    # e = b - Jg c is -inf (or inf - inf) for finite f, g and Jg: the run
+    # ends at iteration 0 naming the overflow, with no warning, on either
+    # QP path; it used to raise InfeasiblePointError or warn from the QP
+    problem = _overflowing_offset(jac, bounded)
+    for method in (solve, josephy_newton):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = method(problem, np.zeros(problem.n))
+        assert [str(w.message) for w in caught] == []
+        assert report.status is Status.EVALUATION_FAILED
+        assert report.message == (
+            "approximation step at iteration 0: the QP's offset b - Jg c overflows at row 0"
+        )
+        assert report.iterations == ()
+
+
 X0 = np.array([0.3, 0.3])  # box-vi-2d converges from here in one step
 
 
@@ -1183,7 +1256,8 @@ def test_an_obstacle_solve_rederives_nothing_and_calls_no_numpy_wrapper():
     # one support test and one normal_signs per QP call, the workspace
     # taking the QP's tight indices and signs; no np.clip, np.linalg.norm or
     # np.column_stack anywhere; the zero Hg passes its symmetry test with no
-    # transposed compare
+    # transposed compare.  The workspace's one counted call is the
+    # flatnonzero that lists a factor's free columns, once per factor
     problem = _small_obstacle()
     phases = []  # the phase of each counted call, in order
     counted = ("clip", "column_stack", "array_equal", "flatnonzero")
@@ -1207,6 +1281,12 @@ def test_an_obstacle_solve_rederives_nothing_and_calls_no_numpy_wrapper():
 
     signs = recorder("normal_signs", qp_module.normal_signs)
     disjoint = recorder("disjoint_row_norms2", qp_module.disjoint_row_norms2)
+    factors = []
+    original_workspace = newton.newton_workspace
+
+    def workspace(problem, approx, out=None):
+        factors.append(approx.factor)
+        return original_workspace(problem, approx, out)
     with mock.patch.object(np.linalg, "norm", recorder("norm", np.linalg.norm)), \
             mock.patch.multiple(np, **{name: recorder(name, getattr(np, name)) for name in counted}), \
             mock.patch.object(qp_module, "normal_signs", signs), \
@@ -1214,7 +1294,7 @@ def test_an_obstacle_solve_rederives_nothing_and_calls_no_numpy_wrapper():
             mock.patch.object(qp_module, "disjoint_row_norms2", disjoint), \
             mock.patch.object(linalg, "disjoint_row_norms2", disjoint), \
             mock.patch.object(newton, "solve_qp", phase("qp", newton.solve_qp)), \
-            mock.patch.object(newton, "newton_workspace", phase("workspace", newton.newton_workspace)):
+            mock.patch.object(newton, "newton_workspace", phase("workspace", workspace)):
         report = solve(problem, np.zeros(problem.n))
     assert report.status is Status.CONVERGED
     qp_calls = len(report.iterations)
@@ -1225,12 +1305,139 @@ def test_an_obstacle_solve_rederives_nothing_and_calls_no_numpy_wrapper():
     assert not any(name in ("norm", "clip", "column_stack") for name, _ in phases)
     assert calls[("disjoint_row_norms2", "qp")] == qp_calls
     assert calls[("normal_signs", "qp")] == qp_calls
-    assert not any(where == "workspace" for _, where in phases)
+    distinct = len({id(factor) for factor in factors})
+    assert [name for name, where in phases if where == "workspace"] == ["flatnonzero"] * distinct
+    assert 1 <= distinct <= steps
     assert sum(n for (name, _), n in calls.items() if name in ("normal_signs", "disjoint_row_norms2")) \
         == 2 * qp_calls
     # the held factor's compare in each seeded QP call is the only array_equal
     assert calls[("array_equal", "qp")] == steps
     assert sum(n for (name, _), n in calls.items() if name == "array_equal") == steps
+    # every step is on the free coordinates
+    assert all(factor.coordinates is not None for factor in factors)
+
+
+def _coordinate_row_problem(rng):
+    """Affine f and g(x) = G x + h whose rows each have one signed nonzero,
+    10^U(-8, 8), on a random subset of the coordinates; bounds from
+    ``random_box`` (one-sided, two-sided, pinched and free)."""
+    n = int(rng.integers(1, 7))
+    s = int(rng.integers(1, n + 1))
+    g_mat = np.zeros((s, n))
+    g_mat[np.arange(s), rng.choice(n, s, replace=False)] = (
+        rng.choice([-1.0, 1.0], s) * 10.0 ** rng.uniform(-8, 8, s)
+    )
+    box = random_box(rng, s)
+    return AffineProblemSpec(
+        name="coordinate-rows", m=rng.uniform(-2, 2, (n, n)), q=rng.uniform(-2, 2, n),
+        g_mat=g_mat, h=rng.uniform(-1, 1, s), lower=box.lower, upper=box.upper,
+    ).build()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_a_coordinate_row_step_is_the_full_step_oracle(seed):
+    # the free-coordinate system gives the step of the full (A, B) pair.
+    # The oracle pseudo-inverts C C^T, which rows of unequal scale make
+    # singular, so it runs on the same graph point with each row of g and
+    # y_g divided by its scale: the step does not change, up to rounding
+    rng = np.random.default_rng(seed)
+    p = _coordinate_row_problem(rng)
+    x = rng.uniform(-1, 1, p.n)
+    try:
+        ap = approximation_step(p, x)
+        ws = newton_workspace(p, ap)
+        step = newton_step(ws)
+    except (DegeneracyError, SingularMatrixError):
+        assume(False)
+    assert ws.free is not None and ws.free.size + ws.columns.size == p.n
+    sigma = np.abs(p.jg(x)).sum(axis=1)
+    unit = dataclasses.replace(
+        ap, jac_g=ap.jac_g / sigma[:, None],
+        y_hat=np.concatenate([ap.y_hat[: p.n], ap.y_hat[p.n :] / sigma]),
+    )
+    oracle = full_step_oracle(p, unit)
+    block = ws.reduced_matrix
+    cond = np.linalg.cond(block) if block.size else 1.0
+    size = 1.0 + np.max(np.abs(oracle))
+    assert np.max(np.abs(step - oracle)) <= 1e-10 * max(1.0, cond) * size
+
+
+def test_a_step_with_every_column_tight_calls_no_lapack_solve(monkeypatch):
+    # g(x) = x with both coordinates tight: s is -(W^T y_g) / C[i, i], with
+    # no np.linalg.solve; the obstacle solve's first step is the same
+    calls = []
+    original = np.linalg.solve
+
+    def counting(a, b):
+        calls.append(a.shape)
+        return original(a, b)
+
+    problem = _small_obstacle()
+    cases = [(BOXVI, approximation_step(BOXVI, np.array([0.3, 0.3]))),
+             (problem, approximation_step(problem, np.zeros(problem.n)))]
+    assert all(ap.factor.rows.shape == (p.n, p.n) for p, ap in cases)  # every row tight
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    steps = [newton_step(newton_workspace(p, ap)) for p, ap in cases]
+    assert calls == []
+    monkeypatch.undo()
+    for (p, ap), step in zip(cases, steps):
+        assert np.max(np.abs(step - full_step_oracle(p, ap))) <= 1e-14
+
+
+def _one_pinned_row(m):
+    """f(x) = M x + (-1, -1) and g(x) = x_0 <= 0: from x0 = (1, 1) the row
+    is tight and F = {1}, so the step solves JL[F, F] = M[1, 1]."""
+    return AffineProblemSpec(
+        name="one-pin", m=np.array(m, dtype=float), q=np.array([-1.0, -1.0]),
+        g_mat=np.array([[1.0, 0.0]]), h=np.zeros(1), lower=np.array([-np.inf]),
+        upper=np.zeros(1),
+    ).build()
+
+
+def test_an_exactly_singular_free_block_is_a_singular_newton_system():
+    p = _one_pinned_row([[1.0, 0.0], [0.0, 0.0]])
+    ap = approximation_step(p, np.ones(2))
+    ws = newton_workspace(p, ap)
+    assert np.array_equal(ws.free, [1]) and np.array_equal(ws.reduced_matrix, [[0.0]])
+    with pytest.raises(SingularMatrixError):
+        newton_step(ws)
+    report = solve(p, np.ones(2))
+    assert report.status is Status.SINGULAR_NEWTON_SYSTEM
+    assert report.message.startswith("matrix is singular: sigma_min <= ")
+
+
+def test_a_singular_jacobian_with_a_regular_free_block_still_steps():
+    # JL = diag(0, 1) is singular, but the tight row fixes s_0 and the
+    # free block JL[F, F] = [[1]] is regular: the Newton system is
+    p = _one_pinned_row([[0.0, 0.0], [0.0, 1.0]])
+    assert np.linalg.matrix_rank(p.jf(np.ones(2))) == 1
+    ap = approximation_step(p, np.ones(2))
+    step = newton_step(newton_workspace(p, ap))
+    assert np.max(np.abs(step - full_step_oracle(p, ap))) <= 1e-15
+    report = solve(p, np.ones(2))
+    assert report.status is Status.CONVERGED
+    assert report.final_x == (0.0, 1.0)
+
+
+def test_coupled_tight_rows_keep_the_bordered_system():
+    # a tight row with two nonzeros, alone or beside a coordinate row: the
+    # workspace holds the n x n bordered M, formed in the JL buffer
+    for g_mat in ([[1.0, 1.0, 0.0]], [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]):
+        g_mat = np.array(g_mat)
+        s = g_mat.shape[0]
+        p = AffineProblemSpec(
+            name="coupled", m=np.diag([2.0, 3.0, 1.5]), q=np.full(3, -10.0), g_mat=g_mat,
+            h=np.zeros(s), lower=np.full(s, -np.inf), upper=np.zeros(s),
+        ).build()
+        ap = approximation_step(p, np.ones(3))
+        assert ap.factor.rows.shape == (s, 3) and ap.factor.coordinates is None
+        buffer = np.empty((3, 3))
+        ws = newton_workspace(p, ap, buffer)
+        assert ws.free is None and ws.reduced_matrix is ws.jac_l is buffer
+        assert ws.reduced_matrix.shape == (3, 3)
+        step = newton_step(ws)
+        assert np.max(np.abs(step - full_step_oracle(p, ap))) <= 1e-14
 
 
 def test_residuals_and_step_norms_are_np_linalg_norm_bit_for_bit(monkeypatch):
@@ -1309,6 +1516,9 @@ def test_trajectory_digest_script_runs_and_compares(tmp_path):
     within = digest("compare", str(out), str(edited), "--rtol", "1e-12")
     assert within.returncode == 0, within.stdout
     assert "8 instances, 0 differ beyond rtol 1e-12 [], 1 moved within it" in within.stdout
+    # and one line per workload: how many of its lines moved, and how far
+    assert "\n  vi-dense: 0 of 2 lines moved\n" in within.stdout
+    assert "\n  nl-few-bounds: 1 of 2 lines moved, largest move " in within.stdout
     exact = digest("compare", str(out), str(edited))
     assert exact.returncode == 1 and "8 instances, 1 differ" in exact.stdout
     fields = lines[0].split(" ")
@@ -1317,6 +1527,7 @@ def test_trajectory_digest_script_runs_and_compares(tmp_path):
     branch = digest("compare", str(out), str(edited), "--rtol", "1e-12")
     assert branch.returncode == 1
     assert "8 instances, 1 differ beyond rtol 1e-12 [('vi-dense', '0')]" in branch.stdout
+    assert "\n  vi-dense: 1 of 2 lines moved, 1 in status, iterations or branches\n" in branch.stdout
 
 
 def test_solve_reports_qp_update_cap_as_status():

@@ -2,6 +2,7 @@ import dataclasses
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -11,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import has_disjoint_rows, random_box, random_qp_instance
-from ssnewton.cones import Activity, BoxSet, normal_cone_membership, pattern_admits
+from ssnewton.cones import Activity, BoxSet, activity, normal_cone_membership, pattern_admits
 from ssnewton.errors import (
     CombinatorialBlowupError,
     DimensionError,
+    EvaluationError,
     NonconvergenceError,
     QPInfeasibleError,
 )
@@ -952,7 +954,7 @@ def test_separable_qp_matches_both_oracles(seed, case):
     for inst in (small, large):
         assert has_disjoint_rows(inst.jac)
         try:
-            sol = qp_module._separable_qp(inst)
+            sol = qp_module._separable_qp(inst, qp_module._offset(inst))
         except QPInfeasibleError as exc:
             assert case == "zero outside" and exc.constraint == (0, "L")
             with pytest.raises(QPInfeasibleError):
@@ -992,6 +994,55 @@ def test_separable_qp_meets_kkt_at_row_scales_from_1e_minus_8_to_1e8(seed, case)
     assert np.all(sol.lam[zero] == 0.0)
     if case == "tie":
         assert np.all(sol.lam == 0.0) and np.all(sol.u == -inst.c)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), case=st.sampled_from(["random", "pinched", "infinite"]))
+def test_the_closed_form_pattern_is_activity_of_its_clipped_point(seed, case):
+    # the closed form classifies d = clip(e) without activity's inside test,
+    # which such a d cannot fail: its pattern is activity's, also within
+    # the tolerance of a bound and in intervals narrower than two tolerances
+    rng = np.random.default_rng(seed)
+    s = int(rng.integers(1, 9))
+    box = random_box(rng, s)
+    lo, hi = box.lower.copy(), box.upper.copy()
+    if case == "pinched":
+        pinch = rng.random(s) < 0.5
+        lo[pinch] = hi[pinch] = rng.uniform(-2, 2, s)[pinch]
+    elif case == "infinite":
+        lo = np.where(rng.random(s) < 0.5, -np.inf, rng.uniform(-2, 0, s))
+        hi = np.where(rng.random(s) < 0.5, np.inf, rng.uniform(0, 2, s))
+    narrow = np.isfinite(lo) & (rng.random(s) < 0.3)
+    hi[narrow] = lo[narrow] + rng.uniform(0, 3e-9, s)[narrow]
+    near = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
+    offsets = [0.0, 1e-10, -1e-10, 9e-10, -9e-10, 1.1e-9, -1.1e-9, 2e-9, -2e-9, 0.5, -3.0]
+    e = near + rng.choice(offsets, s)
+    jac = np.diag(rng.choice([-1.0, 1.0], s) * 10.0 ** rng.uniform(-3, 3, s))
+    inst = QPInstance(c=np.zeros(s), b=e, jac=jac, box=BoxSet(lo, hi))
+    d = np.clip(e, lo, hi)  # e = b - Jg 0 = b, bit for bit
+    assert solve_qp(inst).active == activity(d, inst.box)
+    assert qp_module._classify(d, inst.box) == activity(d, inst.box)
+
+
+@pytest.mark.parametrize("bounded", [False, True], ids=["unbounded", "bounded"])
+@pytest.mark.parametrize(
+    "jac", [np.array([[10.0]]), np.array([[10.0, 10.0], [10.0, -10.0]])],
+    ids=["closed-form", "active-set"],
+)
+def test_an_overflowing_offset_raises_evaluation_error_and_warns_nothing(jac, bounded):
+    # finite c, b and Jg whose e = b - Jg c is -inf (or inf - inf): solve_qp
+    # names the overflow before either solver runs, cold or seeded
+    s, n = jac.shape
+    box = BoxSet(-np.ones(s), np.ones(s)) if bounded else BoxSet(
+        np.full(s, -np.inf), np.full(s, np.inf))
+    inst = QPInstance(c=np.full(n, 1e308), b=np.zeros(s), jac=jac, box=box)
+    seeded = dataclasses.replace(inst, guess=((Activity.INTERIOR,) * s, np.zeros(s)))
+    for instance in (inst, seeded):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(EvaluationError, match=r"^the QP's offset b - Jg c overflows at row 0$"):
+                solve_qp(instance)
+        assert [str(w.message) for w in caught] == []
 
 
 def test_a_tiny_row_gets_its_true_multiplier():

@@ -19,7 +19,10 @@ differs or either file has an instance the other lacks.  With ``--rtol R``
 the status, the iteration count and the branches must still match exactly,
 but the multiplier and ``final_x`` may each move by R relative to
 max(1, max |before|), as ``tests/qp_sweep.py compare`` allows; it also
-prints how many lines moved within R and the largest move.
+prints how many lines moved within R and the largest move.  Either way it
+then prints, for each workload, how many of its lines moved, the largest
+relative move among them, and how many changed status, iterations or
+branches.
 
 Not collected by pytest; ``test_newton.py`` runs it on a few instances.
 """
@@ -89,20 +92,36 @@ def _move(before, after):
     return move
 
 
+def _by_workload(old, moves):
+    """One line per workload: how many of its lines moved, and by how much."""
+    for workload in dict.fromkeys(key[0] for key in old):
+        count = sum(key[0] == workload for key in old)
+        moved = [move for key, move in moves.items() if key[0] == workload]
+        line = f"  {workload}: {len(moved)} of {count} lines moved"
+        sizes = [move for move in moved if move is not None]
+        if sizes:
+            line += f", largest move {max(sizes):.3g}"
+        if len(sizes) < len(moved):
+            line += f", {len(moved) - len(sizes)} in status, iterations or branches"
+        print(line)
+
+
 def compare(a, b, rtol=None):
     old, new = _read(a), _read(b)
     if old.keys() != new.keys():
         print(f"different instances: {len(old.keys() ^ new.keys())} keys in only one file")
         return 1
     differ = [key for key, line in old.items() if new[key] != line]
+    moves = {key: _move(old[key], new[key]) for key in differ}
     if rtol is None:
         print(f"{len(old)} instances, {len(differ)} differ {differ[:20]}")
+        _by_workload(old, moves)
         return 1 if differ else 0
-    moves = {key: _move(old[key], new[key]) for key in differ}
     beyond = [key for key, move in moves.items() if move is None or move > rtol]
     largest = max((move for move in moves.values() if move is not None), default=0.0)
     print(f"{len(old)} instances, {len(beyond)} differ beyond rtol {rtol:g} {beyond[:20]}, "
           f"{len(differ) - len(beyond)} moved within it, largest move {largest:.3g}")
+    _by_workload(old, moves)
     return 1 if beyond else 0
 
 

@@ -126,12 +126,13 @@ def activity(d, box, tol=ACTIVITY_TOL):
         raise InfeasiblePointError(
             f"coordinate {i}: {d[i]!r} outside [{lo[i]}, {hi[i]}] beyond tol", coord=i
         )
-    return _classify(d, box, tol)
+    return pattern_of(_classify(d, box, tol))
 
 
 def _classify(d, box, tol=ACTIVITY_TOL):
-    """:func:`activity` of a finite d of the box's shape known to lie in the
-    box, as a clipped finite point does: the same pattern, with no inside test."""
+    """The codes, an int8 array, of :func:`activity` of a finite d of the
+    box's shape known to lie in the box, as a clipped finite point does: the
+    same pattern, with no inside test."""
     lo, hi = box.lower, box.upper
     gap_lo, gap_hi = np.abs(d - lo), np.abs(d - hi)  # +inf at an infinite bound
     # later writes take precedence: fixed over lower (within tol and nearer
@@ -140,7 +141,7 @@ def _classify(d, box, tol=ACTIVITY_TOL):
     kinds[gap_hi <= tol] = Activity.AT_UPPER
     kinds[gap_lo <= np.minimum(gap_hi, tol)] = Activity.AT_LOWER
     kinds[lo == hi] = Activity.FIXED
-    return pattern_of(kinds)
+    return kinds
 
 
 def pattern_summary(pattern):

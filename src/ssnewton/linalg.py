@@ -28,11 +28,27 @@ probe columns solved next to the right-hand side (:func:`_solve_regular`);
 their norms are summed as ``np.linalg.norm`` sums them, with no call of it.
 Every matrix is checked for finite entries by the max and min of its
 entries that its scale needs anyway (a NaN makes both NaN), not by a
-separate ``isfinite`` pass.
+separate ``isfinite`` pass.  Reductions are the ufuncs' own
+(``np.maximum.reduce``, ``np.logical_and.reduce``, ...), which the array
+methods call through a Python frame: the same values, with less overhead.
+
+The index-built factor.  When every row of a matrix A is a coordinate row,
+with exactly one nonzero, in distinct columns (as for g(x) = x in the NCP
+and obstacle class), the one support test, :func:`disjoint_row_norms2`,
+also returns each row's column.  The factor of signed picked rows
+C = diag(signs) A[picked], the tight rows W^T Jg of the QP, is then known
+from indices alone (:func:`coordinate_factor`): its columns, its signed
+entries C[i, columns[i]], the free columns, the row norms sqrt(norms2),
+and the rank verdict of :func:`require_full_row_rank`, read from those
+norms (the diagonal of R) and max |C| = max |entries|.  C, Q, R, R^-1 and
+the dependence floor are formed only when something reads them (the
+bordered Newton system, a later active-set seed, the oracles), by the
+expressions :func:`factor_rows` uses, so every value is bitwise that of
+``factor_rows(C)``.  It is the same :class:`RowFactor` type, whose
+:attr:`RowFactor.coordinates` it holds from the start.
 """
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +63,7 @@ _TINY = np.finfo(float).tiny  # the smallest normal float
 
 def _max_abs(a):
     """max |A| from max and min of A, with no |A| copy; NaN when A has a NaN."""
-    return float(max(a.max(), -a.min()))
+    return float(max(np.maximum.reduce(a, axis=None), -np.minimum.reduce(a, axis=None)))
 
 
 def _as_matrix(c):
@@ -61,6 +77,20 @@ def _as_matrix(c):
     return c, top
 
 
+def _deficiency(diag, top):
+    """The rank test of :func:`require_full_row_rank` on |diag| and max |C| = top:
+    its :class:`RankDeficiencyError`, or None when C has full row rank."""
+    tol = RANK_TOL * max(1.0, top)
+    if diag.size and not np.minimum.reduce(diag) > tol:
+        bad = int(diag.argmin())
+        return RankDeficiencyError(
+            f"matrix is rank deficient (diagonal {bad} of the triangular "
+            f"factor is {diag[bad]:.3e})",
+            index=bad,
+        )
+    return None
+
+
 def require_full_row_rank(c, diag):
     """Raise :class:`RankDeficiencyError` unless C, m x n with m <= n, has full row rank.
 
@@ -68,15 +98,9 @@ def require_full_row_rank(c, diag):
     C^T = Q R); each entry must exceed RANK_TOL x max(1, max |C|) in
     magnitude, and the error's index is the first smallest one.
     """
-    diag = np.abs(diag)
-    tol = RANK_TOL * max(1.0, _max_abs(c) if c.size else 0.0)
-    if diag.size and not diag.min() > tol:
-        bad = int(np.argmin(diag))
-        raise RankDeficiencyError(
-            f"matrix is rank deficient (diagonal {bad} of the triangular "
-            f"factor is {diag[bad]:.3e})",
-            index=bad,
-        )
+    exc = _deficiency(np.abs(diag), _max_abs(c) if c.size else 0.0)
+    if exc is not None:
+        raise exc
 
 
 def _too_many_rows(m, n):
@@ -85,19 +109,39 @@ def _too_many_rows(m, n):
     return RankDeficiencyError(f"matrix is rank deficient ({m} rows, {n} columns)", index=n)
 
 
-@dataclass(frozen=True, eq=False)
 class RowFactor:
     """One reduced QR C^T = Q R of an m x n matrix C, and its rank verdict.
 
     ``deficiency`` is the :class:`RankDeficiencyError` that
     :func:`require_full_row_rank` raises on R, or None when C has full row
     rank.  With more rows than columns no QR is taken: q and r are None.
+    ``RowFactor(rows, q, r, deficiency)`` holds a factor as it was computed;
+    the closed forms of :func:`_disjoint_factor` and
+    :func:`coordinate_factor` form Q and R (and C, for the latter) on first
+    read.  Immutable: every other attribute is a value cached on first read.
     """
 
-    rows: np.ndarray  # C
-    q: np.ndarray  # n x m, orthonormal columns spanning range(C^T)
-    r: np.ndarray  # m x m upper triangular
-    deficiency: RankDeficiencyError = None
+    def __init__(self, rows, q, r, deficiency=None):
+        vars(self).update(rows=rows, q=q, r=r, deficiency=deficiency)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"RowFactor is immutable: cannot set {name!r}")
+
+    @functools.cached_property
+    def rows(self):
+        """C = diag(signs) A[picked] of a :func:`coordinate_factor`, formed on first read."""
+        a, picked, signs = self._source
+        return signs[:, None] * a[picked]
+
+    @functools.cached_property
+    def q(self):
+        """Q = C^T D^-1 of rows with disjoint supports, formed on first read."""
+        return self.rows.T / self.row_norms
+
+    @functools.cached_property
+    def r(self):
+        """R = D = diag(||C_i||) of rows with disjoint supports, formed on first read."""
+        return np.diag(self.row_norms)
 
     @functools.cached_property
     def r_inv(self):
@@ -116,14 +160,15 @@ class RowFactor:
 
     @functools.cached_property
     def row_norms(self):
-        """np.linalg.norm(C, axis=1), computed on first read; the closed form
-        of :func:`_disjoint_factor` holds it from the start."""
+        """np.linalg.norm(C, axis=1), computed on first read; the closed forms
+        hold it from the start."""
         return np.linalg.norm(self.rows, axis=1)
 
     @functools.cached_property
     def coordinates(self):
         """(columns, entries, free) when every row of C has exactly one
-        nonzero, in distinct columns, else None; read once per factor.
+        nonzero, in distinct columns, else None; read once per factor, and
+        held from the start by a :func:`coordinate_factor`.
 
         Row i's nonzero is C[i, columns[i]] = entries[i], and ``free`` is
         every other column, ascending.  True of no rows (m = 0).
@@ -131,14 +176,15 @@ class RowFactor:
         c = self.rows
         m, n = c.shape
         nonzero = c != 0.0
-        columns = np.argmax(nonzero, axis=1)  # each row's first nonzero
+        columns = nonzero.argmax(axis=1)  # each row's first nonzero
         entries = c[np.arange(m), columns]
         free = np.ones(n, dtype=bool)
         free[columns] = False
         # m nonzeros, none in a zero row, and m columns taken: one per row
-        if np.count_nonzero(nonzero) != m or not entries.all() or np.count_nonzero(free) != n - m:
+        if (np.count_nonzero(nonzero) != m or not np.logical_and.reduce(entries)
+                or np.count_nonzero(free) != n - m):
             return None
-        return columns, entries, np.flatnonzero(free)
+        return columns, entries, free.nonzero()[0]
 
     @functools.cached_property
     def dependent(self):
@@ -155,49 +201,86 @@ class RowFactor:
 
 
 def disjoint_row_norms2(c):
-    """The squared row norms of C when its rows have disjoint supports, else None.
+    """(norms2, columns) when the rows of C have disjoint supports, else None.
 
     Rows have disjoint supports when each column of C has at most one
     nonzero (an O(mn) test: C has as many nonzeros as nonzero columns);
-    they are then exactly orthogonal.  None also when a nonzero row's
-    squared norm under- or overflows the normal floats, so that every
-    formula built on these norms keeps full relative precision; a zero
-    row's is 0.  Each row's squares are summed by one ``np.add.reduce``
-    over a C-ordered array of them, as ``np.linalg.norm(C, axis=1)`` sums
-    them for a C-ordered C, so the sums do not depend on C's layout and
-    each is bitwise that of the same row in any other C-ordered matrix.
+    they are then exactly orthogonal.  ``norms2`` holds their squared
+    norms.  ``columns`` holds each row's column when every row is a
+    coordinate row, with exactly one nonzero (then in distinct columns),
+    read in the same pass, and is None otherwise.  The result is None also
+    when a nonzero row's squared norm under- or overflows the normal
+    floats, so that every formula built on these norms keeps full relative
+    precision; a zero row's is 0.  Each row's squares are summed by one
+    ``np.add.reduce`` over a C-ordered array of them, as
+    ``np.linalg.norm(C, axis=1)`` sums them for a C-ordered C, so the sums
+    do not depend on C's layout and each is bitwise that of the same row
+    in any other C-ordered matrix.
     """
     nonzero = c != 0.0
-    if np.count_nonzero(nonzero) != np.count_nonzero(np.logical_or.reduce(nonzero, axis=0)):
+    count = np.count_nonzero(nonzero)
+    if count != np.count_nonzero(np.logical_or.reduce(nonzero, axis=0)):
         return None
     norms2 = np.add.reduce(np.multiply(c, c, order="C"), axis=1)
     normal = (norms2 >= _TINY) & (norms2 < np.inf)
-    if not normal.all() and not (normal | ~nonzero.any(axis=1)).all():
-        return None
-    return norms2
+    if not np.logical_and.reduce(normal):  # a zero row, or a norm out of range
+        if not np.logical_and.reduce(normal | ~np.logical_or.reduce(nonzero, axis=1)):
+            return None
+        return norms2, None
+    if count != c.shape[0]:  # every row is nonzero: one has two nonzeros
+        return norms2, None
+    return norms2, nonzero.argmax(axis=1) if count else np.zeros(0, np.intp)
 
 
 def _ranked(c, q, r):
     """The :class:`RowFactor` of C^T = Q R with its verdict from the rank test."""
-    try:
-        require_full_row_rank(c, np.diagonal(r))
-    except RankDeficiencyError as exc:
-        return RowFactor(c, q, r, exc.with_traceback(None))
-    return RowFactor(c, q, r)
+    return RowFactor(c, q, r, _deficiency(np.abs(np.diagonal(r)), _max_abs(c) if c.size else 0.0))
+
+
+def _closed_form(norms, top, held):
+    """A closed-form :class:`RowFactor` of rows with disjoint supports, norms
+    ``norms`` and max |C| = ``top``: its rank verdict, the row norms and
+    ``held``, the other values it holds from the start."""
+    factor = object.__new__(RowFactor)
+    vars(factor).update(held, row_norms=norms, deficiency=_deficiency(norms, top))
+    return factor
 
 
 def _disjoint_factor(c, norms2):
     """The closed-form :class:`RowFactor` of rows with disjoint supports.
 
-    ``norms2`` is :func:`disjoint_row_norms2` of C, with no zero entry:
-    Q = C^T D^-1 and R = D = diag(sqrt(norms2)).  Those square roots are
-    also the factor's :attr:`RowFactor.row_norms`, so C's rows are not read
-    again for them.
+    ``norms2`` is the squared row norms of :func:`disjoint_row_norms2` of
+    C, with no zero entry: Q = C^T D^-1 and R = D = diag(sqrt(norms2)),
+    formed on first read.  Those square roots are also the factor's
+    :attr:`RowFactor.row_norms`, so C's rows are not read again for them.
     """
-    norms = np.sqrt(norms2)
-    factor = _ranked(c, c.T / norms, np.diag(norms))
-    factor.__dict__["row_norms"] = norms  # the cached_property's slot
-    return factor
+    return _closed_form(np.sqrt(norms2), _max_abs(c) if c.size else 0.0, {"rows": c})
+
+
+def coordinate_factor(a, picked, signs, columns, norms2):
+    """The :class:`RowFactor` of C = diag(signs) A[picked], built from indices.
+
+    Every row of A is a coordinate row, row i's nonzero in column
+    ``columns[i]``, and ``norms2`` its squared norms, both as
+    :func:`disjoint_row_norms2` of A returns them; ``picked`` are
+    distinct rows and ``signs`` are +-1.  C has the closed form of
+    :func:`_disjoint_factor`, and this factor is bitwise that of
+    :func:`factor_rows` (C): its rank verdict reads only the row norms and
+    max |C| = max |entries|, and its :attr:`RowFactor.coordinates` are set
+    here, from the picked columns and signed entries.  C, Q, R, R^-1 and
+    the dependence floor are formed only when read, so a caller that reads
+    only the coordinates and the verdict forms no m x n array; A is read
+    again then, so it must not have changed (callback values never do).
+    """
+    columns = columns[picked]
+    entries = signs * a[picked, columns]
+    free = np.ones(a.shape[1], dtype=bool)
+    free[columns] = False
+    top = np.maximum.reduce(np.abs(entries)) if picked.size else 0.0
+    return _closed_form(np.sqrt(norms2[picked]), top, {
+        "coordinates": (columns, entries, free.nonzero()[0]),
+        "_source": (a, picked, signs),
+    })
 
 
 def factor_rows(c):
@@ -212,9 +295,9 @@ def factor_rows(c):
     m, n = c.shape
     if m > n:
         return RowFactor(c, None, None, _too_many_rows(m, n))
-    norms2 = disjoint_row_norms2(c)
-    if norms2 is not None and norms2.all():
-        return _disjoint_factor(c, norms2)
+    found = disjoint_row_norms2(c)
+    if found is not None and np.logical_and.reduce(found[0]):
+        return _disjoint_factor(c, found[0])
     return _ranked(c, *np.linalg.qr(c.T))
 
 
@@ -277,7 +360,7 @@ def _solve_regular(a, rhs, error, what, top):
         sol = np.full((n, PROBES), np.inf)  # exactly zero pivot
     ratios = _probe_norms(n) / _column_norms(sol[:, -PROBES:])
     # a NaN ratio makes the minimum NaN, which then counts as singular
-    bound = float(ratios.min())
+    bound = float(np.minimum.reduce(ratios))
     if not bound > tol:
         raise error(f"{what}: sigma_min <= {bound:.3e}, tolerance {tol:.3e}")
     return sol[:, :-PROBES].reshape(rhs.shape)

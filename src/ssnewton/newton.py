@@ -26,7 +26,10 @@ and alpha = max(1, max |JL|).  C and its QR are the QP's: the QP's
 :class:`ssnewton.linalg.RowFactor` of its tight rows holds both, its
 rank verdict serves both the QP's degeneracy flag and the step's, and the
 next QP's seed reuses it while the rows stay the same, so one active set
-costs one factorization.  W is not formed on the solve path: W^T y is the
+costs one factorization.  On coordinate rows that factor is the
+index-built one of the :mod:`ssnewton.linalg` module docstring, and the
+step reads only its coordinates and its verdict, so no C, Q or R is
+formed.  W is not formed on the solve path: W^T y is the
 tight entries of y times their signs, and D is the factor's cached row
 norms; the tight entries and their signs are the QP's
 (``QPSolution.tight``), so no pattern is read again.  Each value is
@@ -108,7 +111,6 @@ class ApproxResult:
 
 @dataclass(frozen=True, eq=False)
 class NewtonWorkspace:
-    q1: np.ndarray  # orthonormal basis of range(C^T), C = W^T Jg the tight rows
     reduced_matrix: np.ndarray  # M (n x n), or JL[F, F] on coordinate rows
     reduced_rhs: np.ndarray
     jac_l: np.ndarray  # the n x n array JL was summed into (and M written over)
@@ -209,10 +211,11 @@ def newton_workspace(problem, approx, out=None):
     every row of C has one nonzero
     (:attr:`ssnewton.linalg.RowFactor.coordinates`), the workspace holds
     the free-coordinate system of the module docstring instead: JL[F, F],
-    its rhs and s_T, with no n x n product.  C and Q1 (``approx.q1``) come
-    from the QP's factor: no QR is taken here, and a
-    :class:`DegeneracyError` is raised exactly when the QP set
-    ``degenerate_multiplier``.  alpha is read from the max and min of JL
+    its rhs and s_T, with no n x n product.  C and Q1 come from the QP's
+    factor: no QR is taken here, and a :class:`DegeneracyError` is raised
+    exactly when the QP set ``degenerate_multiplier``, from the factor's
+    verdict (as ``approx.q1`` raises it), before Q1 is read, so the
+    free-coordinate system forms no Q1.  alpha is read from the max and min of JL
     that also check Jf and Hg for finiteness (no |JL| copy); a JL that
     overflowed to +-inf raises :class:`EvaluationError`.  Both verdicts
     come before either system is formed.  D comes from the
@@ -225,13 +228,15 @@ def newton_workspace(problem, approx, out=None):
     """
     n = problem.n
     jac_l, top = _lagrangian_jacobian_and_max(problem, approx.x_hat, approx.lam_hat, out)
-    q1 = approx.q1
+    factor = approx.factor
+    if factor.deficiency is not None:  # approx.q1's verdict, with no Q formed
+        raise _degeneracy(factor.deficiency) from factor.deficiency
     alpha = max(1.0, top)
     if alpha == np.inf:  # a sum of finite arrays overflows to +-inf, never NaN
         raise EvaluationError(f"{problem.name}: Jf + Hg overflows")
     y_p, y_g = approx.y_hat[:n], approx.y_hat[n:]
     w_y = approx.tight_signs * y_g[approx.tight]  # W^T y_g
-    coordinates = approx.factor.coordinates
+    coordinates = factor.coordinates
     if coordinates is not None:
         columns, entries, free = coordinates
         rows = matrix = jac_l  # no row is tight: JL[F, F] is JL
@@ -241,13 +246,13 @@ def newton_workspace(problem, approx, out=None):
         with np.errstate(over="ignore", invalid="ignore"):  # the step is the caller's to check
             shift = w_y / entries  # -s_T
             rhs = rows[:, columns] @ shift - y_p[free]
-        return NewtonWorkspace(q1=q1, reduced_matrix=matrix, reduced_rhs=rhs, jac_l=jac_l,
+        return NewtonWorkspace(reduced_matrix=matrix, reduced_rhs=rhs, jac_l=jac_l,
                                free=free, columns=columns, column_step=-shift)
-    c, scale = approx.factor.rows, alpha / approx.factor.row_norms
+    c, q1, scale = factor.rows, factor.q, alpha / factor.row_norms
     with np.errstate(over="ignore", invalid="ignore"):  # newton_step checks M
         matrix = np.subtract(jac_l, q1 @ (q1.T @ jac_l - scale[:, None] * c), out=jac_l)
     rhs = q1 @ (q1.T @ y_p - scale * w_y) - y_p
-    return NewtonWorkspace(q1=q1, reduced_matrix=matrix, reduced_rhs=rhs, jac_l=jac_l)
+    return NewtonWorkspace(reduced_matrix=matrix, reduced_rhs=rhs, jac_l=jac_l)
 
 
 def newton_step(workspace):

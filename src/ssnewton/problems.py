@@ -140,7 +140,8 @@ def _require_symmetric(problem, h):
     An all-zero Hg, as of an affine g, passes on one ``any`` pass, with no
     transposed compare.
     """
-    if h.any() and not np.array_equal(h, h.T):  # an empty Hg is exactly symmetric
+    # an empty Hg is exactly symmetric
+    if np.logical_or.reduce(h, axis=None) and not np.array_equal(h, h.T):
         asym = float(np.max(np.abs(h - h.T)))
         # the scale is read only when the absolute test fails
         if asym > HESSIAN_SYMMETRY_TOL and asym > HESSIAN_SYMMETRY_TOL * np.max(np.abs(h)):

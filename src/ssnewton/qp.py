@@ -1,16 +1,13 @@
 """Strictly convex box-constrained QP: min 0.5||u||^2 + c.u  s.t.  b + C u in D.
 
-Two solvers serve :func:`solve_qp`, chosen by the structure of C.  When
-its rows have disjoint supports (each column of C has at most one nonzero,
-as for g(x) = x and for coordinate constraints), the rows are exactly
-orthogonal and the QP separates by row: with e = b - C c and
-d = clip(e, lower, upper), row i's multiplier is (e_i - d_i) / ||C_i||^2
-and u = -c - C^T lam (:func:`_separable_qp`).  That is the step of the
-primal-dual active-set method of Hintermueller, Ito and Kunisch (SIAM J.
-Optim. 13, 2002) being exact: no loop, no QR and no inversion.  A zero
-row is infeasible exactly when e_i lies outside its interval, and that row
-is the certificate.  Coupled rows, and rows whose squared norms leave the
-normal floats, go to the second solver.
+Two solvers serve :func:`solve_qp`, chosen by the structure of C.  Rows
+with disjoint supports (each column of C has at most one nonzero, as for
+g(x) = x) are exactly orthogonal, so the QP separates by row and has a
+closed form (:func:`_separable_qp`): the step of the primal-dual
+active-set method of Hintermueller, Ito and Kunisch (SIAM J. Optim. 13,
+2002) being exact, with no loop, no QR and no inversion.  Coupled rows,
+and rows whose squared norms leave the normal floats, go to the second
+solver.
 
 The second solver (:func:`_active_set_qp`) is a dual active-set method in
 the Goldfarb-Idnani mold, specialized to an identity Hessian.  Cold, it
@@ -35,28 +32,28 @@ coordinate of every active row placed on its bound.
 
 Every QR of active rows is a :class:`ssnewton.linalg.RowFactor` from
 :func:`ssnewton.linalg.factor_rows`, and an equality point applies its
-R^-1 as a product, so the QP makes no LU solve; for rows with disjoint
-supports the factor has a closed form with R diagonal and R^-1 its
-reciprocal diagonal, so it makes no QR and no inversion either.  Where a
-factor is at hand whose rows are bitwise the rows wanted, it is used
-instead of a new one (:func:`_factor_of`).  The tight rows of
-the returned pattern, in coordinate order and signed by
+R^-1 as a product, so the QP makes no LU solve (nor, for rows with
+disjoint supports, any QR or inversion: their factor has a closed form).
+Where a factor is at hand whose rows are bitwise the rows wanted, it is
+used instead of a new one (:func:`_factor_of`).  The tight rows of the
+returned pattern, in coordinate order and signed by
 :func:`ssnewton.cones.normal_signs` as the columns of
 :func:`ssnewton.cones.basis_for_pattern` (-1 at a lower bound, +1 at an
-upper bound or fixed), are the solution's factor in both solvers: the
-guess's held factor when its rows are those (closed form), the polish's or
-the seed's when its rows are those (known without comparing rows when the
-active rows are the tight coordinates in order, with their signs), else a
-new one.  Its verdict from
-the one rank test, :func:`ssnewton.linalg.require_full_row_rank`, is
-``degenerate_multiplier``, and the Newton step takes C, Q1 and its
-degeneracy verdict from the same factor, so the two cannot disagree; it
-takes the tight coordinates and their signs from the solution too
-(``QPSolution.tight``, ``tight_signs``).  ``QPInstance`` holds Jg
+upper bound or fixed), have the solution's factor in both solvers: the
+index-built factor of the :mod:`ssnewton.linalg` module docstring when
+every row of Jg is a coordinate row, else a held, seed or polish factor
+whose rows are those (see :func:`_separable_qp` and
+:func:`_dual_active_set`), else a new one.  Its verdict from the one rank
+test, :func:`ssnewton.linalg.require_full_row_rank`, is
+``degenerate_multiplier``, and the Newton step takes its degeneracy
+verdict (and C and Q1, off coordinate rows) from the same factor, so the
+two cannot disagree; it takes the tight coordinates and their signs from
+the solution too (``QPSolution.tight``, ``tight_signs``).  ``QPInstance`` holds Jg
 C-ordered, so no product with it depends on the layout it came in.
 
-Warm start (the active-set solver; the closed form needs no start and
-reads only the guess's factor): an instance may carry a guess, the pattern
+Warm start (the active-set solver; the closed form needs no start, and
+reads the guess's factor only when Jg has rows that are not coordinate
+rows): an instance may carry a guess, the pattern
 and multiplier of a nearby QP's solution (in the Newton method, the
 previous iterate's).
 Goldfarb and Idnani allow the dual method to start from any independent
@@ -70,10 +67,8 @@ and R^-1 buffers are made, and the seed's factor copied into them, only
 at the first violated row, and the dependence floor is a verdict the
 factor keeps (:attr:`ssnewton.linalg.RowFactor.dependent`), so a reused
 factor is not tested again.  A guess with dependent rows, or with more
-rows than unknowns, is ignored.
-A guess may carry the factor of the solution it came from, which the seed
-uses when the guessed rows are bitwise its rows, as they are for an
-affine g whose pattern holds.
+rows than unknowns, is ignored; its factor serves the seed as
+:func:`_seed` states.
 Only if the seeded run raises is the cold run made and its verdict
 returned (which row certifies infeasibility depends on the path); a seeded
 point is returned even where nearly dependent rows make the cold run raise.
@@ -94,6 +89,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import (
+    _SIGNS,
     Activity,
     BoxSet,
     _classify,
@@ -105,7 +101,14 @@ from .cones import (
     pattern_of,
 )
 from .errors import DimensionError, EvaluationError, NonconvergenceError, QPInfeasibleError
-from .linalg import DEP_REL_TOL, RowFactor, _disjoint_factor, disjoint_row_norms2, factor_rows
+from .linalg import (
+    DEP_REL_TOL,
+    RowFactor,
+    _disjoint_factor,
+    coordinate_factor,
+    disjoint_row_norms2,
+    factor_rows,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,7 +131,7 @@ class QPInstance:
                 f"inconsistent QP shapes: c {c.shape}, b {b.shape}, jac {jac.shape}"
             )
         for arr, label in ((c, "c"), (b, "b"), (jac, "jac")):
-            if arr.size and not np.isfinite(arr).all():
+            if arr.size and not np.logical_and.reduce(np.isfinite(arr), axis=None):
                 raise DimensionError(f"QP field {label} has non-finite entries")
             object.__setattr__(self, label, arr)
         if self.guess is not None:
@@ -306,7 +309,7 @@ def _offset(instance):
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         e = instance.b - instance.jac @ instance.c
     finite = np.isfinite(e)
-    if not finite.all():
+    if not np.logical_and.reduce(finite):
         raise EvaluationError(
             f"the QP's offset b - Jg c overflows at row {int(np.argmin(finite))}"
         )
@@ -323,23 +326,27 @@ def _separable_qp(instance, e):
     interval and is infeasible otherwise: that row is the certificate.  The
     pattern is ``activity(d, box)``, read without its inside test, which a
     finite point clipped to the box cannot fail
-    (:func:`ssnewton.cones._classify`); ``iterations`` is 0 and ``warm``
-    False, and the factor is the tight rows' (the guess's when its rows are
-    those), built from the squared norms already read, so the supports are
-    tested once.  Rows whose squared norms leave the normal floats give
-    None (see :func:`ssnewton.linalg.disjoint_row_norms2`).
+    (:func:`ssnewton.cones._classify`), and the signs are read from its
+    codes; ``iterations`` is 0 and ``warm`` False.  The factor is the tight
+    rows', from the one support test of Jg: when every row of Jg is a
+    coordinate row it is built from indices
+    (:func:`ssnewton.linalg.coordinate_factor`), else from the squared norms
+    already read (the guess's when its rows are those).  Rows whose squared
+    norms leave the normal floats give None (see
+    :func:`ssnewton.linalg.disjoint_row_norms2`).
     """
     c, jac, box = instance.c, instance.jac, instance.box
-    norms2 = disjoint_row_norms2(jac)
-    if norms2 is None:
+    found = disjoint_row_norms2(jac)
+    if found is None:
         return None
+    norms2, columns = found
     d = np.minimum(np.maximum(e, box.lower), box.upper)
     gap = e - d
     zero = norms2 == 0.0
-    if zero.any():
+    if np.logical_or.reduce(zero):
         cut = zero & (gap != 0.0)
-        if cut.any():
-            i = int(np.argmax(cut))
+        if np.logical_or.reduce(cut):
+            i = int(cut.argmax())
             side = "U" if gap[i] > 0.0 else "L"
             raise QPInfeasibleError(
                 f"constraint {side} on coordinate {i} cannot be met: its row of Jg is zero",
@@ -349,14 +356,17 @@ def _separable_qp(instance, e):
     else:
         lam = gap / norms2
     u = -c - jac.T @ lam
-    pattern = _classify(d, box)
-    signed = normal_signs(pattern)
-    tight = np.flatnonzero(signed)
+    codes = _classify(d, box)
+    signed = _SIGNS[codes]  # normal_signs of the pattern
+    tight = signed.nonzero()[0]
     signs = signed[tight]
-    held = None if instance.guess is None else instance.guess[2]
-    # a tight row's squared norm is bitwise Jg's (see disjoint_row_norms2)
-    factor = _factor_of(signs[:, None] * jac[tight], held, norms2[tight])
-    return QPSolution(u=u, lam=lam, active=pattern, iterations=0, factor=factor,
+    if columns is not None:
+        factor = coordinate_factor(jac, tight, signs, columns, norms2)
+    else:
+        held = None if instance.guess is None else instance.guess[2]
+        # a tight row's squared norm is bitwise Jg's (see disjoint_row_norms2)
+        factor = _factor_of(signs[:, None] * jac[tight], held, norms2[tight])
+    return QPSolution(u=u, lam=lam, active=pattern_of(codes), iterations=0, factor=factor,
                       tight=tight, tight_signs=signs)
 
 

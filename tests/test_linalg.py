@@ -14,6 +14,8 @@ from ssnewton.linalg import (
     RowFactor,
     _probe_norms,
     _probes,
+    coordinate_factor,
+    disjoint_row_norms2,
     factor_rows,
     nullspace_basis,
     pseudo_inverse_full_row_rank,
@@ -414,6 +416,59 @@ def test_row_norms_are_read_once_per_factor():
             first, second = factor.row_norms, factor.row_norms
         assert norm.call_count == calls and first is second
         assert np.array_equal(first, np.linalg.norm(rows, axis=1))
+
+
+def _layout_bits(a):
+    """An array's dtype, shape, strides and bytes: equal bits, laid out alike."""
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.strides, a.tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), picks=st.integers(0, 7), tiny=st.booleans())
+def test_a_coordinate_factor_is_factor_rows_of_its_signed_rows_bit_for_bit(seed, picks, tiny):
+    # A has one nonzero per row, 10^U(-14, 8) in size with either sign, in
+    # distinct columns, and zeros of either sign elsewhere; with ``tiny`` one
+    # picked row lies below RANK_TOL (a deficient factor).  The factor built
+    # from indices, disjoint_row_norms2's columns and squared norms equals
+    # factor_rows(diag(signs) A[picked]) in every value it holds or forms,
+    # including m = 0 picked rows
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 8))
+    s = int(rng.integers(1, n + 1))
+    a = np.where(rng.random((s, n)) < 0.5, 0.0, -0.0)
+    cols = rng.choice(n, s, replace=False)
+    a[np.arange(s), cols] = rng.choice([-1.0, 1.0], s) * 10.0 ** rng.uniform(-14, 8, s)
+    picked = rng.permutation(s)[: min(picks, s)]
+    if tiny and picked.size:
+        a[picked[0], cols[picked[0]]] = 10.0 ** rng.uniform(-14, -10.5)
+    signs = rng.choice([-1.0, 1.0], picked.size)
+    norms2, columns = disjoint_row_norms2(a)
+    assert np.array_equal(columns, cols)
+    built = coordinate_factor(a, picked, signs, columns, norms2)
+    ref = factor_rows(signs[:, None] * a[picked])
+    assert (built.deficiency is None) == (ref.deficiency is None)
+    if ref.deficiency is not None:
+        assert str(built.deficiency) == str(ref.deficiency)
+        assert built.deficiency.index == ref.deficiency.index
+    if tiny and picked.size:  # below RANK_TOL x max(1, max |C|) whatever the other rows
+        assert built.deficiency is not None
+    assert all(_layout_bits(x) == _layout_bits(y)
+               for x, y in zip(built.coordinates, ref.coordinates, strict=True))
+    for name in ("row_norms", "rows", "q", "r", "r_inv"):
+        assert _layout_bits(getattr(built, name)) == _layout_bits(getattr(ref, name)), name
+    assert built.dependent == ref.dependent
+
+
+def test_a_coordinate_factor_forms_its_dense_values_only_when_read():
+    a = np.array([[0.0, 2.0, 0.0], [-3.0, 0.0, 0.0]])
+    norms2, columns = disjoint_row_norms2(a)
+    built = coordinate_factor(a, np.array([1, 0]), np.array([-1.0, 1.0]), columns, norms2)
+    assert set(vars(built)) == {"coordinates", "_source", "row_norms", "deficiency"}
+    assert built.q.shape == (3, 2) and {"rows", "q"} <= set(vars(built))
+    assert "r" not in vars(built)
+    with pytest.raises(AttributeError, match="immutable"):
+        built.q = None
 
 
 def test_pseudo_inverse_examples():

@@ -1,6 +1,8 @@
 import dataclasses
 import importlib.util
+import json
 import os
+import shutil
 import subprocess
 import sys
 import traceback
@@ -34,7 +36,7 @@ from ssnewton.errors import (
     RankDeficiencyError,
     SingularMatrixError,
 )
-from ssnewton.linalg import nullspace_basis
+from ssnewton.linalg import RowFactor, nullspace_basis
 from ssnewton.newton import (
     approximation_step,
     assemble_full_ab,
@@ -106,7 +108,7 @@ def test_workspace_interior_branch():
     ap = approximation_step(NCP, np.array([-0.1]))
     ws = newton_workspace(NCP, ap)
     assert basis_for_pattern(ap.pattern).shape == (1, 0)
-    assert ws.q1.shape == (1, 0)
+    assert ap.q1.shape == (1, 0)
     assert np.allclose(ws.reduced_matrix, [[-0.8]], atol=1e-15)
     assert np.allclose(ws.reduced_rhs, [-0.09], atol=1e-15)
     assert newton_step(ws) == pytest.approx([0.1125], abs=1e-15)
@@ -118,7 +120,7 @@ def test_workspace_active_branch():
     ap = approximation_step(NCP, np.array([0.0125]))
     ws = newton_workspace(NCP, ap)
     assert np.allclose(basis_for_pattern(ap.pattern), [[1.0]])
-    assert np.allclose(np.abs(ws.q1), [[1.0]])
+    assert np.allclose(np.abs(ap.q1), [[1.0]])
     assert np.allclose(ws.reduced_matrix, [[1.025]], atol=1e-15)
     assert np.allclose(ws.reduced_rhs, [-1.025 * 0.0125], atol=1e-15)
     assert newton_step(ws) == pytest.approx([-0.0125], abs=1e-15)
@@ -132,8 +134,8 @@ def test_workspace_both_bounds_active():
     assert np.all(ap.lam_hat > 0)
     ws = newton_workspace(BOXVI, ap)
     assert np.allclose(basis_for_pattern(ap.pattern), np.eye(2))
-    assert np.max(np.abs(ws.q1.T @ ws.q1 - np.eye(2))) <= 1e-15
-    assert np.max(np.abs(ws.q1 @ ws.q1.T - np.eye(2))) <= 1e-15
+    assert np.max(np.abs(ap.q1.T @ ap.q1 - np.eye(2))) <= 1e-15
+    assert np.max(np.abs(ap.q1 @ ap.q1.T - np.eye(2))) <= 1e-15
     assert ws.free.size == 0 and ws.reduced_matrix.shape == (0, 0)
     assert np.array_equal(ws.columns, [0, 1]) and ws.jac_l.shape == (2, 2)
     step = newton_step(ws)
@@ -186,9 +188,9 @@ def _recording_solve_and_inv(monkeypatch):
     return solve_stacks, inverted, factored_r
 
 
-def test_newton_workspace_takes_no_qr_and_a_solve_one_qr_per_tight_row_set(monkeypatch):
-    # the QP factors its tight rows once and the Newton workspace takes Q1
-    # from that factor: no QR and no null-space basis of its own
+def test_newton_workspace_takes_no_qr_and_a_solve_of_coordinate_rows_none(monkeypatch):
+    # the QP factors its tight rows once and the Newton workspace takes its
+    # verdict from that factor: no QR and no null-space basis of its own
     spec = AffineProblemSpec(
         name="one-active",
         m=np.eye(2),
@@ -207,54 +209,39 @@ def test_newton_workspace_takes_no_qr_and_a_solve_one_qr_per_tight_row_set(monke
     factored = _recording_qr(monkeypatch)
     monkeypatch.setattr(newton, "nullspace_basis", forbidden)
     ws = newton_workspace(p, ap)
-    assert ws.q1.shape == (2, 1)
+    assert ap.q1.shape == (2, 1)
     assert factored == []
-    # over a whole solve with an affine g, each distinct set of tight rows is
-    # factored exactly once: the next QP and the Newton step reuse the
-    # factor, and no SVD is taken.  From this x0 the Kojima-Shindo run
-    # passes through three active sets in six QPs.  Its g(x) = x has
-    # disjoint rows, so every QP is the closed form, which factors only
-    # its tight rows, each set in closed form: no LAPACK QR at all
+    # over a whole solve with g(x) = x, every QP is the closed form and
+    # builds its tight rows' factor from indices (coordinate_factor), which
+    # forms no C, Q or R: no factor_rows, no dense closed form, no LAPACK
+    # QR, no inversion and no SVD.  From this x0 the Kojima-Shindo run
+    # passes through three active sets in six QPs
     problem = get_problem("kojima-shindo")
-    tight_rows = []
-    original_solve_qp = newton.solve_qp
+    built = []
 
-    def recording(instance):
-        sol = original_solve_qp(instance)
-        tight_rows.append(sol.factor.rows)
-        return sol
+    def recording_coordinate_factor(*args):
+        built.append(linalg.coordinate_factor(*args))
+        return built[-1]
 
-    monkeypatch.setattr(newton, "solve_qp", recording)
+    def dense(*args):
+        raise AssertionError("a dense factor was formed")
+
+    monkeypatch.setattr(qp_module, "coordinate_factor", recording_coordinate_factor)
+    monkeypatch.setattr(qp_module, "factor_rows", dense)
+    monkeypatch.setattr(qp_module, "_disjoint_factor", dense)
     solve_stacks, inverted, factored_r = _recording_solve_and_inv(monkeypatch)
-    row_factors = []
-
-    def recording_factor_rows(c):
-        row_factors.append(linalg.factor_rows(c))
-        return row_factors[-1]
-
-    def recording_disjoint_factor(c, norms2):
-        row_factors.append(linalg._disjoint_factor(c, norms2))
-        return row_factors[-1]
-
-    # the closed form builds its factors from the norms it holds
-    monkeypatch.setattr(qp_module, "factor_rows", recording_factor_rows)
-    monkeypatch.setattr(qp_module, "_disjoint_factor", recording_disjoint_factor)
     report = solve(problem, np.array([1.0, 0.5, 0.5, 0.5]))
     assert report.status is Status.CONVERGED
-    assert factored == factored_r == []  # no np.linalg.qr call
-    distinct = {(rows.tobytes(), rows.shape) for rows in tight_rows}
-    keys = [(factor.rows.tobytes(), factor.rows.shape) for factor in row_factors]
-    assert 1 < len(distinct) < len(tight_rows)  # some QPs repeat a row set
-    assert len(set(keys)) == len(keys)  # no matrix is factored twice
-    assert distinct == set(keys)
-    # the QP applies R^-1 as a product, so its equality points make no LU
-    # solve: every np.linalg.solve is the Newton step's solve_dense, one per
-    # step, and each inversion is of the R of a factored row set, none twice
+    assert factored == factored_r == [] and inverted == []
+    assert len(built) == len(report.iterations)  # one factor per QP call
+    tight_sets = {factor.coordinates[0].tobytes() for factor in built}
+    assert 1 < len(tight_sets) < len(built)  # some QPs repeat a row set
+    assert not any({"rows", "q", "r", "r_inv", "dependent"} & vars(f).keys() for f in built)
+    # the QP makes no LU solve: every np.linalg.solve is the Newton step's
+    # solve_dense, one per step
     assert not any(path == qp_module.__file__ for stack in solve_stacks for path, _ in stack)
     assert all((linalg.__file__, "solve_dense") in stack for stack in solve_stacks)
     assert len(solve_stacks) == len(report.iterations) - 1
-    assert all(any(a is factor.r for factor in row_factors) for a in inverted)
-    assert len({id(a) for a in inverted}) == len(inverted) <= len(keys)
 
 
 def _planted_problem(rng, case):
@@ -519,9 +506,9 @@ def test_workspace_orthogonality_invariants():
         c = w.T @ p.jg(x)
         m = c.shape[0]
         active += m > 0
-        assert ws.q1.shape == (p.n, m)
-        assert np.max(np.abs(ws.q1.T @ ws.q1 - np.eye(m)), initial=0.0) <= 1e-14
-        assert np.max(np.abs(c - (c @ ws.q1) @ ws.q1.T), initial=0.0) <= 1e-14 * np.max(
+        assert ap.q1.shape == (p.n, m)
+        assert np.max(np.abs(ap.q1.T @ ap.q1 - np.eye(m)), initial=0.0) <= 1e-14
+        assert np.max(np.abs(c - (c @ ap.q1) @ ap.q1.T), initial=0.0) <= 1e-14 * np.max(
             np.abs(c), initial=1.0
         )
         jac_l = lagrangian_jacobian(p, x, ap.lam_hat)
@@ -542,7 +529,7 @@ def test_workspace_orthogonality_invariants():
         alpha = max(1.0, np.max(np.abs(jac_l)))
         border = alpha * c / np.linalg.norm(c, axis=1)[:, None]
         z = nullspace_basis(c)
-        u = np.hstack([z, ws.q1])
+        u = np.hstack([z, ap.q1])
         want = np.vstack([z.T @ jac_l, border])
         assert np.max(np.abs(u.T @ ws.reduced_matrix - want)) <= 1e-14 * alpha
         want_rhs = np.concatenate(
@@ -658,7 +645,8 @@ def test_newton_step_and_its_verdict_do_not_depend_on_the_row_scale(seed, near_s
     scaled = dataclasses.replace(
         ap,
         jac_g=sigma[:, None] * ap.jac_g,
-        factor=dataclasses.replace(ap.factor, rows=sigma[tight][:, None] * ap.factor.rows),
+        factor=RowFactor(sigma[tight][:, None] * ap.factor.rows, ap.factor.q, ap.factor.r,
+                         ap.factor.deficiency),
         lam_hat=ap.lam_hat / sigma,
         d_hat=sigma * ap.d_hat,
         y_hat=np.concatenate([ap.y_hat[: p.n], sigma * ap.y_hat[p.n :]]),
@@ -1229,7 +1217,7 @@ def test_the_newton_workspace_builds_no_normal_basis():
     assert np.array_equal(w.T @ ap.jac_g, ap.factor.rows)
     y_g = ap.y_hat[BOXVI.n :]
     signs = np.diagonal(w)  # both coordinates are at their upper bound
-    assert np.array_equal(w.T @ y_g, signs * y_g) and ws.q1.shape == (2, 2)
+    assert np.array_equal(w.T @ y_g, signs * y_g) and ap.q1.shape == (2, 2)
 
 
 def _small_obstacle(k=4):
@@ -1253,11 +1241,13 @@ def _small_obstacle(k=4):
 
 
 def test_an_obstacle_solve_rederives_nothing_and_calls_no_numpy_wrapper():
-    # one support test and one normal_signs per QP call, the workspace
-    # taking the QP's tight indices and signs; no np.clip, np.linalg.norm or
-    # np.column_stack anywhere; the zero Hg passes its symmetry test with no
-    # transposed compare.  The workspace's one counted call is the
-    # flatnonzero that lists a factor's free columns, once per factor
+    # one structural scan of Jg per QP call, which also finds its coordinate
+    # rows, and a tight factor built from their indices: no C, Q or R is
+    # formed, no held factor is compared, and the signs come from the
+    # classifier's codes (no normal_signs).  No np.clip, np.linalg.norm,
+    # np.column_stack, np.array_equal or np.flatnonzero anywhere, the zero
+    # Hg passes its symmetry test with no transposed compare, and no ssnewton
+    # frame enters numpy's Python-level all/any/max/min (ufunc reductions)
     problem = _small_obstacle()
     phases = []  # the phase of each counted call, in order
     counted = ("clip", "column_stack", "array_equal", "flatnonzero")
@@ -1287,34 +1277,48 @@ def test_an_obstacle_solve_rederives_nothing_and_calls_no_numpy_wrapper():
     def workspace(problem, approx, out=None):
         factors.append(approx.factor)
         return original_workspace(problem, approx, out)
+
+    def dense(*args):
+        raise AssertionError("a dense factor was formed")
+
+    package = os.path.dirname(linalg.__file__)
+    reductions = Counter()
+
+    def profile(frame, event, arg):
+        code, caller = frame.f_code, frame.f_back
+        if (event == "call" and code.co_name in ("_all", "_any", "_amax", "_amin")
+                and os.path.basename(code.co_filename) == "_methods.py"
+                and caller is not None and caller.f_code.co_filename.startswith(package)):
+            reductions[code.co_name, caller.f_code.co_name] += 1
+
     with mock.patch.object(np.linalg, "norm", recorder("norm", np.linalg.norm)), \
             mock.patch.multiple(np, **{name: recorder(name, getattr(np, name)) for name in counted}), \
             mock.patch.object(qp_module, "normal_signs", signs), \
             mock.patch("ssnewton.cones.normal_signs", signs), \
             mock.patch.object(qp_module, "disjoint_row_norms2", disjoint), \
             mock.patch.object(linalg, "disjoint_row_norms2", disjoint), \
+            mock.patch.object(qp_module, "factor_rows", dense), \
+            mock.patch.object(qp_module, "_disjoint_factor", dense), \
             mock.patch.object(newton, "solve_qp", phase("qp", newton.solve_qp)), \
             mock.patch.object(newton, "newton_workspace", phase("workspace", workspace)):
-        report = solve(problem, np.zeros(problem.n))
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            report = solve(problem, np.zeros(problem.n))
+        finally:
+            sys.setprofile(previous)
     assert report.status is Status.CONVERGED
     qp_calls = len(report.iterations)
     steps = qp_calls - 1
     assert steps >= 2 and all(0 < record.branch.count("L") < problem.s
                               for record in report.iterations[1:])
-    calls = Counter(phases)
-    assert not any(name in ("norm", "clip", "column_stack") for name, _ in phases)
-    assert calls[("disjoint_row_norms2", "qp")] == qp_calls
-    assert calls[("normal_signs", "qp")] == qp_calls
-    distinct = len({id(factor) for factor in factors})
-    assert [name for name, where in phases if where == "workspace"] == ["flatnonzero"] * distinct
-    assert 1 <= distinct <= steps
-    assert sum(n for (name, _), n in calls.items() if name in ("normal_signs", "disjoint_row_norms2")) \
-        == 2 * qp_calls
-    # the held factor's compare in each seeded QP call is the only array_equal
-    assert calls[("array_equal", "qp")] == steps
-    assert sum(n for (name, _), n in calls.items() if name == "array_equal") == steps
-    # every step is on the free coordinates
-    assert all(factor.coordinates is not None for factor in factors)
+    assert phases == [("disjoint_row_norms2", "qp")] * qp_calls
+    assert not reductions
+    # every step is on the free coordinates, from a factor holding only
+    # what the closed form and the step read: no m x n or m x m value
+    assert len(factors) == steps and len({id(factor) for factor in factors}) == steps
+    assert all("coordinates" in vars(factor) for factor in factors)
+    assert not any({"rows", "q", "r", "r_inv", "dependent"} & vars(f).keys() for f in factors)
 
 
 def _coordinate_row_problem(rng):
@@ -1477,6 +1481,34 @@ def test_residuals_and_step_norms_are_np_linalg_norm_bit_for_bit(monkeypatch):
             float(np.linalg.norm(ap.u_hat)) for ap in approximations
         ]
     assert strided > 20
+
+
+def test_ab_timing_script_times_two_trees_and_checks_their_outcomes(tmp_path):
+    # the interleaved two-tree timing on 2 instances: this checkout against
+    # itself times both trees and finds no outcome that differs; against a
+    # copy whose solve stops at another tolerance it reports the instances
+    # that differ and exits 1
+    script = Path(__file__).resolve().parent / "ab_timing.py"
+    src = Path(linalg.__file__).resolve().parents[1]
+    other = tmp_path / "src"
+    shutil.copytree(src / "ssnewton", other / "ssnewton",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    newton_py = other / "ssnewton" / "newton.py"
+    text = newton_py.read_text()
+    assert text.count("def solve(problem, x0, tol=1e-10,") == 1
+    newton_py.write_text(text.replace("def solve(problem, x0, tol=1e-10,", "def solve(problem, x0, tol=1e-3,"))
+
+    def timing(change):
+        ran = subprocess.run([sys.executable, str(script), "run", str(src), str(change),
+                              "--workload", "obstacle-2d", "--count", "2", "--rounds", "1"],
+                             capture_output=True, text=True, timeout=120)
+        return ran.returncode, json.loads(ran.stdout.splitlines()[-1])
+
+    code, same = timing(src)
+    assert code == 0 and same["instances"] == 2 and same["outcomes_differ"] == 0
+    assert same["parent_p50_ms"] > 0 and same["change_p50_ms"] > 0
+    code, changed = timing(other)
+    assert code == 1 and changed["outcomes_differ"] >= 2
 
 
 def test_trajectory_digest_script_runs_and_compares(tmp_path):

@@ -12,7 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import has_disjoint_rows, random_box, random_qp_instance
-from ssnewton.cones import Activity, BoxSet, activity, normal_cone_membership, pattern_admits
+from ssnewton.cones import (
+    Activity,
+    BoxSet,
+    activity,
+    normal_cone_membership,
+    pattern_admits,
+    pattern_of,
+)
 from ssnewton.errors import (
     CombinatorialBlowupError,
     DimensionError,
@@ -22,7 +29,7 @@ from ssnewton.errors import (
 )
 from ssnewton import linalg
 from ssnewton import qp as qp_module
-from ssnewton.linalg import _disjoint_factor, factor_rows
+from ssnewton.linalg import _disjoint_factor, coordinate_factor, factor_rows
 from ssnewton.qp import QPInstance, brute_force_qp, solve_qp, violated_guess
 
 NEG1 = BoxSet.nonpositive(1)
@@ -661,23 +668,25 @@ def _planted_qp(rng, near_dependent):
 
 
 def _counting_row_factors():
-    """Mocks counting the QP's factorizations: its factor_rows calls and the
-    closed-form factors it builds from squared norms it holds."""
+    """Mocks counting the QP's factorizations: its factor_rows calls, the
+    closed-form factors it builds from squared norms it holds, and those it
+    builds from the indices of coordinate rows."""
     return (
         mock.patch.object(qp_module, "factor_rows", wraps=factor_rows),
         mock.patch.object(qp_module, "_disjoint_factor", wraps=_disjoint_factor),
+        mock.patch.object(qp_module, "coordinate_factor", wraps=coordinate_factor),
     )
 
 
 def _solve_counting_row_factors(inst):
     """(solution or exception, number of factorizations)."""
     counters = _counting_row_factors()
-    with counters[0] as factored, counters[1] as disjoint:
+    with counters[0] as factored, counters[1] as disjoint, counters[2] as indexed:
         try:
             result = solve_qp(inst)
         except (QPInfeasibleError, NonconvergenceError) as exc:
             result = exc
-    return result, factored.call_count + disjoint.call_count
+    return result, factored.call_count + disjoint.call_count + indexed.call_count
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -725,18 +734,24 @@ def _solve_counting_factors(inst, solver=solve_qp):
     """(solution, factorizations, np.linalg.inv calls, np.linalg.qr calls)
     of one call of ``solver``."""
     counters = _counting_row_factors()
-    with counters[0] as factored, counters[1] as disjoint, \
+    with counters[0] as factored, counters[1] as disjoint, counters[2] as indexed, \
             mock.patch.object(np.linalg, "inv", wraps=np.linalg.inv) as inverted, \
             mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as qr:
         sol = solver(inst)
-    return sol, factored.call_count + disjoint.call_count, inverted.call_count, qr.call_count
+    factors = factored.call_count + disjoint.call_count + indexed.call_count
+    return sol, factors, inverted.call_count, qr.call_count
+
+
+_DENSE = {"rows", "q", "r", "r_inv", "dependent"}  # a RowFactor's m x n and m x m values
 
 
 @pytest.mark.parametrize("rows", ["unit", "dense"])
 def test_a_warm_call_whose_guess_holds_factors_and_inverts_nothing(rows):
     # the guess carries the previous solution's factor: the seed reuses it,
     # with its R^-1, the loop takes no step, and the tight rows reuse it
-    # too; on unit rows solve_qp's closed form reuses it as well
+    # too.  On unit rows solve_qp's closed form reads no guess: it builds
+    # the tight rows' factor from indices, forming no C, Q or R, with the
+    # held factor's coordinates and verdict
     rng = np.random.default_rng(3)
     if rows == "unit":  # an obstacle: u >= psi, separable
         n = 8
@@ -754,8 +769,15 @@ def test_a_warm_call_whose_guess_holds_factors_and_inverts_nothing(rows):
     assert np.allclose(warm.u, prev.u, rtol=0.0, atol=1e-12)
     if rows == "unit":
         closed, factored, inverted, qrs = _solve_counting_factors(guessed)
-        assert (factored, inverted, qrs) == (0, 0, 0) and closed.factor is prev.factor
+        assert (factored, inverted, qrs) == (1, 0, 0) and not _DENSE & vars(closed.factor).keys()
+        columns, entries, free = closed.factor.coordinates
+        assert _bits(entries) == _bits(prev.factor.coordinates[1])
+        assert np.array_equal(columns, prev.factor.coordinates[0])
+        assert np.array_equal(free, prev.factor.coordinates[2])
+        assert closed.factor.deficiency is None and prev.factor.deficiency is None
         assert _assert_closed_form_matches(guessed, warm)
+        # rows formed on first read are the held factor's, bit for bit
+        assert _bits(closed.factor.rows) == _bits(prev.factor.rows)
 
 
 def test_a_violated_row_seed_of_unit_rows_factors_once_and_inverts_nothing():
@@ -763,7 +785,8 @@ def test_a_violated_row_seed_of_unit_rows_factors_once_and_inverts_nothing():
     # one factor is the closed form of unit rows (no LAPACK QR) with a
     # diagonal R, so R^-1 takes no LAPACK inversion, and the tight rows are
     # the active rows in order, so their factor is the seed's.  solve_qp's
-    # closed form factors the tight rows once, also without LAPACK
+    # closed form factors the tight rows once, from indices: no LAPACK and
+    # no C, Q or R formed
     rng = np.random.default_rng(4)
     n = 12
     inst = QPInstance(c=rng.uniform(-2, 2, n), b=np.zeros(n), jac=np.eye(n),
@@ -775,7 +798,7 @@ def test_a_violated_row_seed_of_unit_rows_factors_once_and_inverts_nothing():
     cold = qp_module._active_set_qp(inst)
     assert sol.active == cold.active and np.array_equal(sol.u, cold.u)
     closed, factored, inverted, qrs = _solve_counting_factors(seeded)
-    assert (factored, inverted, qrs) == (1, 0, 0)
+    assert (factored, inverted, qrs) == (1, 0, 0) and not _DENSE & vars(closed.factor).keys()
     assert _assert_closed_form_matches(seeded, cold)
 
 
@@ -801,21 +824,75 @@ def test_a_dependent_guess_is_ignored_each_time_its_factor_is_reused():
 
 
 def test_a_closed_form_qp_tests_the_supports_of_its_rows_once():
-    # the tight rows' closed-form factor is built from the squared norms the
-    # support test returned, so a QP with a new tight set (no guess) runs
-    # one disjoint-row test and factors once, with no LAPACK QR
+    # the support test also returns each coordinate row's column, so a QP
+    # with a new tight set (no guess) runs one structural scan of Jg and
+    # builds the tight rows' factor from indices: one factor, no LAPACK QR,
+    # no C, Q or R formed and no second scan of its rows (the coordinates
+    # are set when the factor is built).  Rows with disjoint supports that
+    # are not all coordinate rows build the closed form from the squared
+    # norms of that same scan
     rng = np.random.default_rng(6)
     n = 10
-    inst = QPInstance(c=rng.uniform(-2, 2, n), b=np.zeros(n), jac=np.eye(n),
+    unit = QPInstance(c=rng.uniform(-2, 2, n), b=np.zeros(n), jac=np.eye(n),
                       box=BoxSet(rng.uniform(-1, 1, n), np.full(n, np.inf)))
-    with mock.patch.object(qp_module, "disjoint_row_norms2",
-                           wraps=linalg.disjoint_row_norms2) as in_qp, \
-            mock.patch.object(linalg, "disjoint_row_norms2",
-                              wraps=linalg.disjoint_row_norms2) as in_linalg:
-        sol, factored, inverted, qrs = _solve_counting_factors(inst)
-    assert sol.factor.rows.shape[0] > 0  # some rows are tight
-    assert (in_qp.call_count, in_linalg.call_count) == (1, 0)
-    assert (factored, inverted, qrs) == (1, 0, 0)
+    wide = np.zeros((n // 2, n))
+    wide[np.arange(n // 2), np.arange(0, n, 2)] = 1.0
+    wide[np.arange(n // 2), np.arange(1, n, 2)] = -0.5  # two nonzeros per row
+    pair = QPInstance(c=rng.uniform(-2, 2, n), b=np.zeros(n // 2), jac=wide,
+                      box=BoxSet(rng.uniform(-1, 1, n // 2), np.full(n // 2, np.inf)))
+    for inst in (unit, pair):
+        with mock.patch.object(qp_module, "disjoint_row_norms2",
+                               wraps=linalg.disjoint_row_norms2) as in_qp, \
+                mock.patch.object(linalg, "disjoint_row_norms2",
+                                  wraps=linalg.disjoint_row_norms2) as in_linalg:
+            sol, factored, inverted, qrs = _solve_counting_factors(inst)
+        assert sol.tight.size > 0  # some rows are tight
+        assert (in_qp.call_count, in_linalg.call_count) == (1, 0)
+        assert (factored, inverted, qrs) == (1, 0, 0)
+        held = vars(sol.factor).keys()
+        if inst is unit:  # built from indices, with its coordinates
+            assert not _DENSE & held and "coordinates" in held
+        else:  # built from C and the squared norms; Q and R on first read
+            assert held & _DENSE == {"rows"} and sol.factor.coordinates is None
+
+
+def test_a_coordinate_factor_carried_into_a_coupled_qp_seeds_as_the_dense_factor():
+    # the first QP's Jg has coordinate rows, so its factor is built from
+    # indices; the next QP keeps the tight rows and couples the others, so
+    # it runs the active-set loop seeded with that factor.  The seed takes
+    # the held factor (its rows, formed on first read, are bitwise the
+    # guessed rows) and gives the same bits as with factor_rows of those
+    # rows, the dense closed form the first QP built before
+    rng = np.random.default_rng(12)
+    n, s = 6, 4
+    for _ in range(100):
+        jac = np.zeros((s, n))
+        jac[np.arange(s), rng.choice(n, s, replace=False)] = rng.choice([-1.0, 1.0], s) * \
+            10.0 ** rng.uniform(-2, 2, s)
+        box = BoxSet(rng.uniform(-1, 1, s), np.full(s, np.inf))
+        first = QPInstance(c=rng.uniform(-2, 2, n), b=np.zeros(s), jac=jac, box=box)
+        sol = solve_qp(first)
+        loose = np.setdiff1d(np.arange(s), sol.tight)
+        if sol.tight.size and loose.size:
+            break
+    assert "coordinates" in vars(sol.factor) and "rows" not in vars(sol.factor)
+    dense = factor_rows(sol.tight_signs[:, None] * jac[sol.tight])
+    coupled = jac.copy()
+    coupled[loose] = rng.uniform(-2, 2, (loose.size, n))
+    second = QPInstance(c=first.c, b=first.b, jac=coupled, box=box)
+    assert linalg.disjoint_row_norms2(coupled) is None  # the active-set loop
+    finite = qp_module._finite_bounds(box)
+    normals, offsets, _, _ = qp_module._rows(second, finite)
+    seeds, answers = [], []
+    for held in (sol.factor, dense):
+        inst = dataclasses.replace(second, guess=(sol.active, sol.lam, held))
+        seed = qp_module._seed(inst, finite, normals, offsets)
+        assert seed is not None and seed[1] is held
+        seeds.append(_bits(seed[0], seed[2], seed[3]))
+        warm = solve_qp(inst)
+        assert warm.warm
+        answers.append((warm.active, warm.iterations, _bits(warm.u, warm.lam)))
+    assert seeds[0] == seeds[1] and answers[0] == answers[1]
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
@@ -852,7 +929,7 @@ def test_a_closed_form_answer_does_not_depend_on_the_layout_of_jg(seed):
 
     rng = np.random.default_rng(seed)
     inst = _disjoint_qp(rng, "plain", max_n=30, max_s=8, exponent=3)
-    norms2 = [linalg.disjoint_row_norms2(np.asarray(inst.jac, order=o)) for o in "CF"]
+    norms2 = [linalg.disjoint_row_norms2(np.asarray(inst.jac, order=o))[0] for o in "CF"]
     assert _bits(norms2[0]) == _bits(norms2[1])
     answers = []
     for order in "CF":
@@ -1021,7 +1098,7 @@ def test_the_closed_form_pattern_is_activity_of_its_clipped_point(seed, case):
     inst = QPInstance(c=np.zeros(s), b=e, jac=jac, box=BoxSet(lo, hi))
     d = np.clip(e, lo, hi)  # e = b - Jg 0 = b, bit for bit
     assert solve_qp(inst).active == activity(d, inst.box)
-    assert qp_module._classify(d, inst.box) == activity(d, inst.box)
+    assert pattern_of(qp_module._classify(d, inst.box)) == activity(d, inst.box)
 
 
 @pytest.mark.parametrize("bounded", [False, True], ids=["unbounded", "bounded"])

@@ -72,8 +72,18 @@ class AVIInstance:
     base: np.ndarray = None  # the linearization point x; zeros when omitted
 
     def __post_init__(self):
-        base = np.zeros(self.q.shape[0]) if self.base is None else np.asarray(self.base, float)
-        object.__setattr__(self, "base", base)
+        q = np.asarray(self.q, dtype=float)
+        if q.ndim != 1:
+            raise DimensionError(f"AVI field q has shape {q.shape}, expected (n,)")
+        n, s = q.shape[0], self.box.dim
+        object.__setattr__(self, "q", q)
+        if self.base is None:
+            object.__setattr__(self, "base", np.zeros(n))
+        for label, shape in (("mat", (n, n)), ("jac", (s, n)), ("g0", (s,)), ("base", (n,))):
+            arr = np.asarray(getattr(self, label), dtype=float)
+            if arr.shape != shape:
+                raise DimensionError(f"AVI field {label} has shape {arr.shape}, expected {shape}")
+            object.__setattr__(self, label, arr)
 
 
 def solve_avi_enumerate(instance, tol=1e-9):

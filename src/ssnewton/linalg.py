@@ -6,31 +6,20 @@ closed form.  Orthonormal bases of the row space and of the null space of a
 wide matrix C come from one QR of C^T (:func:`factor_rows`, reduced;
 :func:`nullspace_basis`, complete), whose triangular factor also gives the
 one rank test, :func:`require_full_row_rank`.  Rows with disjoint supports
-(:func:`disjoint_row_norms2`) are exactly orthogonal, and :func:`factor_rows`
-gives them the reduced QR Q = C^T D^-1, R = D = diag(||C_i||) with no
-LAPACK call; a caller that has already tested the supports and holds the
-squared norms builds that factor from them (:func:`_disjoint_factor`), so
-the test runs once; the squared norms are summed in a fixed order, so they
-do not depend on C's memory layout, and their square roots are that
-factor's row norms.  A :class:`RowFactor` keeps C, Q, R, the rank verdict
-and, on first use, R^-1 and (unless the closed form holds them) the row
-norms of C together, so one
-factorization of a set of active rows serves every user of it (numpy has
-no triangular solve, so a triangular solve with R is a product with R^-1:
-the reciprocal diagonal when R is diagonal, as it is for rows with
-disjoint supports, else one LAPACK inversion).  The factor also carries
-the QP's dependence floor, tested once per factor however often it is
-reused (:attr:`RowFactor.dependent`).  The bases carry no sign convention:
-every caller uses them only through quantities that do not change when
-they are rotated.  Square systems are solved by :func:`solve_dense` in one
-LAPACK LU call, which also certifies their regularity from a few fixed
-probe columns solved next to the right-hand side (:func:`_solve_regular`);
-their norms are summed as ``np.linalg.norm`` sums them, with no call of it.
-Every matrix is checked for finite entries by the max and min of its
-entries that its scale needs anyway (a NaN makes both NaN), not by a
-separate ``isfinite`` pass.  Reductions are the ufuncs' own
-(``np.maximum.reduce``, ``np.logical_and.reduce``, ...), which the array
-methods call through a Python frame: the same values, with less overhead.
+(:func:`disjoint_row_norms2`) are exactly orthogonal and have the reduced
+QR Q = C^T D^-1, R = D = diag(||C_i||) with no LAPACK call; their squared
+norms are summed in a fixed order, so they do not depend on C's memory
+layout, and their square roots are the factor's row norms.  A
+:class:`RowFactor` keeps C, Q, R and the rank verdict together, so one
+factorization of a set of active rows serves every user of it.  Square
+systems are solved by :func:`solve_dense` in one LAPACK LU call, which also
+certifies their regularity from a few fixed probe columns solved next to
+the right-hand side (:func:`_solve_regular`).  Every matrix is checked for
+finite entries by the max and min of its entries that its scale needs
+anyway (a NaN makes both NaN), not by a separate ``isfinite`` pass.
+Reductions are the ufuncs' own (``np.maximum.reduce``, ...), which the
+array methods call through a Python frame: the same values, with less
+overhead.
 
 The index-built factor.  When every row of a matrix A is a coordinate row,
 with exactly one nonzero, in distinct columns (as for g(x) = x in the NCP
@@ -41,11 +30,10 @@ from indices alone (:func:`coordinate_factor`): its columns, its signed
 entries C[i, columns[i]], the free columns, the row norms sqrt(norms2),
 and the rank verdict of :func:`require_full_row_rank`, read from those
 norms (the diagonal of R) and max |C| = max |entries|.  C, Q, R, R^-1 and
-the dependence floor are formed only when something reads them (the
-bordered Newton system, a later active-set seed, the oracles), by the
+the dependence floor are formed only when something reads them, by the
 expressions :func:`factor_rows` uses, so every value is bitwise that of
-``factor_rows(C)``.  It is the same :class:`RowFactor` type, whose
-:attr:`RowFactor.coordinates` it holds from the start.
+``factor_rows(C)``.  It is the only factor whose
+:attr:`RowFactor.coordinates` is set.
 """
 
 import functools
@@ -116,10 +104,14 @@ class RowFactor:
     :func:`require_full_row_rank` raises on R, or None when C has full row
     rank.  With more rows than columns no QR is taken: q and r are None.
     ``RowFactor(rows, q, r, deficiency)`` holds a factor as it was computed;
-    the closed forms of :func:`_disjoint_factor` and
-    :func:`coordinate_factor` form Q and R (and C, for the latter) on first
-    read.  Immutable: every other attribute is a value cached on first read.
+    the closed forms form Q and R (and C, for a :func:`coordinate_factor`)
+    on first read.  ``coordinates`` is (columns, entries, free) of a
+    :func:`coordinate_factor` (see the module docstring) and None for every
+    other factor.  Immutable: every other attribute is a value cached on
+    first read.
     """
+
+    coordinates = None
 
     def __init__(self, rows, q, r, deficiency=None):
         vars(self).update(rows=rows, q=q, r=r, deficiency=deficiency)
@@ -145,7 +137,8 @@ class RowFactor:
 
     @functools.cached_property
     def r_inv(self):
-        """R^-1, computed on first read.
+        """R^-1, computed on first read (numpy has no triangular solve, so a
+        solve with R is a product with R^-1).
 
         A diagonal R with no zero on its diagonal is inverted entrywise:
         LAPACK's inverse of it is that same reciprocal diagonal (only the
@@ -163,28 +156,6 @@ class RowFactor:
         """np.linalg.norm(C, axis=1), computed on first read; the closed forms
         hold it from the start."""
         return np.linalg.norm(self.rows, axis=1)
-
-    @functools.cached_property
-    def coordinates(self):
-        """(columns, entries, free) when every row of C has exactly one
-        nonzero, in distinct columns, else None; read once per factor, and
-        held from the start by a :func:`coordinate_factor`.
-
-        Row i's nonzero is C[i, columns[i]] = entries[i], and ``free`` is
-        every other column, ascending.  True of no rows (m = 0).
-        """
-        c = self.rows
-        m, n = c.shape
-        nonzero = c != 0.0
-        columns = nonzero.argmax(axis=1)  # each row's first nonzero
-        entries = c[np.arange(m), columns]
-        free = np.ones(n, dtype=bool)
-        free[columns] = False
-        # m nonzeros, none in a zero row, and m columns taken: one per row
-        if (np.count_nonzero(nonzero) != m or not np.logical_and.reduce(entries)
-                or np.count_nonzero(free) != n - m):
-            return None
-        return columns, entries, free.nonzero()[0]
 
     @functools.cached_property
     def dependent(self):
@@ -232,11 +203,6 @@ def disjoint_row_norms2(c):
     return norms2, nonzero.argmax(axis=1) if count else np.zeros(0, np.intp)
 
 
-def _ranked(c, q, r):
-    """The :class:`RowFactor` of C^T = Q R with its verdict from the rank test."""
-    return RowFactor(c, q, r, _deficiency(np.abs(np.diagonal(r)), _max_abs(c) if c.size else 0.0))
-
-
 def _closed_form(norms, top, held):
     """A closed-form :class:`RowFactor` of rows with disjoint supports, norms
     ``norms`` and max |C| = ``top``: its rank verdict, the row norms and
@@ -246,25 +212,13 @@ def _closed_form(norms, top, held):
     return factor
 
 
-def _disjoint_factor(c, norms2):
-    """The closed-form :class:`RowFactor` of rows with disjoint supports.
-
-    ``norms2`` is the squared row norms of :func:`disjoint_row_norms2` of
-    C, with no zero entry: Q = C^T D^-1 and R = D = diag(sqrt(norms2)),
-    formed on first read.  Those square roots are also the factor's
-    :attr:`RowFactor.row_norms`, so C's rows are not read again for them.
-    """
-    return _closed_form(np.sqrt(norms2), _max_abs(c) if c.size else 0.0, {"rows": c})
-
-
 def coordinate_factor(a, picked, signs, columns, norms2):
     """The :class:`RowFactor` of C = diag(signs) A[picked], built from indices.
 
     Every row of A is a coordinate row, row i's nonzero in column
     ``columns[i]``, and ``norms2`` its squared norms, both as
     :func:`disjoint_row_norms2` of A returns them; ``picked`` are
-    distinct rows and ``signs`` are +-1.  C has the closed form of
-    :func:`_disjoint_factor`, and this factor is bitwise that of
+    distinct rows and ``signs`` are +-1.  This factor is bitwise that of
     :func:`factor_rows` (C): its rank verdict reads only the row norms and
     max |C| = max |entries|, and its :attr:`RowFactor.coordinates` are set
     here, from the picked columns and signed entries.  C, Q, R, R^-1 and
@@ -287,18 +241,20 @@ def factor_rows(c):
     """The :class:`RowFactor` of C.
 
     Rows with disjoint supports and no zero row (see
-    :func:`disjoint_row_norms2`) have the reduced QR Q = C^T D^-1,
-    R = D = diag(||C_i||) in closed form (:func:`_disjoint_factor`); any
-    other C takes one reduced LAPACK QR of C^T.  Both go through the same
-    rank test.
+    :func:`disjoint_row_norms2`) get the closed form Q = C^T D^-1,
+    R = D = diag(sqrt(norms2)), formed on first read, whose row norms are
+    those square roots; any other C takes one reduced LAPACK QR of C^T.
+    Both go through the same rank test.
     """
     m, n = c.shape
     if m > n:
         return RowFactor(c, None, None, _too_many_rows(m, n))
+    top = _max_abs(c) if c.size else 0.0
     found = disjoint_row_norms2(c)
     if found is not None and np.logical_and.reduce(found[0]):
-        return _disjoint_factor(c, found[0])
-    return _ranked(c, *np.linalg.qr(c.T))
+        return _closed_form(np.sqrt(found[0]), top, {"rows": c})
+    q, r = np.linalg.qr(c.T)
+    return RowFactor(c, q, r, _deficiency(np.abs(np.diagonal(r)), top))
 
 
 def nullspace_basis(c):

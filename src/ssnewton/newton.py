@@ -8,16 +8,18 @@ predicted point, C = W^T Jg its active rows and Z an orthonormal basis of
 ker C, that system is [Z^T JL; C] s = [-Z^T y_p; -W^T y_g] up to a scaling
 of each C row.
 
-When every row of C has exactly one nonzero, C[i, t_i], in distinct
-columns T = {t_i} (coordinate rows, as for g(x) = x in the NCP and obstacle
-class), Z = I[:, F] is known exactly, F being the other columns, and the
-system splits: s_T = -(W^T y_g)_i / C[i, t_i] and
-JL[F, F] s_F = -y_p[F] - JL[F, T] s_T.  JL[F, F] is the block
-:func:`ssnewton.problems.check_second_order` and :func:`closed_form_inverse`
-take as the regularity object; the step solves it with
-:func:`ssnewton.linalg.solve_dense`, whose probes certify it, and makes no
-LAPACK call when F is empty.  Any other C is solved in the bordered form
-below.
+When every row of Jg is a coordinate row, with exactly one nonzero, in
+distinct columns (as for g(x) = x in the NCP and obstacle class), so is
+every row of C, C[i, t_i] in columns T = {t_i}.  Then Z = I[:, F] is
+known exactly, F being the other columns, and the system splits:
+s_T = -(W^T y_g)_i / C[i, t_i] and JL[F, F] s_F = -y_p[F] - JL[F, T] s_T.
+JL[F, F] is the block :func:`ssnewton.problems.check_second_order` and
+:func:`closed_form_inverse` take as the regularity object; the step
+solves it with :func:`ssnewton.linalg.solve_dense`, whose probes certify
+it, and makes no LAPACK call when F is empty.  It reads only the
+coordinates and the verdict of the QP's index-built factor (the
+:mod:`ssnewton.linalg` module docstring), so no C, Q or R is formed.  Any
+other Jg is solved in the bordered form below.
 
 The bordered system is assembled without Z: Q1 from the reduced QR
 C^T = Q1 R projects JL onto range(C^T) and replaces that part by the
@@ -26,10 +28,7 @@ and alpha = max(1, max |JL|).  C and its QR are the QP's: the QP's
 :class:`ssnewton.linalg.RowFactor` of its tight rows holds both, its
 rank verdict serves both the QP's degeneracy flag and the step's, and the
 next QP's seed reuses it while the rows stay the same, so one active set
-costs one factorization.  On coordinate rows that factor is the
-index-built one of the :mod:`ssnewton.linalg` module docstring, and the
-step reads only its coordinates and its verdict, so no C, Q or R is
-formed.  W is not formed on the solve path: W^T y is the
+costs one factorization.  W is not formed on the solve path: W^T y is the
 tight entries of y times their signs, and D is the factor's cached row
 norms; the tight entries and their signs are the QP's
 (``QPSolution.tight``), so no pattern is read again.  Each value is
@@ -94,19 +93,6 @@ class ApproxResult:
     factor: RowFactor
     tight: np.ndarray
     tight_signs: np.ndarray
-
-    @property
-    def q1(self):
-        """Orthonormal basis Q1 of range(C^T), the Q of the QP's C^T = Q1 R.
-
-        Raises :class:`DegeneracyError` when the QP's rank test
-        (:func:`ssnewton.linalg.require_full_row_rank`) found C rank
-        deficient, that is exactly when ``QPSolution.degenerate_multiplier``
-        was set; no second rank test is made.
-        """
-        if self.factor.deficiency is not None:
-            raise _degeneracy(self.factor.deficiency) from self.factor.deficiency
-        return self.factor.q
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,14 +194,14 @@ def newton_workspace(problem, approx, out=None):
     each C row rescaled, so the step is the same.  Its singular values do
     not depend on the row scale of C, and the border is scaled to JL, so
     rounding in the projection of JL does not swamp a small C row.  When
-    every row of C has one nonzero
+    the QP's factor is index-built
     (:attr:`ssnewton.linalg.RowFactor.coordinates`), the workspace holds
     the free-coordinate system of the module docstring instead: JL[F, F],
     its rhs and s_T, with no n x n product.  C and Q1 come from the QP's
     factor: no QR is taken here, and a :class:`DegeneracyError` is raised
     exactly when the QP set ``degenerate_multiplier``, from the factor's
-    verdict (as ``approx.q1`` raises it), before Q1 is read, so the
-    free-coordinate system forms no Q1.  alpha is read from the max and min of JL
+    verdict, before Q1 is read, so the free-coordinate system forms no Q1.
+    alpha is read from the max and min of JL
     that also check Jf and Hg for finiteness (no |JL| copy); a JL that
     overflowed to +-inf raises :class:`EvaluationError`.  Both verdicts
     come before either system is formed.  D comes from the
@@ -229,7 +215,7 @@ def newton_workspace(problem, approx, out=None):
     n = problem.n
     jac_l, top = _lagrangian_jacobian_and_max(problem, approx.x_hat, approx.lam_hat, out)
     factor = approx.factor
-    if factor.deficiency is not None:  # approx.q1's verdict, with no Q formed
+    if factor.deficiency is not None:  # the QP's verdict, with no Q formed
         raise _degeneracy(factor.deficiency) from factor.deficiency
     alpha = max(1.0, top)
     if alpha == np.inf:  # a sum of finite arrays overflows to +-inf, never NaN

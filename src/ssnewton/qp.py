@@ -30,32 +30,26 @@ cancel it off its bounds.  The returned pattern comes from
 :func:`ssnewton.cones.activity` at b + C u, clipped to the box, with the
 coordinate of every active row placed on its bound.
 
-Every QR of active rows is a :class:`ssnewton.linalg.RowFactor` from
-:func:`ssnewton.linalg.factor_rows`, and an equality point applies its
-R^-1 as a product, so the QP makes no LU solve (nor, for rows with
-disjoint supports, any QR or inversion: their factor has a closed form).
-Where a factor is at hand whose rows are bitwise the rows wanted, it is
-used instead of a new one (:func:`_factor_of`).  The tight rows of the
-returned pattern, in coordinate order and signed by
-:func:`ssnewton.cones.normal_signs` as the columns of
-:func:`ssnewton.cones.basis_for_pattern` (-1 at a lower bound, +1 at an
-upper bound or fixed), have the solution's factor in both solvers: the
-index-built factor of the :mod:`ssnewton.linalg` module docstring when
-every row of Jg is a coordinate row, else a held, seed or polish factor
-whose rows are those (see :func:`_separable_qp` and
-:func:`_dual_active_set`), else a new one.  Its verdict from the one rank
-test, :func:`ssnewton.linalg.require_full_row_rank`, is
-``degenerate_multiplier``, and the Newton step takes its degeneracy
-verdict (and C and Q1, off coordinate rows) from the same factor, so the
-two cannot disagree; it takes the tight coordinates and their signs from
-the solution too (``QPSolution.tight``, ``tight_signs``).  ``QPInstance`` holds Jg
-C-ordered, so no product with it depends on the layout it came in.
+Every factor of active rows is a :class:`ssnewton.linalg.RowFactor`
+from :func:`ssnewton.linalg.factor_rows` (or, in the closed form, from
+:func:`ssnewton.linalg.coordinate_factor`), and an equality point applies
+its R^-1 as a product, so the QP makes no LU solve.  A factor at hand whose
+rows are bitwise the rows wanted is used instead of a new one
+(:func:`_factor_of`).  The tight rows of the returned pattern, in
+coordinate order and signed by :func:`ssnewton.cones.normal_signs` as the
+columns of :func:`ssnewton.cones.basis_for_pattern` (-1 at a lower bound,
++1 at an upper bound or fixed), have the solution's factor in both
+solvers.  Its verdict from the one rank test,
+:func:`ssnewton.linalg.require_full_row_rank`, is ``degenerate_multiplier``,
+and the Newton step takes its degeneracy verdict from the same factor, so
+the two cannot disagree; it takes the tight coordinates and their signs
+from the solution too (``QPSolution.tight``, ``tight_signs``).
+``QPInstance`` holds Jg C-ordered, so no product with it depends on the
+layout it came in.
 
-Warm start (the active-set solver; the closed form needs no start, and
-reads the guess's factor only when Jg has rows that are not coordinate
-rows): an instance may carry a guess, the pattern
-and multiplier of a nearby QP's solution (in the Newton method, the
-previous iterate's).
+Warm start (the active-set solver; the closed form never reads the
+guess): an instance may carry a guess, the pattern, multiplier and factor
+of a nearby QP's solution (in the Newton method, the previous iterate's).
 Goldfarb and Idnani allow the dual method to start from any independent
 active set whose equality subproblem has nonnegative multipliers, so the
 guessed rows are solved as in the polish, rows with negative multipliers
@@ -104,7 +98,6 @@ from .errors import DimensionError, EvaluationError, NonconvergenceError, QPInfe
 from .linalg import (
     DEP_REL_TOL,
     RowFactor,
-    _disjoint_factor,
     coordinate_factor,
     disjoint_row_norms2,
     factor_rows,
@@ -126,7 +119,8 @@ class QPInstance:
         c = np.asarray(self.c, dtype=float)
         b = np.asarray(self.b, dtype=float)
         jac = np.asarray(self.jac, dtype=float, order="C")  # so no product depends on its layout
-        if jac.shape != (b.shape[0], c.shape[0]) or b.shape[0] != self.box.dim:
+        if (c.ndim != 1 or b.ndim != 1 or jac.shape != (b.shape[0], c.shape[0])
+                or b.shape[0] != self.box.dim):
             raise DimensionError(
                 f"inconsistent QP shapes: c {c.shape}, b {b.shape}, jac {jac.shape}"
             )
@@ -207,17 +201,10 @@ def _rows(instance, finite):
     return sign[:, None] * instance.jac[coord], offset, coord, sign
 
 
-def _factor_of(rows, held, norms2=None):
-    """``held`` when its rows are bitwise ``rows``, else the factor of ``rows``.
-
-    ``norms2``, when given, is :func:`ssnewton.linalg.disjoint_row_norms2`
-    of ``rows``, already read: with no zero row it gives the closed-form
-    factor without testing the supports again.
-    """
+def _factor_of(rows, held):
+    """``held`` when its rows are bitwise ``rows``, else the factor of ``rows``."""
     if held is not None and np.array_equal(held.rows, rows):
         return held
-    if norms2 is not None and norms2.all():
-        return _disjoint_factor(rows, norms2)
     return factor_rows(rows)
 
 
@@ -328,10 +315,10 @@ def _separable_qp(instance, e):
     finite point clipped to the box cannot fail
     (:func:`ssnewton.cones._classify`), and the signs are read from its
     codes; ``iterations`` is 0 and ``warm`` False.  The factor is the tight
-    rows', from the one support test of Jg: when every row of Jg is a
-    coordinate row it is built from indices
-    (:func:`ssnewton.linalg.coordinate_factor`), else from the squared norms
-    already read (the guess's when its rows are those).  Rows whose squared
+    rows': when every row of Jg is a coordinate row it is built from the
+    indices of the one support test of Jg
+    (:func:`ssnewton.linalg.coordinate_factor`), else by
+    :func:`ssnewton.linalg.factor_rows`.  Rows whose squared
     norms leave the normal floats give None (see
     :func:`ssnewton.linalg.disjoint_row_norms2`).
     """
@@ -363,9 +350,7 @@ def _separable_qp(instance, e):
     if columns is not None:
         factor = coordinate_factor(jac, tight, signs, columns, norms2)
     else:
-        held = None if instance.guess is None else instance.guess[2]
-        # a tight row's squared norm is bitwise Jg's (see disjoint_row_norms2)
-        factor = _factor_of(signs[:, None] * jac[tight], held, norms2[tight])
+        factor = factor_rows(signs[:, None] * jac[tight])
     return QPSolution(u=u, lam=lam, active=pattern_of(codes), iterations=0, factor=factor,
                       tight=tight, tight_signs=signs)
 
@@ -499,18 +484,11 @@ def _dual_active_set(instance, rows, seed):
     # coordinates are linearly independent; the internal U/L row pair of a
     # pinched coordinate does not count (their difference is unique).  The
     # tight rows are signed as W^T Jg, so the Newton step can use their
-    # factor as it is.  When the active rows are the tight coordinates in
-    # order, with their signs, the active rows' factor is bitwise theirs
+    # factor as it is
     signed = normal_signs(pattern)
     tight_coords = np.flatnonzero(signed)
     tight_signs = signed[tight_coords]
-    reuse = (
-        factor is not None
-        and np.array_equal(on_bound, tight_coords)
-        and np.array_equal(on_sign, tight_signs)
-    )
-    if not reuse:
-        factor = _factor_of(tight_signs[:, None] * instance.jac[tight_coords], factor)
+    factor = _factor_of(tight_signs[:, None] * instance.jac[tight_coords], factor)
     if factor.deficiency is not None:
         jac_tight = instance.jac[tight_coords]
         rhs = -(u + instance.c)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,25 @@ def test_avi_rejects_a_nan_solution():
         box=BoxSet.nonpositive(1),
     )
     assert solve_avi_enumerate(inst) is None
+
+
+@pytest.mark.parametrize(
+    "field, value, shape",
+    [
+        ("q", np.zeros((2, 1)), "(2, 1), expected (n,)"),
+        ("mat", np.eye(3), "(3, 3), expected (2, 2)"),
+        ("jac", np.ones((1, 2)), "(1, 2), expected (2, 2)"),
+        ("g0", np.zeros(3), "(3,), expected (2,)"),
+        ("base", np.zeros(1), "(1,), expected (2,)"),
+    ],
+    ids=["q", "mat", "jac", "g0", "base"],
+)
+def test_an_avi_field_of_the_wrong_shape_raises(field, value, shape):
+    fields = dict(q=-np.ones(2), mat=np.eye(2), jac=np.eye(2), g0=np.zeros(2),
+                  box=BoxSet.nonpositive(2), base=np.zeros(2))
+    fields[field] = value
+    with pytest.raises(DimensionError, match=rf"^AVI field {field} has shape {re.escape(shape)}$"):
+        AVIInstance(**fields)
 
 
 def test_avi_monotone_instance():

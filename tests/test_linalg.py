@@ -432,7 +432,8 @@ def test_a_coordinate_factor_is_factor_rows_of_its_signed_rows_bit_for_bit(seed,
     # picked row lies below RANK_TOL (a deficient factor).  The factor built
     # from indices, disjoint_row_norms2's columns and squared norms equals
     # factor_rows(diag(signs) A[picked]) in every value it holds or forms,
-    # including m = 0 picked rows
+    # including m = 0 picked rows, except the coordinates, which factor_rows
+    # does not read
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 8))
     s = int(rng.integers(1, n + 1))
@@ -453,8 +454,13 @@ def test_a_coordinate_factor_is_factor_rows_of_its_signed_rows_bit_for_bit(seed,
         assert built.deficiency.index == ref.deficiency.index
     if tiny and picked.size:  # below RANK_TOL x max(1, max |C|) whatever the other rows
         assert built.deficiency is not None
-    assert all(_layout_bits(x) == _layout_bits(y)
-               for x, y in zip(built.coordinates, ref.coordinates, strict=True))
+    # the coordinates are the picked rows' columns, their signed nonzeros
+    # and every other column; only the index-built factor holds them
+    taken, entries, free = built.coordinates
+    assert _layout_bits(taken) == _layout_bits(cols[picked])
+    assert _layout_bits(entries) == _layout_bits(ref.rows[np.arange(picked.size), cols[picked]])
+    assert free.dtype == np.intp and np.array_equal(free, np.setdiff1d(np.arange(n), cols[picked]))
+    assert ref.coordinates is None
     for name in ("row_norms", "rows", "q", "r", "r_inv"):
         assert _layout_bits(getattr(built, name)) == _layout_bits(getattr(ref, name)), name
     assert built.dependent == ref.dependent

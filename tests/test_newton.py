@@ -108,7 +108,7 @@ def test_workspace_interior_branch():
     ap = approximation_step(NCP, np.array([-0.1]))
     ws = newton_workspace(NCP, ap)
     assert basis_for_pattern(ap.pattern).shape == (1, 0)
-    assert ap.q1.shape == (1, 0)
+    assert ap.factor.q.shape == (1, 0)
     assert np.allclose(ws.reduced_matrix, [[-0.8]], atol=1e-15)
     assert np.allclose(ws.reduced_rhs, [-0.09], atol=1e-15)
     assert newton_step(ws) == pytest.approx([0.1125], abs=1e-15)
@@ -120,7 +120,7 @@ def test_workspace_active_branch():
     ap = approximation_step(NCP, np.array([0.0125]))
     ws = newton_workspace(NCP, ap)
     assert np.allclose(basis_for_pattern(ap.pattern), [[1.0]])
-    assert np.allclose(np.abs(ap.q1), [[1.0]])
+    assert np.allclose(np.abs(ap.factor.q), [[1.0]])
     assert np.allclose(ws.reduced_matrix, [[1.025]], atol=1e-15)
     assert np.allclose(ws.reduced_rhs, [-1.025 * 0.0125], atol=1e-15)
     assert newton_step(ws) == pytest.approx([-0.0125], abs=1e-15)
@@ -134,8 +134,9 @@ def test_workspace_both_bounds_active():
     assert np.all(ap.lam_hat > 0)
     ws = newton_workspace(BOXVI, ap)
     assert np.allclose(basis_for_pattern(ap.pattern), np.eye(2))
-    assert np.max(np.abs(ap.q1.T @ ap.q1 - np.eye(2))) <= 1e-15
-    assert np.max(np.abs(ap.q1 @ ap.q1.T - np.eye(2))) <= 1e-15
+    q1 = ap.factor.q
+    assert np.max(np.abs(q1.T @ q1 - np.eye(2))) <= 1e-15
+    assert np.max(np.abs(q1 @ q1.T - np.eye(2))) <= 1e-15
     assert ws.free.size == 0 and ws.reduced_matrix.shape == (0, 0)
     assert np.array_equal(ws.columns, [0, 1]) and ws.jac_l.shape == (2, 2)
     step = newton_step(ws)
@@ -209,7 +210,7 @@ def test_newton_workspace_takes_no_qr_and_a_solve_of_coordinate_rows_none(monkey
     factored = _recording_qr(monkeypatch)
     monkeypatch.setattr(newton, "nullspace_basis", forbidden)
     ws = newton_workspace(p, ap)
-    assert ap.q1.shape == (2, 1)
+    assert ap.factor.q.shape == (2, 1)
     assert factored == []
     # over a whole solve with g(x) = x, every QP is the closed form and
     # builds its tight rows' factor from indices (coordinate_factor), which
@@ -228,7 +229,6 @@ def test_newton_workspace_takes_no_qr_and_a_solve_of_coordinate_rows_none(monkey
 
     monkeypatch.setattr(qp_module, "coordinate_factor", recording_coordinate_factor)
     monkeypatch.setattr(qp_module, "factor_rows", dense)
-    monkeypatch.setattr(qp_module, "_disjoint_factor", dense)
     solve_stacks, inverted, factored_r = _recording_solve_and_inv(monkeypatch)
     report = solve(problem, np.array([1.0, 0.5, 0.5, 0.5]))
     assert report.status is Status.CONVERGED
@@ -408,7 +408,7 @@ def test_workspace_matrix_is_the_out_of_place_expression_bit_for_bit():
         ap = approximation_step(p, x)
         ws = newton_workspace(p, ap)
         jac_l = lagrangian_jacobian(p, ap.x_hat, ap.lam_hat)
-        c, q1 = ap.factor.rows, ap.q1
+        c, q1 = ap.factor.rows, ap.factor.q
         alpha = max(1.0, float(np.max(np.abs(jac_l))))
         scale = alpha / np.linalg.norm(c, axis=1)
         want = jac_l - q1 @ (q1.T @ jac_l - scale[:, None] * c)
@@ -491,7 +491,7 @@ def test_workspace_orthogonality_invariants():
     # Q1 is an orthonormal basis of range(C^T), C = W^T Jg.  With Z from
     # nullspace_basis, the bordered system has [Z Q1]^T M =
     # [Z^T JL; alpha D^{-1} C] and [Z Q1]^T rhs = [-Z^T y_p; -alpha D^{-1} W^T y_g].
-    # Coordinate rows (here n = 1, or no tight row) have Z = I[:, F]: the
+    # A Jg of coordinate rows (here n = 1) has Z = I[:, F]: the
     # workspace holds JL[F, F] exactly, s_T solves C s = -W^T y_g and the
     # rhs is -y_p[F] - JL[F, T] s_T
     rng = np.random.default_rng(1)
@@ -506,9 +506,10 @@ def test_workspace_orthogonality_invariants():
         c = w.T @ p.jg(x)
         m = c.shape[0]
         active += m > 0
-        assert ap.q1.shape == (p.n, m)
-        assert np.max(np.abs(ap.q1.T @ ap.q1 - np.eye(m)), initial=0.0) <= 1e-14
-        assert np.max(np.abs(c - (c @ ap.q1) @ ap.q1.T), initial=0.0) <= 1e-14 * np.max(
+        q1 = ap.factor.q
+        assert q1.shape == (p.n, m)
+        assert np.max(np.abs(q1.T @ q1 - np.eye(m)), initial=0.0) <= 1e-14
+        assert np.max(np.abs(c - (c @ q1) @ q1.T), initial=0.0) <= 1e-14 * np.max(
             np.abs(c), initial=1.0
         )
         jac_l = lagrangian_jacobian(p, x, ap.lam_hat)
@@ -529,7 +530,7 @@ def test_workspace_orthogonality_invariants():
         alpha = max(1.0, np.max(np.abs(jac_l)))
         border = alpha * c / np.linalg.norm(c, axis=1)[:, None]
         z = nullspace_basis(c)
-        u = np.hstack([z, ap.q1])
+        u = np.hstack([z, q1])
         want = np.vstack([z.T @ jac_l, border])
         assert np.max(np.abs(u.T @ ws.reduced_matrix - want)) <= 1e-14 * alpha
         want_rhs = np.concatenate(
@@ -537,10 +538,9 @@ def test_workspace_orthogonality_invariants():
         )
         assert np.max(np.abs(u.T @ ws.reduced_rhs - want_rhs)) <= 1e-14 * alpha * size
     assert 10 <= active < 50
-    # the bordered form on tight coupled rows, the free-coordinate one with
-    # and without tight rows
-    assert forms[True, True] and forms[False, True] and forms[False, False]
-    assert not forms[True, False]
+    # both forms, each with and without tight rows: a coupled Jg takes the
+    # bordered form even where no row is tight
+    assert all(forms[bordered, tight] for bordered in (True, False) for tight in (True, False))
 
 
 def _scaled_problem(rng, near_dependent):
@@ -1217,7 +1217,7 @@ def test_the_newton_workspace_builds_no_normal_basis():
     assert np.array_equal(w.T @ ap.jac_g, ap.factor.rows)
     y_g = ap.y_hat[BOXVI.n :]
     signs = np.diagonal(w)  # both coordinates are at their upper bound
-    assert np.array_equal(w.T @ y_g, signs * y_g) and ap.q1.shape == (2, 2)
+    assert np.array_equal(w.T @ y_g, signs * y_g) and ap.factor.q.shape == (2, 2)
 
 
 def _small_obstacle(k=4):
@@ -1298,7 +1298,6 @@ def test_an_obstacle_solve_rederives_nothing_and_calls_no_numpy_wrapper():
             mock.patch.object(qp_module, "disjoint_row_norms2", disjoint), \
             mock.patch.object(linalg, "disjoint_row_norms2", disjoint), \
             mock.patch.object(qp_module, "factor_rows", dense), \
-            mock.patch.object(qp_module, "_disjoint_factor", dense), \
             mock.patch.object(newton, "solve_qp", phase("qp", newton.solve_qp)), \
             mock.patch.object(newton, "newton_workspace", phase("workspace", workspace)):
         previous = sys.getprofile()
@@ -1425,21 +1424,32 @@ def test_a_singular_jacobian_with_a_regular_free_block_still_steps():
 
 
 def test_coupled_tight_rows_keep_the_bordered_system():
-    # a tight row with two nonzeros, alone or beside a coordinate row: the
-    # workspace holds the n x n bordered M, formed in the JL buffer
-    for g_mat in ([[1.0, 1.0, 0.0]], [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]):
-        g_mat = np.array(g_mat)
-        s = g_mat.shape[0]
+    # a tight row with two nonzeros, alone or beside a coordinate row, and a
+    # lone tight coordinate row of a coupled Jg: the workspace holds the
+    # n x n bordered M, formed in the JL buffer
+    membrane = dict(m=np.diag([2.0, 3.0, 1.5]), q=np.full(3, -10.0), lower=[-np.inf],
+                    upper=[0.0], x=np.ones(3))
+    cases = [
+        dict(membrane, g_mat=[[1.0, 1.0, 0.0]], tight=[0]),
+        dict(membrane, g_mat=[[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], lower=[-np.inf] * 2,
+             upper=[0.0] * 2, tight=[0, 1]),
+        dict(m=[[2.0, 0.5], [0.5, 1.0]], q=[1.0, -1.0], g_mat=[[1.0, 0.0], [1.0, 1.0]],
+             lower=[0.0, -10.0], upper=[np.inf, 10.0], x=np.array([0.3, 0.2]), tight=[0]),
+    ]
+    for case in cases:
+        g_mat = np.array(case["g_mat"])
+        s, n = g_mat.shape
         p = AffineProblemSpec(
-            name="coupled", m=np.diag([2.0, 3.0, 1.5]), q=np.full(3, -10.0), g_mat=g_mat,
-            h=np.zeros(s), lower=np.full(s, -np.inf), upper=np.zeros(s),
+            name="coupled", m=np.array(case["m"]), q=np.array(case["q"]), g_mat=g_mat,
+            h=np.zeros(s), lower=np.array(case["lower"]), upper=np.array(case["upper"]),
         ).build()
-        ap = approximation_step(p, np.ones(3))
-        assert ap.factor.rows.shape == (s, 3) and ap.factor.coordinates is None
-        buffer = np.empty((3, 3))
+        ap = approximation_step(p, case["x"])
+        assert np.array_equal(ap.tight, case["tight"])
+        assert ap.factor.rows.shape == (ap.tight.size, n) and ap.factor.coordinates is None
+        buffer = np.empty((n, n))
         ws = newton_workspace(p, ap, buffer)
         assert ws.free is None and ws.reduced_matrix is ws.jac_l is buffer
-        assert ws.reduced_matrix.shape == (3, 3)
+        assert ws.reduced_matrix.shape == (n, n)
         step = newton_step(ws)
         assert np.max(np.abs(step - full_step_oracle(p, ap))) <= 1e-14
 

@@ -29,7 +29,7 @@ from ssnewton.errors import (
 )
 from ssnewton import linalg
 from ssnewton import qp as qp_module
-from ssnewton.linalg import _disjoint_factor, coordinate_factor, factor_rows
+from ssnewton.linalg import coordinate_factor, factor_rows
 from ssnewton.qp import QPInstance, brute_force_qp, solve_qp, violated_guess
 
 NEG1 = BoxSet.nonpositive(1)
@@ -140,6 +140,20 @@ def test_a_guess_of_the_wrong_shape_or_with_a_non_code_entry_raises(pattern, lam
     box = BoxSet.nonpositive(2)
     with pytest.raises(DimensionError):
         QPInstance(c=np.zeros(2), b=np.zeros(2), jac=np.eye(2), box=box, guess=(pattern, lam))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("c", np.zeros((2, 3))), ("c", np.zeros(())), ("b", np.zeros((2, 1))), ("b", np.zeros(()))],
+    ids=["c-2d", "c-0d", "b-2d", "b-0d"],
+)
+def test_a_linear_term_or_offset_that_is_not_a_vector_raises(field, value):
+    # a (2, 3) c has as many rows as the 2 x 2 Jg has columns; it must not
+    # pass on to solve_qp, where numpy's own ValueError would be raised
+    fields = dict(c=np.zeros(2), b=np.zeros(2), jac=np.eye(2), box=BoxSet.nonpositive(2))
+    fields[field] = value
+    with pytest.raises(DimensionError, match="^inconsistent QP shapes"):
+        QPInstance(**fields)
 
 
 def test_brute_force_guard():
@@ -668,12 +682,10 @@ def _planted_qp(rng, near_dependent):
 
 
 def _counting_row_factors():
-    """Mocks counting the QP's factorizations: its factor_rows calls, the
-    closed-form factors it builds from squared norms it holds, and those it
-    builds from the indices of coordinate rows."""
+    """Mocks counting the QP's factorizations: its factor_rows calls and the
+    factors it builds from the indices of coordinate rows."""
     return (
         mock.patch.object(qp_module, "factor_rows", wraps=factor_rows),
-        mock.patch.object(qp_module, "_disjoint_factor", wraps=_disjoint_factor),
         mock.patch.object(qp_module, "coordinate_factor", wraps=coordinate_factor),
     )
 
@@ -681,12 +693,12 @@ def _counting_row_factors():
 def _solve_counting_row_factors(inst):
     """(solution or exception, number of factorizations)."""
     counters = _counting_row_factors()
-    with counters[0] as factored, counters[1] as disjoint, counters[2] as indexed:
+    with counters[0] as factored, counters[1] as indexed:
         try:
             result = solve_qp(inst)
         except (QPInfeasibleError, NonconvergenceError) as exc:
             result = exc
-    return result, factored.call_count + disjoint.call_count + indexed.call_count
+    return result, factored.call_count + indexed.call_count
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -734,11 +746,11 @@ def _solve_counting_factors(inst, solver=solve_qp):
     """(solution, factorizations, np.linalg.inv calls, np.linalg.qr calls)
     of one call of ``solver``."""
     counters = _counting_row_factors()
-    with counters[0] as factored, counters[1] as disjoint, counters[2] as indexed, \
+    with counters[0] as factored, counters[1] as indexed, \
             mock.patch.object(np.linalg, "inv", wraps=np.linalg.inv) as inverted, \
             mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as qr:
         sol = solver(inst)
-    factors = factored.call_count + disjoint.call_count + indexed.call_count
+    factors = factored.call_count + indexed.call_count
     return sol, factors, inverted.call_count, qr.call_count
 
 
@@ -751,7 +763,7 @@ def test_a_warm_call_whose_guess_holds_factors_and_inverts_nothing(rows):
     # with its R^-1, the loop takes no step, and the tight rows reuse it
     # too.  On unit rows solve_qp's closed form reads no guess: it builds
     # the tight rows' factor from indices, forming no C, Q or R, with the
-    # held factor's coordinates and verdict
+    # held factor's nonzeros and verdict
     rng = np.random.default_rng(3)
     if rows == "unit":  # an obstacle: u >= psi, separable
         n = 8
@@ -771,9 +783,10 @@ def test_a_warm_call_whose_guess_holds_factors_and_inverts_nothing(rows):
         closed, factored, inverted, qrs = _solve_counting_factors(guessed)
         assert (factored, inverted, qrs) == (1, 0, 0) and not _DENSE & vars(closed.factor).keys()
         columns, entries, free = closed.factor.coordinates
-        assert _bits(entries) == _bits(prev.factor.coordinates[1])
-        assert np.array_equal(columns, prev.factor.coordinates[0])
-        assert np.array_equal(free, prev.factor.coordinates[2])
+        held_rows = prev.factor.rows
+        assert _bits(entries) == _bits(held_rows[np.arange(len(columns)), columns])
+        assert np.array_equal(columns, prev.tight) and prev.factor.coordinates is None
+        assert np.array_equal(free, np.setdiff1d(np.arange(n), prev.tight))
         assert closed.factor.deficiency is None and prev.factor.deficiency is None
         assert _assert_closed_form_matches(guessed, warm)
         # rows formed on first read are the held factor's, bit for bit
@@ -829,8 +842,8 @@ def test_a_closed_form_qp_tests_the_supports_of_its_rows_once():
     # builds the tight rows' factor from indices: one factor, no LAPACK QR,
     # no C, Q or R formed and no second scan of its rows (the coordinates
     # are set when the factor is built).  Rows with disjoint supports that
-    # are not all coordinate rows build the closed form from the squared
-    # norms of that same scan
+    # are not all coordinate rows are factored by factor_rows, whose own
+    # support test of the tight rows picks the closed form
     rng = np.random.default_rng(6)
     n = 10
     unit = QPInstance(c=rng.uniform(-2, 2, n), b=np.zeros(n), jac=np.eye(n),
@@ -847,12 +860,12 @@ def test_a_closed_form_qp_tests_the_supports_of_its_rows_once():
                                   wraps=linalg.disjoint_row_norms2) as in_linalg:
             sol, factored, inverted, qrs = _solve_counting_factors(inst)
         assert sol.tight.size > 0  # some rows are tight
-        assert (in_qp.call_count, in_linalg.call_count) == (1, 0)
+        assert (in_qp.call_count, in_linalg.call_count) == (1, 0 if inst is unit else 1)
         assert (factored, inverted, qrs) == (1, 0, 0)
         held = vars(sol.factor).keys()
         if inst is unit:  # built from indices, with its coordinates
             assert not _DENSE & held and "coordinates" in held
-        else:  # built from C and the squared norms; Q and R on first read
+        else:  # built from C; Q and R on first read
             assert held & _DENSE == {"rows"} and sol.factor.coordinates is None
 
 
